@@ -102,9 +102,10 @@ def error_tokens(pred_logits: np.ndarray, gold: Sequence[int]) -> ErrorTokenTrac
 
 
 def topk_mask(z: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest entries in place, zero the rest.
+    """Keep the k largest entries of each row (last axis), zero the rest.
 
-    Ties at the k-th value break toward the lowest index.
+    Ties at the k-th value break toward the lowest index. Leading axes are
+    batch axes: each row gives the same bits as a separate 1-D call.
     """
     z = np.asarray(z)
     V = z.shape[-1]
@@ -112,16 +113,25 @@ def topk_mask(z: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {V}], got {k}")
     if k == V:
         return z.copy()
-    # stable selection: sort by (-value, index) so equal values keep low indices
-    order = np.lexsort((np.arange(V), -z))
-    keep = order[:k]
+    # stable sort along the last axis: order by (-value, index), so equal
+    # values keep their low indices
+    order = (-z).argsort(kind="stable")
     out = np.zeros_like(z)
-    out[keep] = z[keep]
+    if z.ndim == 1:
+        # plain indexing: about half the cost of put_along_axis on one row
+        keep = order[:k]
+        out[keep] = z[keep]
+    else:
+        keep = order[..., :k]
+        np.put_along_axis(out, keep, np.take_along_axis(z, keep, axis=-1), axis=-1)
     return out
 
 
 def fuse_logits(z_list: Sequence[np.ndarray], lambdas: Sequence[float], k: int) -> np.ndarray:
-    """z = z0 + sum_i lambda_i * topk_mask(z_i, k) over the successors."""
+    """z = z0 + sum_i lambda_i * topk_mask(z_i, k) over the successors.
+
+    Each z_i is one (V,) logit vector or a batch of them, shape (..., V).
+    """
     if len(z_list) != len(lambdas) + 1:
         raise ValueError(f"{len(z_list)} logit vectors need {len(z_list) - 1} lambdas")
     z0 = np.asarray(z_list[0])
@@ -178,13 +188,7 @@ class Ensemble:
     def fused_teacher_logits(self, token_ids) -> np.ndarray:
         """Per-step fused logits (T, V) under teacher forcing."""
         traces = self.teacher_traces(token_ids)
-        T = traces[0].logits.shape[0]
-        out = np.zeros_like(traces[0].logits)
-        for t in range(T):
-            out[t] = fuse_logits(
-                [tr.logits[t] for tr in traces], self.spec.lambdas, self.spec.top_k
-            )
-        return out
+        return fuse_logits([tr.logits for tr in traces], self.spec.lambdas, self.spec.top_k)
 
 
 def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> None:

@@ -14,9 +14,8 @@ parameter and is cross-checked against finite differences in the tests.
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -144,13 +143,23 @@ class LayerTrace:
         return self.hidden.shape[0]
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh factor of the GELU approximation, shared by gelu and gelu_grad."""
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+def gelu(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """Tanh GELU; t, when given, is gelu_tanh(x) computed beforehand."""
+    if t is None:
+        t = gelu_tanh(x)
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_grad(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """d gelu / dx; t, when given, is the forward pass's gelu_tanh(x)."""
+    if t is None:
+        t = gelu_tanh(x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
 
 
 class TransformerModel:
@@ -359,17 +368,19 @@ class TransformerModel:
             qh = q.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             kh = k.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             vh = v.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
-            scores = np.einsum("bhtd,bhsd->bhts", qh, kh) * scale + mask
-            attn = softmax_rows(scores)
-            oh = np.einsum("bhts,bhsd->bhtd", attn, vh)
+            oh, attn = _attention(qh, kh, vh, scale, mask)
             o = oh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             hhat = o @ self.params[p + "wo"]
             ha, ln_a = _ln_forward(hhat + ht, self.params[p + "ln_attn_g"], self.params[p + "ln_attn_b"])
             u1 = ha @ self.params[p + "w1"] + self.params[p + "b1"]
-            g1 = gelu(u1)
+            t1 = gelu_tanh(u1)
+            g1 = gelu(u1, t1)
             m = g1 @ self.params[p + "w2"] + self.params[p + "b2"]
             hout, ln_m = _ln_forward(m + ha, self.params[p + "ln_mlp_g"], self.params[p + "ln_mlp_b"])
-            a.update(qh=qh, kh=kh, vh=vh, attn=attn, o=o, ln_attn=ln_a, ha=ha, u1=u1, g1=g1, ln_mlp=ln_m)
+            a.update(
+                wq=wq, wv=wv, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
+                ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m,
+            )
             acts["layers"].append(a)
             h = hout
         acts["h_final"] = h
@@ -390,7 +401,7 @@ class TransformerModel:
         grads: dict[str, np.ndarray] = {}
 
         h_final = acts["h_final"]
-        grads["unemb"] = np.einsum("btd,btv->dv", h_final, dlogits)
+        grads["unemb"] = _weight_grad(h_final, dlogits)
         dh_ = dlogits @ self.params["unemb"].T
 
         for l in range(s.n_layers, 0, -1):
@@ -400,43 +411,35 @@ class TransformerModel:
             dr2, dg, db = _ln_backward(dh_, a["ln_mlp"], self.params[p + "ln_mlp_g"])
             grads[p + "ln_mlp_g"], grads[p + "ln_mlp_b"] = dg, db
             dm = dr2
-            dha = dr2.copy()
-            grads[p + "w2"] = np.einsum("btf,btd->fd", a["g1"], dm)
+            grads[p + "w2"] = _weight_grad(a["g1"], dm)
             grads[p + "b2"] = dm.sum(axis=(0, 1))
             dg1 = dm @ self.params[p + "w2"].T
-            du1 = dg1 * gelu_grad(a["u1"])
-            grads[p + "w1"] = np.einsum("btd,btf->df", a["ha"], du1)
+            du1 = dg1 * gelu_grad(a["u1"], a["t1"])
+            grads[p + "w1"] = _weight_grad(a["ha"], du1)
             grads[p + "b1"] = du1.sum(axis=(0, 1))
-            dha += du1 @ self.params[p + "w1"].T
+            dha = dr2 + du1 @ self.params[p + "w1"].T
             # attention block
             dr1, dg, db = _ln_backward(dha, a["ln_attn"], self.params[p + "ln_attn_g"])
             grads[p + "ln_attn_g"], grads[p + "ln_attn_b"] = dg, db
             dhhat = dr1
-            dht = dr1.copy()
-            grads[p + "wo"] = np.einsum("btd,bte->de", a["o"], dhhat)
+            grads[p + "wo"] = _weight_grad(a["o"], dhhat)
             do = dhhat @ self.params[p + "wo"].T
             doh = do.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
-            dattn = np.einsum("bhtd,bhsd->bhts", doh, a["vh"])
-            dvh = np.einsum("bhts,bhtd->bhsd", a["attn"], doh)
-            dscores = a["attn"] * (dattn - (dattn * a["attn"]).sum(axis=-1, keepdims=True))
-            dqh = np.einsum("bhts,bhsd->bhtd", dscores, a["kh"]) * scale
-            dkh = np.einsum("bhts,bhtd->bhsd", dscores, a["qh"]) * scale
+            dqh, dkh, dvh = _attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale)
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             ht = a["ht"]
-            wq = self.effective_weight(p + "wq")
-            wv = self.effective_weight(p + "wv")
-            dwq = np.einsum("btd,bte->de", ht, dq)
-            dwk = np.einsum("btd,bte->de", ht, dk)
-            dwv = np.einsum("btd,bte->de", ht, dv)
+            dwq = _weight_grad(ht, dq)
+            dwk = _weight_grad(ht, dk)
+            dwv = _weight_grad(ht, dv)
             grads[p + "wq"], grads[p + "wk"], grads[p + "wv"] = dwq, dwk, dwv
             for target, dw in (("wq", dwq), ("wv", dwv)):
                 ad = self.adapters.get(p + target)
                 if ad is not None and ad.A.shape[1] > 0:
                     grads[f"{p}{target}.A"] = dw @ ad.B.T
                     grads[f"{p}{target}.B"] = ad.A.T @ dw
-            dht += dq @ wq.T + dk @ self.params[p + "wk"].T + dv @ wv.T
+            dht = dr1 + (dq @ a["wq"].T + dk @ self.params[p + "wk"].T + dv @ a["wv"].T)
             # fusion norm (unit gain): gradient flows only into h_own
             if a["fused"]:
                 dh_, _, _ = _ln_backward(dht, a["ln_fuse"], np.ones(s.d_model))
@@ -492,11 +495,31 @@ class TransformerModel:
         return model
 
 
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sum over (b, t) of outer(x[b, t], dy[b, t]), as one 2-D matmul."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def _attention(qh, kh, vh, scale: float, mask: np.ndarray):
+    """Masked softmax attention over (B, heads, T, dh); returns (context, weights)."""
+    attn = softmax_rows((qh @ kh.swapaxes(-1, -2)) * scale + mask)
+    return attn @ vh, attn
+
+
+def _attention_backward(doh, qh, kh, vh, attn, scale: float):
+    """Gradients (dq, dk, dv) of _attention given the context gradient doh."""
+    dattn = doh @ vh.swapaxes(-1, -2)
+    dvh = attn.swapaxes(-1, -2) @ doh
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = (dscores @ kh) * scale
+    dkh = (dscores.swapaxes(-1, -2) @ qh) * scale
+    return dqh, dkh, dvh
+
+
 def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
     return gain * xhat + bias, (xhat, inv)
 
 

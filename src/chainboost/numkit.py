@@ -1,7 +1,7 @@
 """Small numeric kernel: softmax, its Jacobian, layer norm, finite differences.
 
-Everything here is a pure function over numpy arrays in float64 (float32 is
-an opt-in for training throughput elsewhere; the probes always run in f64).
+Everything here is a pure function over numpy arrays in float64, as is the
+rest of the package: models, training and probes all run in f64.
 """
 
 from __future__ import annotations

@@ -81,12 +81,14 @@ class StatePool:
             self._cond.notify_all()
             self.transfer_s += time.perf_counter() - t0
 
-    def _get(self, store, key):
+    def _get(self, store, key, timeout_s: Optional[float] = None):
+        if timeout_s is None:
+            timeout_s = self.timeout_s
         t0 = time.perf_counter()
         with self._cond:
             ok = self._cond.wait_for(
                 lambda: key in store or self._failure is not None,
-                timeout=self.timeout_s,
+                timeout=timeout_s,
             )
             waited = time.perf_counter() - t0
             self.blocked_s += waited
@@ -94,15 +96,16 @@ class StatePool:
                 raise WorkerFailedError(f"decode aborted: {self._failure}")
             if not ok:
                 raise PoolTimeoutError(
-                    f"deadlock: blocked {self.timeout_s:.3f}s waiting for {key!r}"
+                    f"deadlock: blocked {timeout_s:.3f}s waiting for {key!r}"
                 )
             return store[key]
 
     def put_state(self, key: HiddenKey, value: np.ndarray) -> None:
         self._put(self._states, key, value)
 
-    def get_state(self, key: HiddenKey) -> np.ndarray:
-        return self._get(self._states, key)
+    def get_state(self, key: HiddenKey, timeout_s: Optional[float] = None) -> np.ndarray:
+        """Block for the state at key; timeout_s overrides the pool default for this call."""
+        return self._get(self._states, key, timeout_s)
 
     def put_logits(self, model: int, step: int, z: np.ndarray) -> None:
         self._put(self._logits, (model, step), z)
@@ -123,14 +126,7 @@ def pool_put(pool: StatePool, key: HiddenKey, value: np.ndarray) -> None:
 
 
 def pool_get(pool: StatePool, key: HiddenKey, timeout_ms: Optional[float] = None) -> np.ndarray:
-    if timeout_ms is not None:
-        old = pool.timeout_s
-        pool.timeout_s = timeout_ms / 1000.0
-        try:
-            return pool.get_state(key)
-        finally:
-            pool.timeout_s = old
-    return pool.get_state(key)
+    return pool.get_state(key, None if timeout_ms is None else timeout_ms / 1000.0)
 
 
 @dataclass

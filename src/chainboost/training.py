@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ensemble import Ensemble, ErrorTokenTrace, build_fusion_inputs, error_tokens, fuse_logits
+from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
 from .model import TransformerModel
 from .numkit import softmax, softmax_rows
 from .tasks import NO_LABEL, Dataset
@@ -493,16 +493,7 @@ def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
     labeled = dataset.gold >= 0
     gold = dataset.gold[labeled]
     accs = [float((z.argmax(-1)[labeled] == gold).mean()) for z in zs]
-    B, T, _ = zs[0].shape
-    fused = np.stack(
-        [
-            [
-                fuse_logits([z[b, t] for z in zs], ensemble.spec.lambdas, ensemble.spec.top_k)
-                for t in range(T)
-            ]
-            for b in range(B)
-        ]
-    )
+    fused = fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
     fused_acc = float((fused.argmax(-1)[labeled] == gold).mean())
     return {"model_accs": accs, "base_acc": accs[0], "fused_acc": fused_acc}
 

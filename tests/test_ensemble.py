@@ -136,6 +136,20 @@ class TestTopkMask:
         assert np.array_equal(out[nz], z[nz])
 
 
+class TestBatchedFusion:
+    def test_batched_equals_per_row_on_ties(self):
+        rng = np.random.default_rng(9)
+        zs = [rng.integers(-3, 4, size=(5, 7, 8)).astype(float) for _ in range(3)]
+        for k in (1, 2, 5, 8):
+            masked = topk_mask(zs[1], k)
+            fused = fuse_logits(zs, [0.3, 0.7], k)
+            for b in range(5):
+                for t in range(7):
+                    assert np.array_equal(masked[b, t], topk_mask(zs[1][b, t], k))
+                    row = fuse_logits([z[b, t] for z in zs], [0.3, 0.7], k)
+                    assert np.array_equal(fused[b, t], row)
+
+
 class TestFuseLogits:
     def test_base_only(self):
         z = np.random.default_rng(5).normal(size=6)

@@ -9,7 +9,13 @@ from chainboost.model import (
     KvCache,
     ModelSpec,
     TransformerModel,
+    _attention,
+    _attention_backward,
+    _weight_grad,
     apply_adapter,
+    gelu,
+    gelu_grad,
+    gelu_tanh,
 )
 from chainboost.numkit import layer_norm
 
@@ -244,3 +250,64 @@ class TestForwardTrain:
         for b in range(2):
             trace = m.forward_teacher(toks[b])
             assert np.allclose(logits[b], trace.logits, atol=1e-10)
+
+
+def _gelu_pow_reference(x):
+    # the tanh GELU with the cube taken through pow, as first written
+    c = np.sqrt(2.0 / np.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+
+
+class TestGelu:
+    X = np.random.default_rng(21).normal(0.0, 2.0, size=(4, 9, 32))
+
+    def test_cached_tanh_is_bit_identical(self):
+        t = gelu_tanh(self.X)
+        assert np.array_equal(gelu(self.X, t), gelu(self.X))
+        assert np.array_equal(gelu_grad(self.X, t), gelu_grad(self.X))
+
+    def test_matches_pow_formula(self):
+        ref = _gelu_pow_reference(self.X)
+        # relative to the largest output: where x is very negative, 1 + tanh
+        # cancels and an ulp in the cube shows up as a larger elementwise ratio
+        rel = np.abs(gelu(self.X) - ref).max() / np.abs(ref).max()
+        assert rel <= 1e-15
+
+    def test_grad_matches_central_difference(self):
+        x = np.linspace(-6.0, 6.0, 241)
+        eps = 1e-6
+        fd = (gelu(x + eps) - gelu(x - eps)) / (2 * eps)
+        np.testing.assert_allclose(gelu_grad(x), fd, rtol=0, atol=1e-8)
+
+
+class TestBlasShapedGradients:
+    B, T, H, DH = 3, 7, 4, 8
+
+    def test_weight_grad_matches_einsum(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(self.B, self.T, 16))
+        dy = rng.normal(size=(self.B, self.T, 24))
+        ref = np.einsum("btd,bte->de", x, dy)
+        np.testing.assert_allclose(_weight_grad(x, dy), ref, rtol=0, atol=1e-12)
+
+    def test_attention_matches_einsum(self):
+        rng = np.random.default_rng(23)
+        shape = (self.B, self.H, self.T, self.DH)
+        qh, kh, vh, doh = (rng.normal(size=shape) for _ in range(4))
+        scale = 1.0 / np.sqrt(self.DH)
+        mask = np.triu(np.full((self.T, self.T), -1e30), k=1)
+
+        scores = np.einsum("bhtd,bhsd->bhts", qh, kh) * scale + mask
+        attn_ref = np.exp(scores - scores.max(-1, keepdims=True))
+        attn_ref /= attn_ref.sum(-1, keepdims=True)
+        oh_ref = np.einsum("bhts,bhsd->bhtd", attn_ref, vh)
+        dattn = np.einsum("bhtd,bhsd->bhts", doh, vh)
+        dvh_ref = np.einsum("bhts,bhtd->bhsd", attn_ref, doh)
+        dscores = attn_ref * (dattn - (dattn * attn_ref).sum(-1, keepdims=True))
+        dqh_ref = np.einsum("bhts,bhsd->bhtd", dscores, kh) * scale
+        dkh_ref = np.einsum("bhts,bhtd->bhsd", dscores, qh) * scale
+
+        oh, attn = _attention(qh, kh, vh, scale, mask)
+        dqh, dkh, dvh = _attention_backward(doh, qh, kh, vh, attn, scale)
+        for got, ref in ((attn, attn_ref), (oh, oh_ref), (dqh, dqh_ref), (dkh, dkh_ref), (dvh, dvh_ref)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)

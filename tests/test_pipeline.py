@@ -68,6 +68,34 @@ class TestStatePool:
         assert got[0] == 7.0
         assert pool.blocked_s >= 0.03
 
+    def test_per_call_timeout_leaves_other_readers_alone(self):
+        pool = StatePool(timeout_s=5.0)
+        late = HiddenKey(0, 1, 0)
+        results: dict = {}
+
+        def short_reader():
+            try:
+                pool_get(pool, HiddenKey(0, 0, 9), timeout_ms=50)
+            except PoolTimeoutError as exc:
+                results["short"] = exc
+
+        def default_reader():
+            results["default"] = pool_get(pool, late)
+
+        short = threading.Thread(target=short_reader)
+        short.start()
+        time.sleep(0.01)  # the default reader starts waiting during the short wait
+        default = threading.Thread(target=default_reader)
+        default.start()
+        short.join(timeout=5.0)
+        time.sleep(0.1)  # past the short timeout: the default reader must still wait
+        pool_put(pool, late, np.array([3.0]))
+        default.join(timeout=5.0)
+        assert not short.is_alive() and not default.is_alive()
+        assert isinstance(results["short"], PoolTimeoutError)
+        assert results["default"][0] == 3.0
+        assert pool.timeout_s == 5.0
+
     def test_failure_poisons_waiters(self):
         pool = StatePool()
         pool.fail(RuntimeError("worker crashed"))
