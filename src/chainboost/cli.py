@@ -116,7 +116,6 @@ def cmd_train(args) -> int:
             epochs=tc.get("epochs", 60),
             batch_size=tc.get("batch_size", 32),
             seed=sd,
-            precision=args.precision or tc.get("precision", "f64"),
             stage2_epochs=tc.get("stage2_epochs", tc.get("epochs", 60)),
             stage2_learning_rate=tc.get("stage2_learning_rate", tc.get("learning_rate", 0.1)),
             successor_init=tc.get("successor_init", "base_copy"),
@@ -408,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None)
-    common.add_argument("--precision", choices=["f64", "f32"], default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate a synthetic dataset")

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import LayerTrace, ModelSpec, TransformerModel
+from .model import ModelSpec, TransformerModel
 from .numkit import ShapeError, layer_norm
 
 MANIFEST_FORMAT_VERSION = 1
@@ -25,7 +25,6 @@ class EnsembleSpec:
     models: list[ModelSpec]
     lambdas: list[float] = field(default_factory=list)
     top_k: int = DEFAULT_TOP_K
-    fusion_enabled: bool = True
 
     def __post_init__(self):
         if not self.models:
@@ -39,6 +38,20 @@ class EnsembleSpec:
                 )
             if ms.max_steps != t0:
                 raise ValueError("all models in a chain must share max_steps")
+        for i in range(1, len(self.models)):
+            pred, succ = self.models[i - 1], self.models[i]
+            layers = succ.fusion_layers()
+            if layers and succ.d_model != pred.d_model:
+                raise ValueError(
+                    f"model {i}: d_model {succ.d_model} differs from its predecessor's "
+                    f"d_model {pred.d_model}; fusion adds the two states"
+                )
+            if layers and layers[-1] - 1 > pred.n_layers:
+                raise ValueError(
+                    f"model {i}: fusion layer {layers[-1]} (fusion_period {succ.fusion_period}) "
+                    f"reads predecessor layer {layers[-1] - 1}, but the predecessor has "
+                    f"n_layers {pred.n_layers}"
+                )
         n = len(self.models) - 1
         if not self.lambdas:
             self.lambdas = [DEFAULT_LAMBDA] * n
@@ -66,9 +79,6 @@ class ErrorTokenTrace:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def active_positions(self) -> list[int]:
-        return [t for t, tok in enumerate(self.tokens) if tok is not None]
 
 
 def fuse_hidden(h_own: np.ndarray, h_pred: np.ndarray, l: int, eta: int, eps: float = 1e-5) -> np.ndarray:
@@ -144,22 +154,6 @@ def fuse_logits(z_list: Sequence[np.ndarray], lambdas: Sequence[float], k: int) 
     return out
 
 
-def build_fusion_inputs(pred_trace: LayerTrace, eta: int, n_layers: int) -> dict[int, np.ndarray]:
-    """Map successor fusion layer l -> predecessor layer l-1 states, all steps.
-
-    Layer 0 of the trace is the embedding output. Returns {} when no layer
-    fuses (eta > n_layers).
-    """
-    out: dict[int, np.ndarray] = {}
-    for l in range(1, n_layers + 1):
-        if l % eta != 0:
-            continue
-        if l - 1 >= pred_trace.hidden.shape[1]:
-            raise KeyError(f"predecessor trace lacks layer {l - 1}")
-        out[l] = pred_trace.hidden[:, l - 1, :]
-    return out
-
-
 class Ensemble:
     """Concrete chain: spec plus instantiated models."""
 
@@ -173,22 +167,16 @@ class Ensemble:
     def n_successors(self) -> int:
         return self.spec.n_successors
 
-    def teacher_traces(self, token_ids) -> list[LayerTrace]:
-        """Teacher-forced traces for the whole chain, fusion inputs included."""
-        traces: list[LayerTrace] = []
-        for i, model in enumerate(self.models):
-            fusion = None
-            if i > 0 and self.spec.fusion_enabled:
-                fusion = build_fusion_inputs(
-                    traces[i - 1], model.spec.fusion_period, model.spec.n_layers
-                )
-            traces.append(model.forward_teacher(token_ids, fusion))
-        return traces
+    def fusion_inputs(self, i: int, pred_states) -> Optional[dict]:
+        """Fusion inputs of model i: its fusion layer l reads predecessor state l-1.
 
-    def fused_teacher_logits(self, token_ids) -> np.ndarray:
-        """Per-step fused logits (T, V) under teacher forcing."""
-        traces = self.teacher_traces(token_ids)
-        return fuse_logits([tr.logits for tr in traces], self.spec.lambdas, self.spec.top_k)
+        pred_states is model i-1's [h_0, ..., h_L] (h_0 = embedding output),
+        either one decode step's (d_model,) vectors or batched (B, T, d_model)
+        arrays. The base model (i == 0) takes no fusion input.
+        """
+        if i == 0:
+            return None
+        return {l: pred_states[l - 1] for l in self.spec.models[i].fusion_layers()}
 
 
 def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> None:
@@ -198,18 +186,25 @@ def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> 
         "checkpoints": list(checkpoint_paths),
         "lambdas": list(spec.lambdas),
         "top_k": spec.top_k,
-        "fusion_enabled": spec.fusion_enabled,
-        "fusion_period": spec.models[0].fusion_period,
     }
+    periods = {ms.fusion_period for ms in spec.models}
+    if len(periods) == 1:
+        doc["fusion_period"] = periods.pop()
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_manifest(path) -> tuple[Ensemble, dict]:
-    """Load manifest + checkpoints into an Ensemble; rejects vocab mismatches."""
+    """Load manifest + checkpoints into an Ensemble.
+
+    Rejects vocab mismatches, "fusion_enabled": false (fusion cannot be
+    switched off) and a fusion_period that disagrees with a checkpoint.
+    """
     path = Path(path)
     doc = json.loads(path.read_text())
     if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise ValueError("unsupported manifest format version")
+    if doc.get("fusion_enabled", True) is not True:
+        raise ValueError(f"manifest key fusion_enabled={doc['fusion_enabled']!r} is not supported")
     models = []
     for ref in doc["checkpoints"]:
         ckpt = Path(ref)
@@ -222,10 +217,15 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
             f"checkpoint vocabularies differ ({sorted(vocabs)}); incompatible "
             "tokenizations prevent layer-wise residual correction"
         )
+    for i, m in enumerate(models):
+        if "fusion_period" in doc and m.spec.fusion_period != doc["fusion_period"]:
+            raise ValueError(
+                f"manifest fusion_period {doc['fusion_period']} disagrees with checkpoint {i} "
+                f"({doc['checkpoints'][i]}), whose fusion_period is {m.spec.fusion_period}"
+            )
     spec = EnsembleSpec(
         models=[m.spec for m in models],
         lambdas=[float(x) for x in doc["lambdas"]],
         top_k=int(doc["top_k"]),
-        fusion_enabled=bool(doc.get("fusion_enabled", True)),
     )
     return Ensemble(spec, models), doc

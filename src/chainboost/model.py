@@ -83,9 +83,6 @@ class Adapter:
     A: np.ndarray  # (d_model, r)
     B: np.ndarray  # (r, d_model)
 
-    def delta(self) -> np.ndarray:
-        return self.A @ self.B
-
 
 def apply_adapter(base_weight: np.ndarray, adapter: Optional[Adapter]) -> np.ndarray:
     """base + A @ B; rank 0 (or no adapter) returns the base unchanged."""
@@ -105,7 +102,7 @@ class KvCache:
     """Per-layer keys/values accumulated over decoded steps.
 
     Keys/values are the post-fusion projections, stored per layer as python
-    lists of (d_model,) vectors so snapshots are cheap.
+    lists of (d_model,) vectors.
     """
 
     def __init__(self, n_layers: int):
@@ -119,12 +116,6 @@ class KvCache:
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
         self.keys[layer].append(k)
         self.values[layer].append(v)
-
-    def snapshot(self) -> "KvCache":
-        c = KvCache(len(self.keys))
-        c.keys = [list(ks) for ks in self.keys]
-        c.values = [list(vs) for vs in self.values]
-        return c
 
 
 @dataclass
@@ -217,16 +208,6 @@ class TransformerModel:
 
     def effective_weight(self, name: str) -> np.ndarray:
         return apply_adapter(self.params[name], self.adapters.get(name))
-
-    def clone(self) -> "TransformerModel":
-        other = TransformerModel.__new__(TransformerModel)
-        other.spec = self.spec
-        other.dtype = self.dtype
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        other.adapters = {
-            k: Adapter(a.target, a.A.copy(), a.B.copy()) for k, a in self.adapters.items()
-        }
-        return other
 
     def new_cache(self) -> KvCache:
         return KvCache(self.spec.n_layers)
@@ -335,7 +316,8 @@ class TransformerModel:
         """Vectorized forward over a (B, T) token batch, keeping activations.
 
         fusion_in maps fusion layer l -> (B, T, d_model). Returns
-        (logits (B, T, V), activations for backward()).
+        (logits (B, T, V), activations for backward()); acts["states"] is
+        [h_0, ..., h_L], each (B, T, d_model), with h_0 the embedding output.
         """
         s = self.spec
         tokens = np.asarray(tokens)
@@ -347,19 +329,15 @@ class TransformerModel:
         mask = np.triu(np.full((T, T), -1e30, dtype=self.dtype), k=1)
 
         h = self.params["tok_emb"][tokens] + self.params["pos_emb"][:T]
-        acts: dict = {"tokens": tokens, "layers": [], "h0": h, "fusion_in": fusion_in}
+        acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
         for l in range(1, s.n_layers + 1):
             p = f"l{l}."
-            a: dict = {"h_in": h}
             fused = fusion_in is not None and l % s.fusion_period == 0
+            a: dict = {"fused": fused}
             if fused:
-                pre = h + fusion_in[l]
-                ht, ln_f = _ln_forward(pre, np.ones(s.d_model), np.zeros(s.d_model))
-                a["ln_fuse"] = ln_f
+                ht, a["ln_fuse"] = _ln_forward(h + fusion_in[l], np.ones(s.d_model), np.zeros(s.d_model))
             else:
                 ht = h
-            a["fused"] = fused
-            a["ht"] = ht
             wq = self.effective_weight(p + "wq")
             wv = self.effective_weight(p + "wv")
             q = ht @ wq
@@ -376,14 +354,13 @@ class TransformerModel:
             t1 = gelu_tanh(u1)
             g1 = gelu(u1, t1)
             m = g1 @ self.params[p + "w2"] + self.params[p + "b2"]
-            hout, ln_m = _ln_forward(m + ha, self.params[p + "ln_mlp_g"], self.params[p + "ln_mlp_b"])
+            h, ln_m = _ln_forward(m + ha, self.params[p + "ln_mlp_g"], self.params[p + "ln_mlp_b"])
             a.update(
-                wq=wq, wv=wv, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
+                ht=ht, wq=wq, wv=wv, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
                 ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m,
             )
             acts["layers"].append(a)
-            h = hout
-        acts["h_final"] = h
+            acts["states"].append(h)
         logits = h @ self.params["unemb"]
         return logits, acts
 
@@ -400,8 +377,7 @@ class TransformerModel:
         scale = 1.0 / np.sqrt(dh)
         grads: dict[str, np.ndarray] = {}
 
-        h_final = acts["h_final"]
-        grads["unemb"] = _weight_grad(h_final, dlogits)
+        grads["unemb"] = _weight_grad(acts["states"][-1], dlogits)
         dh_ = dlogits @ self.params["unemb"].T
 
         for l in range(s.n_layers, 0, -1):

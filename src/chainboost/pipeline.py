@@ -121,14 +121,6 @@ class StatePool:
         return self._get(self._tokens, step)
 
 
-def pool_put(pool: StatePool, key: HiddenKey, value: np.ndarray) -> None:
-    pool.put_state(key, value)
-
-
-def pool_get(pool: StatePool, key: HiddenKey, timeout_ms: Optional[float] = None) -> np.ndarray:
-    return pool.get_state(key, None if timeout_ms is None else timeout_ms / 1000.0)
-
-
 @dataclass
 class TimingReport:
     """Wall-clock accounting for one pipelined decode."""
@@ -169,16 +161,11 @@ def _check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
 
 def _step_all(ensemble: Ensemble, token: int, caches: list[KvCache]) -> np.ndarray:
     """Advance every model one step in chain order; return the fused logits."""
-    spec = ensemble.spec
-    zs = []
-    prev_states = None
+    zs, states = [], None
     for i, model in enumerate(ensemble.models):
-        fusion = None
-        if i > 0:
-            fusion = {l: prev_states[l - 1] for l in model.spec.fusion_layers()}
-        z, prev_states, _ = model.forward_step(token, caches[i], fusion)
+        z, states, _ = model.forward_step(token, caches[i], ensemble.fusion_inputs(i, states))
         zs.append(z)
-    return fuse_logits(zs, spec.lambdas, spec.top_k)
+    return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
 
 
 def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):

@@ -9,7 +9,7 @@ top of the vocabulary: EOS = V-1, SEP = V-2, MARKER = V-3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

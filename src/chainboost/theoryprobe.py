@@ -11,7 +11,7 @@ constants.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,8 @@ from .training import (
     descent_lr_bound,
     estimate_alignment,
     flatten_grads,
+    flatten_params,
+    load_flat_params,
     stage_batch_pass,
     trainable_keys,
 )
@@ -238,12 +240,12 @@ def descent_probe(
         # no predecessor errors: the suppression gradient vanishes identically
         align = AlignmentEstimate(rho=0.0, gamma=0.0, sample_count=0)
 
-    theta0 = _flatten(model, keys)
+    theta0 = flatten_params(model, keys)
     no_err = np.full_like(gold, -1)
 
     def at(theta: np.ndarray):
         """(primary CE, composite flat grad, CE-only flat grad) at theta."""
-        _load_flat(model, keys, theta)
+        load_flat_params(model, keys, theta)
         ce, _, grads = stage_batch_pass(model, tokens, gold, err, alpha, beta, fusion_in)
         g_comp = flatten_grads(grads, keys)
         _, _, grads_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, beta, fusion_in)
@@ -265,7 +267,7 @@ def descent_probe(
     try:
         descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
     except BoundViolatedError as exc:
-        _load_flat(model, keys, theta0)
+        load_flat_params(model, keys, theta0)
         return DescentReport(
             ce_trajectory=[],
             violations=0,
@@ -299,7 +301,7 @@ def descent_probe(
             break
         l_hat = path_sec
 
-    _load_flat(model, keys, theta0)
+    load_flat_params(model, keys, theta0)
     return DescentReport(
         ce_trajectory=traj,
         violations=violations,
@@ -309,30 +311,3 @@ def descent_probe(
         eta_bound=eta_star,
     )
 
-
-def _get(model, name):
-    if name.endswith(".A") or name.endswith(".B"):
-        ad = model.adapters[name[:-2]]
-        return ad.A if name.endswith(".A") else ad.B
-    return model.params[name]
-
-
-def _set_param(model, name, value):
-    if name.endswith(".A"):
-        model.adapters[name[:-2]].A[...] = value
-    elif name.endswith(".B"):
-        model.adapters[name[:-2]].B[...] = value
-    else:
-        model.params[name][...] = value
-
-
-def _flatten(model, keys) -> np.ndarray:
-    return np.concatenate([_get(model, k).ravel() for k in keys])
-
-
-def _load_flat(model, keys, theta: np.ndarray) -> None:
-    off = 0
-    for name in keys:
-        cur = _get(model, name)
-        _set_param(model, name, theta[off : off + cur.size].reshape(cur.shape))
-        off += cur.size

@@ -10,7 +10,7 @@ beta sigma(-u) (y_err - y*)) and pushed through the model's backward pass.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
 from .model import TransformerModel
 from .numkit import softmax, softmax_rows
-from .tasks import NO_LABEL, Dataset
+from .tasks import Dataset
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +36,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 32
     seed: int = 0
-    precision: str = "f64"  # or "f32"
     stage2_epochs: Optional[int] = None  # defaults to epochs
     stage2_learning_rate: Optional[float] = None
     successor_init: str = "base_copy"  # or "fresh"
@@ -44,8 +43,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0 or self.learning_rate <= 0:
             raise ValueError("alpha, beta, learning_rate must be positive")
-        if self.precision not in ("f64", "f32"):
-            raise ValueError("precision must be f64 or f32")
+        if self.successor_init not in ("base_copy", "fresh"):
+            raise ValueError(
+                f"successor_init must be 'base_copy' or 'fresh', got {self.successor_init!r}"
+            )
 
 
 @dataclass
@@ -230,19 +231,16 @@ def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
     return np.concatenate([np.ravel(get_param(model, k)) for k in keys])
 
 
+def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.ndarray) -> None:
+    """Inverse of flatten_params: write theta's slices into the params in place."""
+    off = 0
+    for key in keys:
+        arr = get_param(model, key)
+        arr[...] = theta[off : off + arr.size].reshape(arr.shape)
+        off += arr.size
+
+
 # -- forward/backward wrappers --------------------------------------------
-
-
-def model_grads(
-    model: TransformerModel,
-    tokens: np.ndarray,
-    dlogits: np.ndarray,
-    fusion_in: Optional[dict[int, np.ndarray]] = None,
-    acts: Optional[dict] = None,
-) -> dict:
-    if acts is None:
-        _, acts = model.forward_train(tokens, fusion_in)
-    return model.backward(dlogits, acts)
 
 
 def stage_batch_pass(
@@ -314,30 +312,6 @@ def descent_lr_bound(alpha: float, rho: float, gamma: float, l_smooth: float) ->
             f"alpha={alpha} <= rho*gamma={rho * gamma}; descent precondition fails"
         )
     return 2.0 * (alpha - rho * gamma) / (l_smooth * (alpha + gamma) ** 2)
-
-
-def estimate_smoothness(
-    grad_at,
-    theta0: np.ndarray,
-    *,
-    n_pairs: int = 24,
-    scales: Sequence[float] = (1e-3, 1e-2, 1e-1),
-    seed: int = 0,
-) -> float:
-    """Max secant ratio |grad(x1) - grad(x2)| / |x1 - x2| over sampled pairs.
-
-    grad_at maps a flat parameter vector to the flat CE gradient.
-    """
-    rng = np.random.default_rng(seed)
-    g0 = grad_at(theta0)
-    best = 0.0
-    for _ in range(n_pairs):
-        d = rng.standard_normal(theta0.shape)
-        d /= np.linalg.norm(d)
-        for s in scales:
-            g1 = grad_at(theta0 + s * d)
-            best = max(best, float(np.linalg.norm(g1 - g0)) / s)
-    return best
 
 
 # -- the chain trainer -----------------------------------------------------
@@ -440,18 +414,20 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
             # no pretrained checkpoints exist at this scale; the trained base
             # plays that role for every successor
             donor = ensemble.models[0]
-            succ.params = {k: v.copy() for k, v in donor.params.items()}
+            for k, v in succ.params.items():
+                src = donor.params.get(k)
+                if src is None or src.shape != v.shape:
+                    raise ValueError(
+                        f"base_copy: param {k!r} of model {i} has shape {v.shape}, "
+                        f"the base's is {'missing' if src is None else src.shape}"
+                    )
+            succ.params = {k: donor.params[k].copy() for k in succ.params}
             if succ.spec.adapter_rank > 0:
                 succ.adapters = {}
                 succ.init_adapters(np.random.default_rng(succ.spec.seed + 1))
-        pred_logits, pred_acts = pred_forward_chain(ensemble, i - 1, dataset.tokens)
+        pred_logits, pred_states = pred_forward_chain(ensemble, i - 1, dataset.tokens)
         err = predecessor_errors(pred_logits, dataset.gold)
-        fusion_in = None
-        if ensemble.spec.fusion_enabled:
-            fusion_in = {
-                l: pred_acts[:, :, l - 1, :]
-                for l in succ.spec.fusion_layers()
-            }
+        fusion_in = ensemble.fusion_inputs(i, pred_states)
         scope_i = "adapters" if succ.adapters else "full"
         train_model(
             succ,
@@ -472,19 +448,23 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
     return metrics
 
 
+def _chain_forward(ensemble: Ensemble, upto: int, tokens: np.ndarray):
+    """Teacher-forced walk down the chain through model `upto`.
+
+    Returns every walked model's (B, T, V) logits and model `upto`'s states
+    [h_0, ..., h_L], each (B, T, d_model).
+    """
+    zs, states = [], None
+    for i in range(upto + 1):
+        z, acts = ensemble.models[i].forward_train(tokens, ensemble.fusion_inputs(i, states))
+        zs.append(z)
+        states = acts["states"]
+    return zs, states
+
+
 def chain_logits(ensemble: Ensemble, tokens: np.ndarray) -> list[np.ndarray]:
     """Teacher-forced per-model logits down the whole chain; list of (B,T,V)."""
-    hidden = None
-    out = []
-    for i, model in enumerate(ensemble.models):
-        fusion_in = None
-        if i > 0 and ensemble.spec.fusion_enabled:
-            fusion_in = {l: hidden[:, :, l - 1, :] for l in model.spec.fusion_layers()}
-        logits, acts = model.forward_train(tokens, fusion_in)
-        states = [acts["h0"]] + _layer_outputs(acts)
-        hidden = np.stack(states, axis=2)
-        out.append(logits)
-    return out
+    return _chain_forward(ensemble, len(ensemble.models) - 1, tokens)[0]
 
 
 def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
@@ -500,31 +480,11 @@ def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
 
 def pred_forward_chain(
     ensemble: Ensemble, upto: int, tokens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced logits and hidden states of model `upto`, with its own
-    fusion inputs resolved down the chain. Returns (logits (B,T,V),
-    hidden (B,T,L+1,d))."""
-    hidden = None
-    logits = None
-    for i in range(upto + 1):
-        model = ensemble.models[i]
-        fusion_in = None
-        if i > 0 and ensemble.spec.fusion_enabled:
-            fusion_in = {l: hidden[:, :, l - 1, :] for l in model.spec.fusion_layers()}
-        logits, acts = model.forward_train(tokens, fusion_in)
-        B, T = tokens.shape
-        states = [acts["h0"]] + [a_out for a_out in _layer_outputs(acts)]
-        hidden = np.stack(states, axis=2)  # (B, T, L+1, d)
-    return logits, hidden
-
-
-def _layer_outputs(acts: dict) -> list[np.ndarray]:
-    outs = []
-    layers = acts["layers"]
-    for j, a in enumerate(layers):
-        nxt = layers[j + 1]["h_in"] if j + 1 < len(layers) else acts["h_final"]
-        outs.append(nxt)
-    return outs
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Teacher-forced logits (B, T, V) and states [h_0, ..., h_L] of model
+    `upto`, with its fusion inputs resolved down the chain."""
+    zs, states = _chain_forward(ensemble, upto, tokens)
+    return zs[-1], states
 
 
 def predecessor_errors(pred_logits: np.ndarray, gold: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for chain wiring: fusion inputs, error tokens, logits fusion."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from chainboost.ensemble import (
     Ensemble,
     EnsembleSpec,
-    build_fusion_inputs,
     error_tokens,
     fuse_hidden,
     fuse_logits,
@@ -18,8 +18,9 @@ from chainboost.ensemble import (
     save_manifest,
     topk_mask,
 )
-from chainboost.model import ModelSpec
+from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import layer_norm
+from chainboost.training import chain_logits
 
 MS = ModelSpec(
     n_layers=4, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=16,
@@ -40,6 +41,16 @@ class TestEnsembleSpec:
     def test_top_k_range(self):
         with pytest.raises(ValueError):
             EnsembleSpec(models=[MS], lambdas=[], top_k=MS.vocab + 1)
+
+    def test_d_model_mismatch_rejected(self):
+        other = dataclasses.replace(MS, d_model=8)
+        with pytest.raises(ValueError, match=r"model 1: d_model 8"):
+            EnsembleSpec(models=[MS, other], lambdas=[0.3], top_k=2)
+
+    def test_fusion_layer_deeper_than_predecessor_rejected(self):
+        shallow = dataclasses.replace(MS, n_layers=2)
+        with pytest.raises(ValueError, match=r"model 2: fusion layer 4 .*n_layers 2"):
+            EnsembleSpec(models=[MS, shallow, MS], lambdas=[0.3, 0.3], top_k=2)
 
 
 class TestFuseHidden:
@@ -185,53 +196,57 @@ class TestFuseLogits:
             fuse_logits([np.zeros(4), np.zeros(4)], [0.3, 0.3], 2)
 
 
-class TestBuildFusionInputs:
-    def test_period_above_layers_empty(self):
-        from chainboost.model import TransformerModel
+class TestFusionInputs:
+    def test_base_model_takes_none(self):
+        ens = Ensemble(EnsembleSpec(models=[MS, MS], lambdas=[0.3], top_k=2))
+        assert ens.fusion_inputs(0, None) is None
 
-        m = TransformerModel(MS)
-        trace = m.forward_teacher([1, 2, 3])
-        assert build_fusion_inputs(trace, eta=5, n_layers=4) == {}
+    def test_period_above_layers_empty(self):
+        ens = Ensemble(EnsembleSpec([MS, dataclasses.replace(MS, fusion_period=5)], [0.3], 2))
+        _, acts = ens.models[0].forward_train(np.array([[1, 2, 3]]))
+        assert ens.fusion_inputs(1, acts["states"]) == {}
 
     def test_layer_offset_bookkeeping(self):
-        from chainboost.model import TransformerModel
-
-        m = TransformerModel(dataclasses.replace(MS, n_layers=2))
-        trace = m.forward_teacher([1, 2])
-        fin = build_fusion_inputs(trace, eta=1, n_layers=2)
+        ms = dataclasses.replace(MS, n_layers=2, fusion_period=1)
+        ens = Ensemble(EnsembleSpec([ms, ms], [0.3], 2))
+        _, states, _ = ens.models[0].forward_step(1, ens.models[0].new_cache())
+        fin = ens.fusion_inputs(1, states)
         assert sorted(fin) == [1, 2]
         # successor layer l reads predecessor layer l-1 (0 = embedding)
-        assert np.array_equal(fin[1], trace.hidden[:, 0, :])
-        assert np.array_equal(fin[2], trace.hidden[:, 1, :])
+        assert fin[1] is states[0]
+        assert fin[2] is states[1]
 
     def test_shapes(self):
-        from chainboost.model import TransformerModel
-
-        m = TransformerModel(MS)
-        trace = m.forward_teacher([1, 2, 3])
-        fin = build_fusion_inputs(trace, eta=2, n_layers=4)
+        ens = Ensemble(EnsembleSpec([MS, MS], [0.3], 2))
+        _, acts = ens.models[0].forward_train(np.array([[1, 2, 3]]))
+        fin = ens.fusion_inputs(1, acts["states"])
         assert sorted(fin) == [2, 4]
         for v in fin.values():
-            assert v.shape == (3, MS.d_model)
+            assert v.shape == (1, 3, MS.d_model)
+
+
+def _fused(ens, tokens):
+    return fuse_logits(chain_logits(ens, np.array([tokens])), ens.spec.lambdas, ens.spec.top_k)
 
 
 class TestManifest:
-    def test_roundtrip_and_vocab_refusal(self, tmp_path):
-        from chainboost.model import TransformerModel
-
-        spec = EnsembleSpec(models=[MS, MS], lambdas=[0.3], top_k=2)
+    def _saved(self, tmp_path, models):
+        """Save a chain of the given specs; returns (ensemble, manifest path)."""
+        spec = EnsembleSpec(models=models, lambdas=[0.3] * (len(models) - 1), top_k=2)
         ens = Ensemble(spec)
         paths = []
         for i, m in enumerate(ens.models):
-            p = tmp_path / f"m{i}.npz"
-            m.save(p)
-            paths.append(p.name)
-        mpath = tmp_path / "manifest.json"
-        save_manifest(mpath, paths, spec)
+            m.save(tmp_path / f"m{i}.npz")
+            paths.append(f"m{i}.npz")
+        save_manifest(tmp_path / "manifest.json", paths, spec)
+        return ens, tmp_path / "manifest.json"
+
+    def test_roundtrip_and_vocab_refusal(self, tmp_path):
+        ens, mpath = self._saved(tmp_path, [MS, MS])
         ens2, doc = load_manifest(mpath)
         assert len(ens2.models) == 2
-        a = ens.fused_teacher_logits([1, 2, 3])
-        b = ens2.fused_teacher_logits([1, 2, 3])
+        a = _fused(ens, [1, 2, 3])
+        b = _fused(ens2, [1, 2, 3])
         assert np.array_equal(a, b)
 
         # corrupt: second checkpoint with a different vocab
@@ -240,10 +255,33 @@ class TestManifest:
         with pytest.raises(ValueError, match="vocab|tokenizer"):
             load_manifest(mpath)
 
+    def test_fusion_disabled_rejected(self, tmp_path):
+        _, mpath = self._saved(tmp_path, [MS, MS])
+        doc = json.loads(mpath.read_text())
+        assert "fusion_enabled" not in doc
+        # manifests written before the key was dropped say true and still load
+        mpath.write_text(json.dumps({**doc, "fusion_enabled": True}))
+        load_manifest(mpath)
+        mpath.write_text(json.dumps({**doc, "fusion_enabled": False}))
+        with pytest.raises(ValueError, match="fusion_enabled"):
+            load_manifest(mpath)
+
+    def test_fusion_period_disagreement_rejected(self, tmp_path):
+        _, mpath = self._saved(tmp_path, [MS, MS])
+        doc = json.loads(mpath.read_text())
+        assert doc["fusion_period"] == MS.fusion_period
+        mpath.write_text(json.dumps({**doc, "fusion_period": 1}))
+        with pytest.raises(ValueError, match=r"fusion_period 1 .*checkpoint 0"):
+            load_manifest(mpath)
+        # a chain with mixed periods writes no single period and still loads
+        _, mixed = self._saved(tmp_path, [MS, dataclasses.replace(MS, fusion_period=1)])
+        assert "fusion_period" not in json.loads(mixed.read_text())
+        load_manifest(mixed)
+
 
 class TestBaseModelRecovery:
     def test_fused_argmax_matches_base_when_alone(self):
         ens = Ensemble(EnsembleSpec(models=[MS], lambdas=[], top_k=2))
-        fused = ens.fused_teacher_logits([1, 2, 3, 4])
-        base = ens.models[0].forward_teacher([1, 2, 3, 4]).logits
+        fused = _fused(ens, [1, 2, 3, 4])
+        base, _ = ens.models[0].forward_train(np.array([[1, 2, 3, 4]]))
         assert np.array_equal(fused, base)

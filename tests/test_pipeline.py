@@ -16,8 +16,6 @@ from chainboost.pipeline import (
     WorkerFailedError,
     decode_pipelined,
     decode_sequential,
-    pool_get,
-    pool_put,
 )
 
 TINY = ModelSpec(
@@ -38,20 +36,20 @@ class TestStatePool:
         pool = StatePool()
         key = HiddenKey(0, 1, 2)
         v = np.arange(4.0)
-        pool_put(pool, key, v)
-        np.testing.assert_array_equal(pool_get(pool, key), v)
+        pool.put_state(key, v)
+        np.testing.assert_array_equal(pool.get_state(key), v)
 
     def test_write_once(self):
         pool = StatePool()
         key = HiddenKey(0, 0, 0)
-        pool_put(pool, key, np.zeros(2))
+        pool.put_state(key, np.zeros(2))
         with pytest.raises(PoolProtocolError):
-            pool_put(pool, key, np.ones(2))
+            pool.put_state(key, np.ones(2))
 
     def test_timeout_names_blocked_key(self):
         pool = StatePool()
         with pytest.raises(PoolTimeoutError, match=r"model=1.*layer=0.*step=3|HiddenKey"):
-            pool_get(pool, HiddenKey(1, 0, 3), timeout_ms=50)
+            pool.get_state(HiddenKey(1, 0, 3), timeout_s=0.05)
 
     def test_delayed_producer_unblocks_reader(self):
         pool = StatePool()
@@ -59,11 +57,11 @@ class TestStatePool:
 
         def producer():
             time.sleep(0.05)
-            pool_put(pool, key, np.array([7.0]))
+            pool.put_state(key, np.array([7.0]))
 
         th = threading.Thread(target=producer)
         th.start()
-        got = pool_get(pool, key, timeout_ms=2000)
+        got = pool.get_state(key, timeout_s=2.0)
         th.join()
         assert got[0] == 7.0
         assert pool.blocked_s >= 0.03
@@ -75,12 +73,12 @@ class TestStatePool:
 
         def short_reader():
             try:
-                pool_get(pool, HiddenKey(0, 0, 9), timeout_ms=50)
+                pool.get_state(HiddenKey(0, 0, 9), timeout_s=0.05)
             except PoolTimeoutError as exc:
                 results["short"] = exc
 
         def default_reader():
-            results["default"] = pool_get(pool, late)
+            results["default"] = pool.get_state(late)
 
         short = threading.Thread(target=short_reader)
         short.start()
@@ -89,7 +87,7 @@ class TestStatePool:
         default.start()
         short.join(timeout=5.0)
         time.sleep(0.1)  # past the short timeout: the default reader must still wait
-        pool_put(pool, late, np.array([3.0]))
+        pool.put_state(late, np.array([3.0]))
         default.join(timeout=5.0)
         assert not short.is_alive() and not default.is_alive()
         assert isinstance(results["short"], PoolTimeoutError)
@@ -100,7 +98,7 @@ class TestStatePool:
         pool = StatePool()
         pool.fail(RuntimeError("worker crashed"))
         with pytest.raises(WorkerFailedError):
-            pool_get(pool, HiddenKey(0, 0, 0))
+            pool.get_state(HiddenKey(0, 0, 0))
 
     def test_concurrent_interleaving(self):
         pool = StatePool(timeout_s=5.0)

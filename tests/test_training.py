@@ -12,11 +12,15 @@ from chainboost.training import (
     EmptyEstimateError,
     TrainConfig,
     batch_loss_and_grad,
+    chain_logits,
     cross_entropy,
     descent_lr_bound,
     estimate_alignment,
     flatten_params,
+    get_param,
+    load_flat_params,
     loss_logit_grad,
+    pred_forward_chain,
     predecessor_errors,
     sgd_step,
     suppression_loss,
@@ -153,6 +157,22 @@ class TestSgdStep:
         assert np.array_equal(model.params["tok_emb"], before)
 
 
+class TestLoadFlatParams:
+    def test_roundtrip_is_bit_exact_with_adapters(self):
+        import dataclasses
+
+        model = TransformerModel(dataclasses.replace(SMALL, adapter_rank=3))
+        keys = trainable_keys(model, "full") + trainable_keys(model, "adapters")
+        theta = flatten_params(model, keys)
+        load_flat_params(model, keys, np.random.default_rng(0).normal(size=theta.size))
+        assert not np.array_equal(flatten_params(model, keys), theta)
+        load_flat_params(model, keys, theta)
+        assert np.array_equal(flatten_params(model, keys), theta)
+        fresh = TransformerModel(dataclasses.replace(SMALL, adapter_rank=3))
+        for k in keys:
+            assert np.array_equal(get_param(model, k), get_param(fresh, k))
+
+
 class TestDescentLrBound:
     def test_unit_case(self):
         # 2 (1 - 0) / (2 * (1 + 0)^2) = 1
@@ -205,9 +225,62 @@ class TestPredecessorErrors:
         np.testing.assert_array_equal(predecessor_errors(logits, gold), [[-1, 1, -1]])
 
 
+class TestChainWalk:
+    def _chain(self):
+        import dataclasses
+
+        specs = [
+            dataclasses.replace(SMALL, fusion_period=1, seed=5),
+            dataclasses.replace(SMALL, adapter_rank=2, seed=6),
+            dataclasses.replace(SMALL, fusion_period=1, adapter_rank=2, seed=7),
+        ]
+        ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.2], top_k=2))
+        rng = np.random.default_rng(1)
+        for m in ens.models:
+            for ad in m.adapters.values():
+                ad.B[...] = rng.normal(0.0, 0.05, ad.B.shape)
+        return ens
+
+    def test_chain_logits_equal_pred_forward_chain(self):
+        ens = self._chain()
+        tokens = np.random.default_rng(2).integers(0, SMALL.vocab, size=(3, 5))
+        zs = chain_logits(ens, tokens)
+        assert len(zs) == 3
+        for i in range(3):
+            z, states = pred_forward_chain(ens, i, tokens)
+            assert np.array_equal(zs[i], z)
+            assert len(states) == SMALL.n_layers + 1
+
+    def test_states_match_step_fold(self):
+        ens = self._chain()
+        tokens = np.random.default_rng(3).integers(0, SMALL.vocab, size=(2, 5))
+        for b in range(2):
+            trace = None
+            for i, m in enumerate(ens.models):
+                pred = None if trace is None else list(trace.hidden.swapaxes(0, 1))
+                trace = m.forward_teacher(tokens[b], ens.fusion_inputs(i, pred))
+                _, states = pred_forward_chain(ens, i, tokens)
+                hidden = np.stack(states, axis=2)[b]
+                np.testing.assert_allclose(hidden, trace.hidden, rtol=0, atol=1e-10)
+
+
 class TestTrainChain:
     def _dataset(self):
         return generate(TaskSpec("copy", vocab=12, length=3, n_samples=24, seed=1))
+
+    def test_rejects_unknown_successor_init(self):
+        with pytest.raises(ValueError, match="successor_init"):
+            TrainConfig(successor_init="copy")
+        TrainConfig(successor_init="fresh")
+
+    def test_base_copy_rejects_mismatched_shapes(self):
+        import dataclasses
+
+        succ_spec = dataclasses.replace(SMALL, d_ff=24, adapter_rank=4, seed=100)
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=8, stage2_epochs=1)
+        with pytest.raises(ValueError, match=r"'l1\.w1' of model 1"):
+            train_chain(ens, self._dataset(), cfg)
 
     def test_single_model_chain_matches_train_model(self):
         ds = self._dataset()
