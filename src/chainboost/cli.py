@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +25,8 @@ from . import schedlab, tasks, theoryprobe
 from .ensemble import ErrorTokenTrace
 from .model import ModelSpec, TransformerModel
 from .numkit import softmax
-from .pipeline import decode_pipelined, decode_sequential
-from .training import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
-    TrainConfig,
-    chain_eval,
-    loss_logit_grad,
-    total_loss,
-    train_chain,
-)
+from .pipeline import TimingReport, check_prompt, decode_pipelined, decode_sequential
+from .training import TrainConfig, chain_eval, loss_logit_grad, total_loss, train_chain
 
 DEFAULT_SEEDS = [1, 2, 3]
 
@@ -40,16 +34,6 @@ DEFAULT_SEEDS = [1, 2, 3]
 def _load_config(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _merged(config: dict, args, fields: dict) -> dict:
-    """Config-file values overridden by any explicitly set flags."""
-    out = dict(config)
-    for flag, key in fields.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            out[key] = val
-    return out
 
 
 def _task_from_dict(d: dict) -> tasks.TaskSpec:
@@ -96,6 +80,11 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     seeds = args.seeds or cfg.get("seeds", DEFAULT_SEEDS)
+    try:  # an unknown key, or a seed (set per run from seeds), is a TypeError naming it
+        train_base = TrainConfig(**cfg.get("train", {}), seed=seeds[0])
+    except (TypeError, ValueError) as exc:
+        print(f"bad train config: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out or cfg.get("out", "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -106,20 +95,9 @@ def cmd_train(args) -> int:
     vocab = int(cfg.get("task", {}).get("vocab", ds_full.tokens.max() + 1))
     holdout = cfg.get("holdout_fraction", 0.25)
 
-    tc = cfg.get("train", {})
     results = []
     for sd in seeds:
-        train_cfg = TrainConfig(
-            alpha=tc.get("alpha", DEFAULT_ALPHA),
-            beta=tc.get("beta", DEFAULT_BETA),
-            learning_rate=tc.get("learning_rate", 0.1),
-            epochs=tc.get("epochs", 60),
-            batch_size=tc.get("batch_size", 32),
-            seed=sd,
-            stage2_epochs=tc.get("stage2_epochs", tc.get("epochs", 60)),
-            stage2_learning_rate=tc.get("stage2_learning_rate", tc.get("learning_rate", 0.1)),
-            successor_init=tc.get("successor_init", "base_copy"),
-        )
+        train_cfg = dataclasses.replace(train_base, seed=sd)
         n_succ = cfg.get("n_successors", 1)
         mdl = cfg.get("model", {})
         specs = [
@@ -173,31 +151,40 @@ def _read_prompts(path) -> list[list[int]]:
     return prompts
 
 
-def cmd_infer(args) -> int:
+def _decode_inputs(args):
+    """(ensemble, prompts, exit code or None) for infer/bench.
+
+    A manifest that does not load exits 1; a prompt that cannot fit
+    max_steps with --max-tokens is a usage error (exit 2).
+    """
     try:
         ensemble, _ = ens_mod.load_manifest(args.manifest)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return None, [], 1
     prompts = _read_prompts(args.prompts)
-    if not prompts:
-        return 0
+    try:
+        for prompt in prompts:
+            check_prompt(ensemble, prompt, args.max_tokens)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return None, [], 2
+    return ensemble, prompts, None
+
+
+def cmd_infer(args) -> int:
+    ensemble, prompts, code = _decode_inputs(args)
+    if code is not None:
+        return code
     for prompt in prompts:
         if args.mode == "sequential":
-            import time
-
             t0 = time.perf_counter()
             toks, _ = decode_sequential(ensemble, prompt, args.max_tokens)
-            wall = time.perf_counter() - t0
-            print(" ".join(map(str, toks)))
-            print(f"end_to_end_s        {wall:.6f}")
-            print(f"per_token_latency_s {wall / max(1, len(toks)):.6f}")
-            print("blocked_s           0.000000")
-            print("state_passing_s     0.000000")
+            report = TimingReport(wall_s=time.perf_counter() - t0, n_tokens=len(toks))
         else:
             toks, _, report = decode_pipelined(ensemble, prompt, args.max_tokens)
-            print(" ".join(map(str, toks)))
-            print(report.format())
+        print(" ".join(map(str, toks)))
+        print(report.format())
     return 0
 
 
@@ -205,16 +192,11 @@ def cmd_bench(args) -> int:
     if args.reps < 3:
         print("need at least 3 repetitions", file=sys.stderr)
         return 2
-    try:
-        ensemble, _ = ens_mod.load_manifest(args.manifest)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    prompts = _read_prompts(args.prompts)
+    ensemble, prompts, code = _decode_inputs(args)
+    if code is not None:
+        return code
     if not prompts:
         return 0
-    import time
-
     rows = []
     for mode in ("sequential", "pipelined"):
         e2e, per_tok = [], []

@@ -1,4 +1,4 @@
-"""Chain wiring: ordered model list, fusion inputs, error tokens, logits fusion."""
+"""Chain wiring: ordered model list, fusion inputs, error-token traces, logits fusion."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import ModelSpec, TransformerModel
-from .numkit import ShapeError, layer_norm
+from .numkit import ShapeError
+from .numkit import layer_norm  # noqa: F401 - chainbench/tracer.py patches ensemble.layer_norm
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -79,36 +80,6 @@ class ErrorTokenTrace:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-def fuse_hidden(h_own: np.ndarray, h_pred: np.ndarray, l: int, eta: int, eps: float = 1e-5) -> np.ndarray:
-    """LayerNorm(h_own + h_pred) at fusion layers (l % eta == 0), h_own otherwise."""
-    if h_own.shape != h_pred.shape:
-        raise ShapeError(f"hidden shapes differ: {h_own.shape} vs {h_pred.shape}")
-    if l % eta != 0:
-        return h_own
-    return layer_norm(h_own + h_pred, 1.0, 0.0, eps)
-
-
-def error_tokens(pred_logits: np.ndarray, gold: Sequence[int]) -> ErrorTokenTrace:
-    """Predecessor argmax stored wherever it disagrees with gold.
-
-    Positions with gold < 0 carry no supervision and never produce an error
-    token. Argmax ties break toward the lowest index (np.argmax convention).
-    """
-    pred_logits = np.asarray(pred_logits)
-    if pred_logits.shape[0] != len(gold):
-        raise ShapeError(
-            f"logits cover {pred_logits.shape[0]} steps but gold has {len(gold)}"
-        )
-    out: list[Optional[int]] = []
-    for t, g in enumerate(gold):
-        if g < 0:
-            out.append(None)
-            continue
-        pred = int(np.argmax(pred_logits[t]))
-        out.append(pred if pred != g else None)
-    return ErrorTokenTrace(out)
 
 
 def topk_mask(z: np.ndarray, k: int) -> np.ndarray:

@@ -156,9 +156,8 @@ def gelu_grad(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
 class TransformerModel:
     """Decoder-only transformer over a dict of named numpy parameters."""
 
-    def __init__(self, spec: ModelSpec, dtype=np.float64):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.dtype = np.dtype(dtype)
         self.params: dict[str, np.ndarray] = {}
         self.adapters: dict[str, Adapter] = {}
         self._init_params()
@@ -172,7 +171,7 @@ class TransformerModel:
         std = 0.5 / np.sqrt(d)
 
         def rnd(*shape, scale=std):
-            return (rng.standard_normal(shape) * scale).astype(self.dtype)
+            return rng.standard_normal(shape) * scale
 
         self.params["tok_emb"] = rnd(s.vocab, d, scale=0.1)
         self.params["pos_emb"] = rnd(s.max_steps, d, scale=0.1)
@@ -180,14 +179,14 @@ class TransformerModel:
             p = f"l{l}."
             for w in ("wq", "wk", "wv", "wo"):
                 self.params[p + w] = rnd(d, d)
-            self.params[p + "ln_attn_g"] = np.ones(d, dtype=self.dtype)
-            self.params[p + "ln_attn_b"] = np.zeros(d, dtype=self.dtype)
+            self.params[p + "ln_attn_g"] = np.ones(d)
+            self.params[p + "ln_attn_b"] = np.zeros(d)
             self.params[p + "w1"] = rnd(d, ff)
-            self.params[p + "b1"] = np.zeros(ff, dtype=self.dtype)
+            self.params[p + "b1"] = np.zeros(ff)
             self.params[p + "w2"] = rnd(ff, d)
-            self.params[p + "b2"] = np.zeros(d, dtype=self.dtype)
-            self.params[p + "ln_mlp_g"] = np.ones(d, dtype=self.dtype)
-            self.params[p + "ln_mlp_b"] = np.zeros(d, dtype=self.dtype)
+            self.params[p + "b2"] = np.zeros(d)
+            self.params[p + "ln_mlp_g"] = np.ones(d)
+            self.params[p + "ln_mlp_b"] = np.zeros(d)
         self.params["unemb"] = rnd(d, s.vocab, scale=0.1)
         if s.adapter_rank > 0:
             self.init_adapters(rng)
@@ -202,15 +201,12 @@ class TransformerModel:
             for target in ("wq", "wv"):
                 self.adapters[f"l{l}.{target}"] = Adapter(
                     target=target,
-                    A=(rng.standard_normal((d, r)) * 0.01).astype(self.dtype),
-                    B=np.zeros((r, d), dtype=self.dtype),
+                    A=rng.standard_normal((d, r)) * 0.01,
+                    B=np.zeros((r, d)),
                 )
 
     def effective_weight(self, name: str) -> np.ndarray:
         return apply_adapter(self.params[name], self.adapters.get(name))
-
-    def new_cache(self) -> KvCache:
-        return KvCache(self.spec.n_layers)
 
     # -- incremental decoding path ----------------------------------------
 
@@ -219,17 +215,17 @@ class TransformerModel:
         token_id: int,
         cache: KvCache,
         fusion_in=None,
-        on_layer_start=None,
         on_layer_end=None,
     ) -> tuple[np.ndarray, list[np.ndarray], KvCache]:
         """One decoding step; returns (logits, layer_states incl. layer 0, cache).
 
         The cache is mutated in place and also returned. fusion_in, when
         present, is either a dict mapping every fusion layer l to a (d_model,)
-        vector or a callable l -> vector. The optional hooks fire at the top
-        of each block (on_layer_start(l)) and after each state is produced
-        (on_layer_end(l, h), including l=0 for the embedding); the pipelined
-        decoder uses them to stream states without forking this code path.
+        vector or a callable l -> vector, called only at fusion layers. The
+        optional on_layer_end(l, h) fires after each state is produced
+        (including l=0 for the embedding); with a callable fusion_in it lets
+        the pipelined decoder wait for and stream states without forking this
+        code path.
         """
         s = self.spec
         if not (0 <= token_id < s.vocab):
@@ -250,8 +246,6 @@ class TransformerModel:
         scale = 1.0 / np.sqrt(dh)
         for l in range(1, s.n_layers + 1):
             p = f"l{l}."
-            if on_layer_start is not None:
-                on_layer_start(l)
             if fusion_in is not None and l % s.fusion_period == 0:
                 fv = fusion_in(l) if callable(fusion_in) else fusion_in[l]
                 ht = layer_norm(h + fv, 1.0, 0.0, LN_EPS)
@@ -294,9 +288,9 @@ class TransformerModel:
         T = len(token_ids)
         if T > s.max_steps:
             raise IndexError(f"sequence length {T} exceeds max_steps {s.max_steps}")
-        cache = self.new_cache()
-        hidden = np.zeros((T, s.n_layers + 1, s.d_model), dtype=self.dtype)
-        logits = np.zeros((T, s.vocab), dtype=self.dtype)
+        cache = KvCache(s.n_layers)
+        hidden = np.zeros((T, s.n_layers + 1, s.d_model))
+        logits = np.zeros((T, s.vocab))
         for t, tok in enumerate(token_ids):
             step_fusion = None
             if fusion_in is not None:
@@ -326,7 +320,7 @@ class TransformerModel:
             raise IndexError(f"sequence length {T} exceeds max_steps {s.max_steps}")
         nh, dh = s.n_heads, s.d_model // s.n_heads
         scale = 1.0 / np.sqrt(dh)
-        mask = np.triu(np.full((T, T), -1e30, dtype=self.dtype), k=1)
+        mask = np.triu(np.full((T, T), -1e30), k=1)
 
         h = self.params["tok_emb"][tokens] + self.params["pos_emb"][:T]
         acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
@@ -438,7 +432,7 @@ class TransformerModel:
         header = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "spec": self.spec.to_dict(),
-            "dtype": self.dtype.name,
+            "dtype": "float64",
             "adapters": sorted(self.adapters),
         }
         arrays = {f"param.{k}": v for k, v in self.params.items()}
@@ -455,9 +449,10 @@ class TransformerModel:
             header = json.loads(bytes(data["header"]).decode())
             if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
                 raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
+            if header["dtype"] != "float64":
+                raise ValueError(f"unsupported checkpoint dtype {header['dtype']!r} (only float64)")
             model = TransformerModel.__new__(TransformerModel)
             model.spec = ModelSpec.from_dict(header["spec"])
-            model.dtype = np.dtype(header["dtype"])
             model.params = {
                 k[len("param."):]: data[k].copy() for k in data.files if k.startswith("param.")
             }

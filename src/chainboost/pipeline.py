@@ -1,10 +1,11 @@
 """Greedy decoding for model chains.
 
-Two interchangeable decoders: a sequential reference (each model finishes a
-step before the next one starts) and a near-parallel one that runs one worker
-thread per model and streams hidden states layer by layer through a blocking
-write-once pool. Both share the exact same per-step forward code, so their
-token streams are bit-identical.
+Two interchangeable decoders run one greedy loop: a sequential reference
+(each model finishes a step before the next one starts) and a near-parallel
+one that runs one worker thread per model and streams, through a blocking
+write-once pool, only the hidden states that successor fusion layers read.
+Both share the exact same per-step forward code, so their token streams are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class PoolProtocolError(RuntimeError):
 
 
 class PoolTimeoutError(RuntimeError):
-    """A blocking read timed out; the message names the missing key."""
+    """A blocking read timed out; the message names the missing state, token or logits."""
 
 
 class WorkerFailedError(RuntimeError):
@@ -81,7 +82,7 @@ class StatePool:
             self._cond.notify_all()
             self.transfer_s += time.perf_counter() - t0
 
-    def _get(self, store, key, timeout_s: Optional[float] = None):
+    def _get(self, store, key, what: str, timeout_s: Optional[float] = None):
         if timeout_s is None:
             timeout_s = self.timeout_s
         t0 = time.perf_counter()
@@ -95,9 +96,7 @@ class StatePool:
             if self._failure is not None:
                 raise WorkerFailedError(f"decode aborted: {self._failure}")
             if not ok:
-                raise PoolTimeoutError(
-                    f"deadlock: blocked {timeout_s:.3f}s waiting for {key!r}"
-                )
+                raise PoolTimeoutError(f"deadlock: blocked {timeout_s:.3f}s waiting for {what}")
             return store[key]
 
     def put_state(self, key: HiddenKey, value: np.ndarray) -> None:
@@ -105,20 +104,20 @@ class StatePool:
 
     def get_state(self, key: HiddenKey, timeout_s: Optional[float] = None) -> np.ndarray:
         """Block for the state at key; timeout_s overrides the pool default for this call."""
-        return self._get(self._states, key, timeout_s)
+        return self._get(self._states, key, repr(key), timeout_s)
 
     def put_logits(self, model: int, step: int, z: np.ndarray) -> None:
         self._put(self._logits, (model, step), z)
 
     def get_logits(self, model: int, step: int) -> np.ndarray:
-        return self._get(self._logits, (model, step))
+        return self._get(self._logits, (model, step), f"logits of model {model} for step {step}")
 
     def put_token(self, step: int, token: Optional[int]) -> None:
         """Broadcast the input token for a step; None tells workers to stop."""
         self._put(self._tokens, step, token)
 
     def get_token(self, step: int) -> Optional[int]:
-        return self._get(self._tokens, step)
+        return self._get(self._tokens, step, f"token for step {step}")
 
 
 @dataclass
@@ -149,7 +148,8 @@ class TimingReport:
         return "\n".join(lines)
 
 
-def _check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
+def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
+    """Raise ValueError unless the prompt is nonempty and prompt + max_tokens fits max_steps."""
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
     cap = min(m.spec.max_steps for m in ensemble.models)
@@ -157,6 +157,28 @@ def _check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
         raise ValueError(
             f"prompt ({len(prompt)}) + max_tokens ({max_tokens}) exceeds max_steps {cap}"
         )
+
+
+def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
+    """The greedy loop both decoders run; returns (tokens, per-step fused logits).
+
+    step(token) advances the whole chain one step on token and returns that
+    step's fused logits. The prompt is fed first; then the argmax (lowest
+    index on ties) is emitted and fed back until EOS (= V-1) or max_tokens
+    emissions. The emitted EOS is included in the output.
+    """
+    eos = ensemble.spec.vocab - 1
+    for token in prompt:
+        fused = step(int(token))
+    out: list[int] = []
+    fused_hist: list[np.ndarray] = []
+    while True:
+        nxt = int(np.argmax(fused))
+        out.append(nxt)
+        fused_hist.append(fused)
+        if nxt == eos or len(out) >= max_tokens:
+            return out, np.array(fused_hist)
+        fused = step(nxt)
 
 
 def _step_all(ensemble: Ensemble, token: int, caches: list[KvCache]) -> np.ndarray:
@@ -171,30 +193,12 @@ def _step_all(ensemble: Ensemble, token: int, caches: list[KvCache]) -> np.ndarr
 def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     """Reference greedy decoder; returns (tokens, per-step fused logits).
 
-    Per step each model runs to completion in chain order, successor fusion
-    layers read the predecessor's states for the same step, fused logits pick
-    the argmax (lowest index on ties), and decoding stops at EOS (= V-1) or
-    after max_tokens emissions. The emitted EOS is included in the output.
+    Per step each model runs to completion in chain order and successor
+    fusion layers read the predecessor's states for the same step.
     """
-    _check_prompt(ensemble, prompt, max_tokens)
-    eos = ensemble.spec.vocab - 1
+    check_prompt(ensemble, prompt, max_tokens)
     caches = [KvCache(m.spec.n_layers) for m in ensemble.models]
-    out: list[int] = []
-    fused_hist: list[np.ndarray] = []
-    token = int(prompt[0])
-    pos = 0
-    while True:
-        fused = _step_all(ensemble, token, caches)
-        pos += 1
-        if pos < len(prompt):
-            token = int(prompt[pos])
-            continue
-        nxt = int(np.argmax(fused))
-        out.append(nxt)
-        fused_hist.append(fused)
-        if nxt == eos or len(out) >= max_tokens:
-            return out, np.array(fused_hist)
-        token = nxt
+    return _greedy(ensemble, prompt, max_tokens, lambda token: _step_all(ensemble, token, caches))
 
 
 def decode_pipelined(
@@ -207,19 +211,26 @@ def decode_pipelined(
     """Near-parallel greedy decode; returns (tokens, fused logits, timing).
 
     One worker runs each model (fewer workers fold adjacent models onto one
-    thread, preserving chain order). At every block, worker i first blocks on
-    the predecessor's state (i-1, l-1, t), publishes its own state the moment
-    a block finishes, and posts logits per step. The coordinator fuses all
-    logits for a step, then broadcasts the chosen token, which is the per-step
-    barrier that keeps the token stream identical to decode_sequential.
+    thread, preserving chain order). Waits and publishes follow
+    Ensemble.fusion_inputs: worker i blocks on the pool only at its fusion
+    layers, for the predecessor state (i-1, l-1, t), and publishes only the
+    states its successor reads, the moment each is produced; it posts logits
+    per step. The coordinator fuses all logits for a step, then broadcasts
+    the chosen token, which is the per-step barrier that keeps the token
+    stream identical to decode_sequential.
     """
-    _check_prompt(ensemble, prompt, max_tokens)
+    check_prompt(ensemble, prompt, max_tokens)
     n_models = len(ensemble.models)
-    eos = ensemble.spec.vocab - 1
     if workers is None or workers > n_models:
         workers = n_models
     if workers < 1:
         raise ValueError("workers must be >= 1")
+
+    # reads[i][l]: the predecessor layer model i's fusion layer l waits for;
+    # publish[i]: the layers of model i that model i+1 reads
+    layers = [range(m.spec.n_layers + 1) for m in ensemble.models]
+    reads = [None] + [ensemble.fusion_inputs(i, layers[i - 1]) for i in range(1, n_models)]
+    publish = [set(r.values()) for r in reads[1:]] + [set()]
 
     pool = StatePool(timeout_s=timeout_s)
     caches = [KvCache(m.spec.n_layers) for m in ensemble.models]
@@ -229,37 +240,34 @@ def decode_pipelined(
     def now_us() -> int:
         return int((time.perf_counter() - t_origin) * 1e6)
 
+    def run_model(i: int, step: int, token: int) -> np.ndarray:
+        start = 0  # each layer starts when the previous one ends or its fusion wait returns
+
+        def fusion_in(l):
+            nonlocal start
+            h = pool.get_state(HiddenKey(i - 1, reads[i][l], step))
+            start = now_us()
+            return h
+
+        def on_end(l, h):
+            nonlocal start
+            if l > 0:
+                events[i].append((i, l, step, start, now_us()))
+            if l in publish[i]:
+                pool.put_state(HiddenKey(i, l, step), h)
+            start = now_us()
+
+        z, _, _ = ensemble.models[i].forward_step(
+            token, caches[i], fusion_in if i > 0 else None, on_layer_end=on_end
+        )
+        return z
+
     def run_models(model_indices: list[int]) -> None:
         try:
             step = 0
-            while True:
-                token = pool.get_token(step)
-                if token is None:
-                    return
+            while (token := pool.get_token(step)) is not None:
                 for i in model_indices:
-                    model = ensemble.models[i]
-                    pred: dict[int, np.ndarray] = {}
-                    starts: dict[int, int] = {}
-
-                    def on_start(l, i=i, step=step, pred=pred, starts=starts):
-                        if i > 0:
-                            pred[l - 1] = pool.get_state(HiddenKey(i - 1, l - 1, step))
-                        starts[l] = now_us()
-
-                    def on_end(l, h, i=i, step=step, starts=starts):
-                        if i < n_models - 1:
-                            pool.put_state(HiddenKey(i, l, step), h)
-                        if l > 0:
-                            events[i].append((i, l, step, starts[l], now_us()))
-
-                    z, _, _ = model.forward_step(
-                        token,
-                        caches[i],
-                        fusion_in=(lambda l, pred=pred: pred[l - 1]) if i > 0 else None,
-                        on_layer_start=on_start,
-                        on_layer_end=on_end,
-                    )
-                    pool.put_logits(i, step, z)
+                    pool.put_logits(i, step, run_model(i, step, token))
                 step += 1
         except WorkerFailedError:
             return
@@ -275,32 +283,27 @@ def decode_pipelined(
     for th in threads:
         th.start()
 
-    out: list[int] = []
-    fused_hist: list[np.ndarray] = []
+    fed: list[int] = []
+
+    def step_chain(token: int) -> np.ndarray:
+        step = len(fed)
+        fed.append(token)
+        pool.put_token(step, token)
+        zs = [pool.get_logits(i, step) for i in range(n_models)]
+        return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
+
     try:
-        pool.put_token(0, int(prompt[0]))
-        step = 0
-        while True:
-            zs = [pool.get_logits(i, step) for i in range(n_models)]
-            fused = fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
-            step += 1
-            if step < len(prompt):
-                pool.put_token(step, int(prompt[step]))
-                continue
-            nxt = int(np.argmax(fused))
-            out.append(nxt)
-            fused_hist.append(fused)
-            if nxt == eos or len(out) >= max_tokens:
-                pool.put_token(step, None)
-                break
-            pool.put_token(step, nxt)
+        out, fused_hist = _greedy(ensemble, prompt, max_tokens, step_chain)
+        pool.put_token(len(fed), None)
     except BaseException as exc:
         pool.fail(exc)
         for th in threads:
             th.join(timeout=timeout_s)
-        merged = [e for per in events for e in per]
+        msg = str(exc) if isinstance(exc, WorkerFailedError) else f"decode aborted: {exc}"
         raise WorkerFailedError(
-            f"decode aborted: {exc}", partial_tokens=out, partial_events=merged
+            msg,
+            partial_tokens=fed[len(prompt):],
+            partial_events=[e for per in events for e in per],
         ) from exc
 
     for th in threads:
@@ -312,4 +315,4 @@ def decode_pipelined(
         transfer_s=pool.transfer_s,
         n_tokens=len(out),
     )
-    return out, np.array(fused_hist), report
+    return out, fused_hist, report

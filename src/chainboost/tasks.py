@@ -78,10 +78,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.tokens.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.tokens.shape[1]
-
     def subset(self, idx) -> "Dataset":
         return Dataset(self.tokens[idx], self.gold[idx])
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
 from .model import TransformerModel
-from .numkit import softmax, softmax_rows
+from .numkit import ShapeError, softmax, softmax_rows
 from .tasks import Dataset
 
 log = logging.getLogger(__name__)
@@ -488,7 +488,13 @@ def pred_forward_chain(
 
 
 def predecessor_errors(pred_logits: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    """(B, T) array: predecessor argmax where it differs from gold, else -1."""
+    """(B, T) array: predecessor argmax where it differs from gold, else -1.
+
+    Positions with gold < 0 carry no supervision and never produce an error
+    token. Argmax ties break toward the lowest index (np.argmax convention).
+    """
+    if pred_logits.shape[:-1] != gold.shape:
+        raise ShapeError(f"logits cover {pred_logits.shape[:-1]} positions but gold is {gold.shape}")
     pred = pred_logits.argmax(axis=-1)
     return np.where((gold >= 0) & (pred != gold), pred, -1)
 

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chainboost import cli
 from chainboost.ensemble import load_manifest
+from chainboost.training import TrainConfig
 
 
 def run_cli(argv, capsys):
@@ -84,6 +86,24 @@ class TestTrainArtifacts:
                 assert np.array_equal(ma.params[k], mb.params[k])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key", ["learning_rte", "precision", "seed"])
+    def test_unknown_train_key_exits_2(self, tmp_path, key, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": {"kind": "copy"}, "train": {key: 0.1}}))
+        code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert key in err
+
+    def test_readme_config_is_the_example_file(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        example = json.loads((root / "examples_config.json").read_text())
+        assert json.loads(block) == example
+        TrainConfig(**example["train"])
+
+
 class TestInfer:
     def test_sequential_and_pipelined_agree(self, trained_run, capsys):
         manifest, prompts = trained_run
@@ -110,6 +130,29 @@ class TestInfer:
         )
         for field in ("end_to_end_s", "per_token_latency_s", "blocked_s", "state_passing_s"):
             assert field in out
+
+    def test_sequential_timing_block(self, trained_run, capsys):
+        manifest, prompts = trained_run
+        _, out, _ = run_cli(
+            ["infer", "--manifest", str(manifest), "--prompts", str(prompts), "--max-tokens", "4"],
+            capsys,
+        )
+        lines = out.splitlines()
+        assert len(lines) == 10  # two prompts: tokens + four timing lines each
+        assert [l.split()[0] for l in lines[1:5]] == [
+            "end_to_end_s", "per_token_latency_s", "blocked_s", "state_passing_s"
+        ]
+        assert lines[3] == "blocked_s           0.000000"
+        assert lines[4] == "state_passing_s     0.000000"
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_prompt_beyond_max_steps_exits_2(self, trained_run, command, capsys):
+        manifest, prompts = trained_run  # max_steps 10; "1 2 3" + 16 tokens does not fit
+        code, out, err = run_cli(
+            [command, "--manifest", str(manifest), "--prompts", str(prompts)], capsys
+        )
+        assert code == 2
+        assert "exceeds max_steps 10" in err and out == ""
 
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run

@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from chainboost.ensemble import (
     Ensemble,
     EnsembleSpec,
-    error_tokens,
-    fuse_hidden,
     fuse_logits,
     load_manifest,
     save_manifest,
     topk_mask,
 )
-from chainboost.model import ModelSpec, TransformerModel
-from chainboost.numkit import layer_norm
-from chainboost.training import chain_logits
+from chainboost.model import KvCache, ModelSpec, TransformerModel
+from chainboost.numkit import ShapeError
+from chainboost.training import chain_logits, predecessor_errors
 
 MS = ModelSpec(
     n_layers=4, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=16,
@@ -53,62 +51,47 @@ class TestEnsembleSpec:
             EnsembleSpec(models=[MS, shallow, MS], lambdas=[0.3, 0.3], top_k=2)
 
 
-class TestFuseHidden:
-    def test_non_fusion_layer_passthrough(self):
-        h = np.arange(8.0)
-        assert fuse_hidden(h, np.ones(8), l=3, eta=2) is h
-
-    def test_cancellation(self):
-        h = np.random.default_rng(0).normal(size=8)
-        out = fuse_hidden(h, -h, l=2, eta=2)
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_matches_numkit_oracle(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=8), rng.normal(size=8)
-        assert np.array_equal(fuse_hidden(a, b, l=4, eta=2), layer_norm(a + b, 1.0, 0.0, 1e-5))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse_hidden(np.zeros(4), np.zeros(5), l=2, eta=2)
-
-
 class TestErrorTokens:
+    """predecessor_errors: the predecessor's argmax where it misses gold, else -1."""
+
     def test_all_correct_gives_empty(self):
-        logits = np.zeros((3, 4))
-        logits[np.arange(3), [1, 2, 0]] = 5.0
-        trace = error_tokens(logits, [1, 2, 0])
-        assert trace.tokens == [None, None, None]
+        logits = np.zeros((1, 3, 4))
+        logits[0, np.arange(3), [1, 2, 0]] = 5.0
+        err = predecessor_errors(logits, np.array([[1, 2, 0]]))
+        np.testing.assert_array_equal(err, [[-1, -1, -1]])
 
     def test_direct_example(self):
-        trace = error_tokens(np.array([[5.0, 1.0, 0.0]]), [1])
-        assert trace.tokens == [0]
+        err = predecessor_errors(np.array([[[5.0, 1.0, 0.0]]]), np.array([[1]]))
+        np.testing.assert_array_equal(err, [[0]])
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(2)
-        logits = rng.normal(size=(20, 16))
-        gold = rng.integers(0, 16, 20)
-        trace = error_tokens(logits, gold)
-        for t in range(20):
-            pred = int(np.argmax(logits[t]))  # np.argmax is lowest-index on ties
-            expect = pred if pred != gold[t] else None
-            assert trace.tokens[t] == expect
+        logits = rng.normal(size=(4, 20, 16))
+        logits[:, :, 3] = logits[:, :, 7]  # exact ties: the lowest index wins
+        gold = rng.integers(0, 16, (4, 20))
+        err = predecessor_errors(logits, gold)
+        for b in range(4):
+            for t in range(20):
+                row = list(logits[b, t])
+                pred = row.index(max(row))  # first occurrence of the maximum
+                assert err[b, t] == (pred if pred != gold[b, t] else -1)
 
     def test_never_stores_gold(self):
         rng = np.random.default_rng(3)
-        logits = rng.normal(size=(50, 8))
-        gold = rng.integers(0, 8, 50)
-        trace = error_tokens(logits, gold)
-        for t, tok in enumerate(trace.tokens):
-            assert tok is None or tok != gold[t]
+        logits = rng.normal(size=(5, 10, 8))
+        gold = rng.integers(0, 8, (5, 10))
+        err = predecessor_errors(logits, gold)
+        assert not np.any(err == gold)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            error_tokens(np.zeros((3, 4)), [0, 1])
+        with pytest.raises(ShapeError):
+            predecessor_errors(np.zeros((1, 3, 4)), np.array([[0, 1]]))
+        with pytest.raises(ShapeError):  # a (1, T) gold must not broadcast over B
+            predecessor_errors(np.zeros((2, 3, 4)), np.zeros((1, 3), dtype=int))
 
     def test_unlabeled_positions_skipped(self):
-        trace = error_tokens(np.array([[5.0, 0.0], [5.0, 0.0]]), [-1, 1])
-        assert trace.tokens == [None, 0]
+        err = predecessor_errors(np.array([[[5.0, 0.0], [5.0, 0.0]]]), np.array([[-1, 1]]))
+        np.testing.assert_array_equal(err, [[-1, 0]])
 
 
 class TestTopkMask:
@@ -209,7 +192,7 @@ class TestFusionInputs:
     def test_layer_offset_bookkeeping(self):
         ms = dataclasses.replace(MS, n_layers=2, fusion_period=1)
         ens = Ensemble(EnsembleSpec([ms, ms], [0.3], 2))
-        _, states, _ = ens.models[0].forward_step(1, ens.models[0].new_cache())
+        _, states, _ = ens.models[0].forward_step(1, KvCache(ms.n_layers))
         fin = ens.fusion_inputs(1, states)
         assert sorted(fin) == [1, 2]
         # successor layer l reads predecessor layer l-1 (0 = embedding)

@@ -241,6 +241,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             TransformerModel.load(p)
 
+    def test_dtype_check(self, tmp_path):
+        import json
+
+        p = tmp_path / "ck.npz"
+        small_model().save(p)
+        data = dict(np.load(p, allow_pickle=False))
+        header = json.loads(bytes(data["header"]).decode())
+        assert header["dtype"] == "float64"
+        header["dtype"] = "float32"
+        data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(p, **data)
+        with pytest.raises(ValueError, match="float32"):
+            TransformerModel.load(p)
+
 
 class TestForwardTrain:
     def test_matches_teacher(self):

@@ -1,5 +1,7 @@
 """Tests for the state pool and the pipelined/sequential decoders."""
 
+import dataclasses
+import sys
 import threading
 import time
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from chainboost.ensemble import Ensemble, EnsembleSpec
-from chainboost.model import ModelSpec
+from chainboost.model import ModelSpec, TransformerModel
 from chainboost.pipeline import (
     HiddenKey,
     PoolProtocolError,
@@ -25,8 +27,6 @@ TINY = ModelSpec(
 
 
 def make_chain(n_successors: int, seed: int = 0) -> Ensemble:
-    import dataclasses
-
     specs = [dataclasses.replace(TINY, seed=seed + 10 * i) for i in range(n_successors + 1)]
     return Ensemble(EnsembleSpec(specs, lambdas=[0.3] * n_successors, top_k=2))
 
@@ -94,6 +94,10 @@ class TestStatePool:
         assert results["default"][0] == 3.0
         assert pool.timeout_s == 5.0
 
+    def test_token_timeout_names_store_and_step(self):
+        with pytest.raises(PoolTimeoutError, match=r"token for step 1"):
+            StatePool(timeout_s=0.05).get_token(1)
+
     def test_failure_poisons_waiters(self):
         pool = StatePool()
         pool.fail(RuntimeError("worker crashed"))
@@ -140,6 +144,61 @@ class TestDecoderEquivalence:
         toks_p, _, _ = decode_pipelined(ens, [1, 2], max_tokens=5, workers=1)
         assert toks_s == toks_p
 
+    def test_successor_deeper_than_predecessor(self):
+        # fusion layer 3 of the 4-layer successor reads base layer 2; the
+        # successor's other layers must not wait for base states that never exist
+        succ = dataclasses.replace(TINY, n_layers=4, fusion_period=3, seed=1)
+        ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
+        toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=3)
+        toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=3, timeout_s=2.0)
+        assert toks_s == toks_p == [10, 0, 9]
+        assert np.array_equal(logits_s, logits_p)
+
+    def test_deep_chain_under_frequent_thread_switches(self):
+        # three workers switching every microsecond: a wait or publish that
+        # depends on thread timing shows up as a mismatch or a pool timeout
+        deep = dataclasses.replace(TINY, n_layers=4)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(8):
+                specs = [dataclasses.replace(deep, seed=seed + 10 * i) for i in range(3)]
+                ens = Ensemble(EnsembleSpec(specs, [0.3, 0.3], 2))
+                toks_s, logits_s = decode_sequential(ens, [seed, 1], max_tokens=5)
+                toks_p, logits_p, _ = decode_pipelined(ens, [seed, 1], max_tokens=5, timeout_s=5.0)
+                assert toks_s == toks_p
+                assert np.array_equal(logits_s, logits_p)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_publishes_only_states_successors_read(self, monkeypatch):
+        puts = []
+        real_put = StatePool.put_state
+
+        def counting_put(pool, key, value):
+            puts.append(key)
+            real_put(pool, key, value)
+
+        monkeypatch.setattr(StatePool, "put_state", counting_put)
+        ens = make_chain(2, seed=4)
+        toks, _, _ = decode_pipelined(ens, [1, 2], max_tokens=3)
+        n_steps = 2 + len(toks) - 1
+        # TINY fuses at layer 2 only, which reads predecessor layer 1
+        assert sorted(puts, key=lambda k: (k.step, k.model)) == [
+            HiddenKey(m, 1, t) for t in range(n_steps) for m in (0, 1)
+        ]
+
+    def test_worker_error_named_once(self, monkeypatch):
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(TransformerModel, "forward_step", boom)
+        with pytest.raises(WorkerFailedError) as info:
+            decode_pipelined(make_chain(1), [1, 2], max_tokens=3, timeout_s=2.0)
+        msg = str(info.value)
+        assert "boom" in msg and msg.count("decode aborted") == 1
+        assert info.value.partial_tokens == []
+
     def test_base_only_chain(self):
         ens = make_chain(0, seed=3)
         toks_s, _ = decode_sequential(ens, [4], max_tokens=4)
@@ -149,14 +208,20 @@ class TestDecoderEquivalence:
 
 class TestWavefront:
     def test_layer_precedence_in_events(self):
-        ens = make_chain(2, seed=1)
-        _, _, report = decode_pipelined(ens, [1, 2, 3], max_tokens=5)
-        start = {(m, l, t): a for m, l, t, a, b in report.events}
-        for (m, l, t), a in start.items():
-            if m > 0 and (m - 1, l - 1, t) in start:
-                # a successor block cannot begin before its diagonal
-                # predecessor block has begun
-                assert a >= start[(m - 1, l - 1, t)]
+        deep = dataclasses.replace(TINY, n_layers=4)
+        chains = [
+            make_chain(2, seed=1),
+            Ensemble(EnsembleSpec([dataclasses.replace(deep, seed=s) for s in (1, 11, 21)], [0.3, 0.3], 2)),
+        ]
+        for ens in chains:
+            _, _, report = decode_pipelined(ens, [1, 2, 3], max_tokens=5)
+            start = {(m, l, t): a for m, l, t, a, _ in report.events}
+            finish = {(m, l, t): b for m, l, t, _, b in report.events}
+            for (m, l, t), a in start.items():
+                if m > 0 and l in ens.spec.models[m].fusion_layers():
+                    # a successor fusion block begins only after the
+                    # predecessor block it reads (layer l-1) has finished
+                    assert a >= finish[(m - 1, l - 1, t)]
 
     def test_report_accounting(self):
         ens = make_chain(1, seed=2)
