@@ -143,27 +143,32 @@ def cmd_train(args) -> int:
 
 
 def _read_prompts(path) -> list[list[int]]:
+    """One prompt of whitespace-separated token ids per nonempty line."""
     prompts = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            prompts.append([int(x) for x in line.split()])
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            prompt = [int(x) for x in line.split()]
+        except ValueError:
+            raise ValueError(f"{path} line {n}: prompt tokens must be integers: {line.strip()!r}") from None
+        if prompt:
+            prompts.append(prompt)
     return prompts
 
 
 def _decode_inputs(args):
     """(ensemble, prompts, exit code or None) for infer/bench.
 
-    A manifest that does not load exits 1; a prompt that cannot fit
-    max_steps with --max-tokens is a usage error (exit 2).
+    A manifest that does not load exits 1; a prompt that is not integers,
+    holds an id outside the vocabulary or cannot fit max_steps with
+    --max-tokens is a usage error (exit 2).
     """
     try:
         ensemble, _ = ens_mod.load_manifest(args.manifest)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return None, [], 1
-    prompts = _read_prompts(args.prompts)
     try:
+        prompts = _read_prompts(args.prompts)
         for prompt in prompts:
             check_prompt(ensemble, prompt, args.max_tokens)
     except ValueError as exc:

@@ -7,20 +7,22 @@ fused) stream, a residual + LayerNorm follows, then a GELU MLP with its own
 residual + LayerNorm. Layers are 1-indexed so layer l fuses iff
 l % fusion_period == 0; the embedding output counts as "layer 0".
 
-The incremental path (forward_step / KvCache) is the decoding reference; the
-batched path (forward_train / backward) carries analytic gradients for every
-parameter and is cross-checked against finite differences in the tests.
+One transformer pass (TransformerModel._forward) serves every path: batched
+training (forward_train, no cache, with analytic gradients in backward that
+the tests cross-check against finite differences) and KV-cache decoding
+(forward_step, the one-token call over a KvCache).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .numkit import ShapeError, layer_norm, softmax_rows
+from .numkit import ShapeError, softmax_rows
+from .numkit import layer_norm  # noqa: F401 - chainbench/tracer.py patches model.layer_norm
 
 CHECKPOINT_FORMAT_VERSION = 1
 LN_EPS = 1e-5
@@ -57,23 +59,6 @@ class ModelSpec:
     def fusion_layers(self) -> list[int]:
         return [l for l in range(1, self.n_layers + 1) if l % self.fusion_period == 0]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "vocab": self.vocab,
-            "max_steps": self.max_steps,
-            "fusion_period": self.fusion_period,
-            "adapter_rank": self.adapter_rank,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(**d)
-
 
 @dataclass
 class Adapter:
@@ -99,23 +84,27 @@ def apply_adapter(base_weight: np.ndarray, adapter: Optional[Adapter]) -> np.nda
 
 
 class KvCache:
-    """Per-layer keys/values accumulated over decoded steps.
+    """Per-layer keys/values of the steps decoded so far.
 
-    Keys/values are the post-fusion projections, stored per layer as python
-    lists of (d_model,) vectors.
+    keys[i] and values[i] hold layer i+1's post-fusion projections split by
+    head, (B, n_heads, steps, head_dim), or None before the first step.
     """
 
     def __init__(self, n_layers: int):
-        self.keys: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-        self.values: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+        self.keys: list[Optional[np.ndarray]] = [None] * n_layers
+        self.values: list[Optional[np.ndarray]] = [None] * n_layers
 
     @property
     def step_count(self) -> int:
-        return len(self.keys[0])
+        return 0 if self.keys[0] is None else self.keys[0].shape[2]
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        self.keys[layer].append(k)
-        self.values[layer].append(v)
+    def extend(self, layer: int, kh: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append (B, heads, T, dh) keys/values to a layer; return all of that layer's."""
+        if self.keys[layer] is not None:
+            kh = np.concatenate((self.keys[layer], kh), axis=2)
+            vh = np.concatenate((self.values[layer], vh), axis=2)
+        self.keys[layer], self.values[layer] = kh, vh
+        return kh, vh
 
 
 @dataclass
@@ -128,10 +117,6 @@ class LayerTrace:
 
     hidden: np.ndarray  # (T, L + 1, d_model)
     logits: np.ndarray  # (T, vocab)
-
-    @property
-    def length(self) -> int:
-        return self.hidden.shape[0]
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -208,128 +193,54 @@ class TransformerModel:
     def effective_weight(self, name: str) -> np.ndarray:
         return apply_adapter(self.params[name], self.adapters.get(name))
 
-    # -- incremental decoding path ----------------------------------------
+    # -- the transformer pass ---------------------------------------------
 
-    def forward_step(
-        self,
-        token_id: int,
-        cache: KvCache,
-        fusion_in=None,
-        on_layer_end=None,
-    ) -> tuple[np.ndarray, list[np.ndarray], KvCache]:
-        """One decoding step; returns (logits, layer_states incl. layer 0, cache).
-
-        The cache is mutated in place and also returned. fusion_in, when
-        present, is either a dict mapping every fusion layer l to a (d_model,)
-        vector or a callable l -> vector, called only at fusion layers. The
-        optional on_layer_end(l, h) fires after each state is produced
-        (including l=0 for the embedding); with a callable fusion_in it lets
-        the pipelined decoder wait for and stream states without forking this
-        code path.
-        """
-        s = self.spec
-        if not (0 <= token_id < s.vocab):
-            raise IndexError(f"token id {token_id} out of range for vocab {s.vocab}")
-        t = cache.step_count
-        if t >= s.max_steps:
-            raise IndexError(f"step {t} exceeds max_steps {s.max_steps}")
-        if fusion_in is not None and not callable(fusion_in):
-            for l in s.fusion_layers():
-                if l not in fusion_in:
-                    raise ContractError(f"fusion input missing for fusion layer {l}")
-
-        h = self.params["tok_emb"][token_id] + self.params["pos_emb"][t]
-        states = [h]
-        if on_layer_end is not None:
-            on_layer_end(0, h)
-        nh, dh = s.n_heads, s.d_model // s.n_heads
-        scale = 1.0 / np.sqrt(dh)
-        for l in range(1, s.n_layers + 1):
-            p = f"l{l}."
-            if fusion_in is not None and l % s.fusion_period == 0:
-                fv = fusion_in(l) if callable(fusion_in) else fusion_in[l]
-                ht = layer_norm(h + fv, 1.0, 0.0, LN_EPS)
-            else:
-                ht = h
-            q = ht @ self.effective_weight(p + "wq")
-            k = ht @ self.params[p + "wk"]
-            v = ht @ self.effective_weight(p + "wv")
-            cache.append(l - 1, k, v)
-            keys = np.stack(cache.keys[l - 1])  # (t+1, d)
-            vals = np.stack(cache.values[l - 1])
-            qh = q.reshape(nh, dh)
-            kh = keys.reshape(-1, nh, dh).transpose(1, 0, 2)  # (nh, t+1, dh)
-            vh = vals.reshape(-1, nh, dh).transpose(1, 0, 2)
-            scores = np.einsum("hd,htd->ht", qh, kh) * scale
-            attn = softmax_rows(scores)
-            oh = np.einsum("ht,htd->hd", attn, vh)
-            hhat = oh.reshape(-1) @ self.params[p + "wo"]
-            ha = layer_norm(hhat + ht, self.params[p + "ln_attn_g"], self.params[p + "ln_attn_b"], LN_EPS)
-            m = gelu(ha @ self.params[p + "w1"] + self.params[p + "b1"]) @ self.params[p + "w2"] + self.params[p + "b2"]
-            h = layer_norm(m + ha, self.params[p + "ln_mlp_g"], self.params[p + "ln_mlp_b"], LN_EPS)
-            states.append(h)
-            if on_layer_end is not None:
-                on_layer_end(l, h)
-        logits = h @ self.params["unemb"]
-        return logits, states, cache
-
-    def forward_teacher(
-        self,
-        token_ids,
-        fusion_in: Optional[dict[int, np.ndarray]] = None,
-    ) -> LayerTrace:
-        """Teacher-forced forward: fold forward_step over the sequence.
-
-        fusion_in maps fusion layer l -> (T, d_model) array of predecessor
-        states, one row per step.
-        """
-        s = self.spec
-        token_ids = list(token_ids)
-        T = len(token_ids)
-        if T > s.max_steps:
-            raise IndexError(f"sequence length {T} exceeds max_steps {s.max_steps}")
-        cache = KvCache(s.n_layers)
-        hidden = np.zeros((T, s.n_layers + 1, s.d_model))
-        logits = np.zeros((T, s.vocab))
-        for t, tok in enumerate(token_ids):
-            step_fusion = None
-            if fusion_in is not None:
-                step_fusion = {l: fusion_in[l][t] for l in fusion_in}
-            z, states, cache = self.forward_step(tok, cache, step_fusion)
-            hidden[t] = np.stack(states)
-            logits[t] = z
-        return LayerTrace(hidden=hidden, logits=logits)
-
-    # -- batched training path --------------------------------------------
-
-    def forward_train(
+    def _forward(
         self,
         tokens: np.ndarray,
-        fusion_in: Optional[dict[int, np.ndarray]] = None,
+        fusion_in=None,
+        cache: Optional[KvCache] = None,
+        on_layer_end=None,
     ) -> tuple[np.ndarray, dict]:
-        """Vectorized forward over a (B, T) token batch, keeping activations.
+        """The one transformer pass, over a (B, T) token batch.
 
-        fusion_in maps fusion layer l -> (B, T, d_model). Returns
-        (logits (B, T, V), activations for backward()); acts["states"] is
-        [h_0, ..., h_L], each (B, T, d_model), with h_0 the embedding output.
+        Positions start at cache.step_count (0 without a cache); a cache is
+        extended in place and attention reads every step it holds. fusion_in,
+        when present, maps every fusion layer l to a state that broadcasts
+        against (B, T, d_model), or is a callable l -> state called only at
+        fusion layers; on_layer_end(l, h) fires after each state, l=0 being
+        the embedding. Through these two the pipelined decoder waits for and
+        streams states without forking this code. Returns (logits (B, T, V),
+        activations for backward()); acts["states"] is [h_0, ..., h_L].
         """
         s = self.spec
         tokens = np.asarray(tokens)
         B, T = tokens.shape
-        if T > s.max_steps:
-            raise IndexError(f"sequence length {T} exceeds max_steps {s.max_steps}")
+        t0 = 0 if cache is None else cache.step_count
+        bad = tokens[(tokens < 0) | (tokens >= s.vocab)]
+        if bad.size:
+            raise IndexError(f"token id {bad[0]} out of range for vocab {s.vocab}")
+        if t0 + T > s.max_steps:
+            raise IndexError(f"step {t0 + T - 1} exceeds max_steps {s.max_steps}")
+        if fusion_in is not None and not callable(fusion_in):
+            for l in s.fusion_layers():
+                if l not in fusion_in:
+                    raise ContractError(f"fusion input missing for fusion layer {l}")
         nh, dh = s.n_heads, s.d_model // s.n_heads
         scale = 1.0 / np.sqrt(dh)
-        mask = np.triu(np.full((T, T), -1e30), k=1)
+        mask = np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
 
-        h = self.params["tok_emb"][tokens] + self.params["pos_emb"][:T]
+        h = self.params["tok_emb"][tokens] + self.params["pos_emb"][t0 : t0 + T]
         acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
+        if on_layer_end is not None:
+            on_layer_end(0, h)
         for l in range(1, s.n_layers + 1):
             p = f"l{l}."
             fused = fusion_in is not None and l % s.fusion_period == 0
             a: dict = {"fused": fused}
             if fused:
-                ht, a["ln_fuse"] = _ln_forward(h + fusion_in[l], np.ones(s.d_model), np.zeros(s.d_model))
+                fv = fusion_in(l) if callable(fusion_in) else fusion_in[l]
+                ht, a["ln_fuse"] = _ln_forward(h + fv, np.ones(s.d_model), np.zeros(s.d_model))
             else:
                 ht = h
             wq = self.effective_weight(p + "wq")
@@ -340,6 +251,8 @@ class TransformerModel:
             qh = q.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             kh = k.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             vh = v.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
+            if cache is not None:
+                kh, vh = cache.extend(l - 1, kh, vh)
             oh, attn = _attention(qh, kh, vh, scale, mask)
             o = oh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             hhat = o @ self.params[p + "wo"]
@@ -355,8 +268,60 @@ class TransformerModel:
             )
             acts["layers"].append(a)
             acts["states"].append(h)
+            if on_layer_end is not None:
+                on_layer_end(l, h)
         logits = h @ self.params["unemb"]
         return logits, acts
+
+    def forward_step(
+        self,
+        token_id: int,
+        cache: KvCache,
+        fusion_in=None,
+        on_layer_end=None,
+    ) -> tuple[np.ndarray, list[np.ndarray], KvCache]:
+        """One decoding step; returns (logits (V,), layer states 0..L, cache).
+
+        The (1, 1) call of _forward: the cache is extended in place, and
+        fusion_in and on_layer_end work as there, on (d_model,) states.
+        """
+        hook = None if on_layer_end is None else (lambda l, h: on_layer_end(l, h[0, 0]))
+        logits, acts = self._forward(np.array([[token_id]]), fusion_in, cache, hook)
+        return logits[0, 0], [h[0, 0] for h in acts["states"]], cache
+
+    def forward_teacher(
+        self,
+        token_ids,
+        fusion_in: Optional[dict[int, np.ndarray]] = None,
+    ) -> LayerTrace:
+        """Teacher-forced forward: fold forward_step over the sequence.
+
+        fusion_in maps fusion layer l -> (T, d_model) array of predecessor
+        states, one row per step.
+        """
+        s = self.spec
+        token_ids = list(token_ids)
+        T = len(token_ids)
+        cache = KvCache(s.n_layers)
+        hidden = np.zeros((T, s.n_layers + 1, s.d_model))
+        logits = np.zeros((T, s.vocab))
+        for t, tok in enumerate(token_ids):
+            step_fusion = None
+            if fusion_in is not None:
+                step_fusion = {l: fusion_in[l][t] for l in fusion_in}
+            logits[t], hidden[t], cache = self.forward_step(tok, cache, step_fusion)
+        return LayerTrace(hidden=hidden, logits=logits)
+
+    def forward_train(
+        self,
+        tokens: np.ndarray,
+        fusion_in: Optional[dict[int, np.ndarray]] = None,
+    ) -> tuple[np.ndarray, dict]:
+        """Batched forward over a (B, T) token batch from position 0, keeping
+        activations for backward(): the cache-free call of _forward, with
+        fusion_in mapping each fusion layer l to (B, T, d_model) states.
+        """
+        return self._forward(tokens, fusion_in)
 
     def backward(self, dlogits: np.ndarray, acts: dict) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. every parameter and adapter factor.
@@ -431,7 +396,7 @@ class TransformerModel:
     def save(self, path) -> None:
         header = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
-            "spec": self.spec.to_dict(),
+            "spec": asdict(self.spec),
             "dtype": "float64",
             "adapters": sorted(self.adapters),
         }
@@ -445,24 +410,29 @@ class TransformerModel:
 
     @staticmethod
     def load(path) -> "TransformerModel":
+        """Read a checkpoint; every array must be one its spec declares, with that shape."""
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
             if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
                 raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
             if header["dtype"] != "float64":
                 raise ValueError(f"unsupported checkpoint dtype {header['dtype']!r} (only float64)")
-            model = TransformerModel.__new__(TransformerModel)
-            model.spec = ModelSpec.from_dict(header["spec"])
-            model.params = {
-                k[len("param."):]: data[k].copy() for k in data.files if k.startswith("param.")
-            }
-            model.adapters = {}
-            for name in header["adapters"]:
-                model.adapters[name] = Adapter(
-                    target=name.split(".")[-1],
-                    A=data[f"adapter.{name}.A"].copy(),
-                    B=data[f"adapter.{name}.B"].copy(),
-                )
+            model = TransformerModel(ModelSpec(**header["spec"]))
+            want = {f"param.{k}": v for k, v in model.params.items()}
+            for name, ad in model.adapters.items():
+                want[f"adapter.{name}.A"], want[f"adapter.{name}.B"] = ad.A, ad.B
+            for key in sorted(want.keys() | set(data.files) - {"header"}):
+                if key not in want:
+                    raise ValueError(f"checkpoint {path}: array {key!r} is not in its spec")
+                if key not in data.files:
+                    raise ValueError(f"checkpoint {path}: array {key!r} is missing")
+                arr = data[key]
+                if arr.shape != want[key].shape:
+                    raise ValueError(
+                        f"checkpoint {path}: array {key!r} has shape {arr.shape}, "
+                        f"its spec needs {want[key].shape}"
+                    )
+                want[key][...] = arr  # want holds the new model's own arrays
         return model
 
 

@@ -149,9 +149,14 @@ class TimingReport:
 
 
 def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
-    """Raise ValueError unless the prompt is nonempty and prompt + max_tokens fits max_steps."""
+    """Raise ValueError unless the prompt is nonempty, its ids lie in [0, vocab)
+    and prompt + max_tokens fits max_steps."""
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
+    vocab = ensemble.spec.vocab
+    for token in prompt:
+        if not 0 <= token < vocab:
+            raise ValueError(f"prompt token id {token} out of range for vocab {vocab}")
     cap = min(m.spec.max_steps for m in ensemble.models)
     if len(prompt) + max_tokens > cap:
         raise ValueError(
@@ -217,7 +222,8 @@ def decode_pipelined(
     states its successor reads, the moment each is produced; it posts logits
     per step. The coordinator fuses all logits for a step, then broadcasts
     the chosen token, which is the per-step barrier that keeps the token
-    stream identical to decode_sequential.
+    stream identical to decode_sequential. A worker still alive timeout_s
+    after the decode ends is named, by its models, in a WorkerFailedError.
     """
     check_prompt(ensemble, prompt, max_tokens)
     n_models = len(ensemble.models)
@@ -274,12 +280,11 @@ def decode_pipelined(
         except BaseException as exc:  # noqa: BLE001 - must unblock peers
             pool.fail(exc)
 
-    # contiguous partition keeps chain order within a thread
+    # contiguous partition keeps chain order within a thread; with
+    # workers <= n_models no part is empty
     bounds = np.linspace(0, n_models, workers + 1).astype(int)
     parts = [list(range(bounds[w], bounds[w + 1])) for w in range(workers)]
-    threads = [
-        threading.Thread(target=run_models, args=(p,), daemon=True) for p in parts if p
-    ]
+    threads = [threading.Thread(target=run_models, args=(p,), daemon=True) for p in parts]
     for th in threads:
         th.start()
 
@@ -292,24 +297,29 @@ def decode_pipelined(
         zs = [pool.get_logits(i, step) for i in range(n_models)]
         return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
 
+    failure = None
     try:
         out, fused_hist = _greedy(ensemble, prompt, max_tokens, step_chain)
         pool.put_token(len(fed), None)
     except BaseException as exc:
         pool.fail(exc)
-        for th in threads:
-            th.join(timeout=timeout_s)
-        msg = str(exc) if isinstance(exc, WorkerFailedError) else f"decode aborted: {exc}"
-        raise WorkerFailedError(
-            msg,
-            partial_tokens=fed[len(prompt):],
-            partial_events=[e for per in events for e in per],
-        ) from exc
-
+        failure = exc
     for th in threads:
         th.join(timeout=timeout_s)
+    alive = [i for th, p in zip(threads, parts) if th.is_alive() for i in p]
+    all_events = [e for per in events for e in per]
+    msgs = []
+    if failure is not None:
+        msgs.append(str(failure) if isinstance(failure, WorkerFailedError) else f"decode aborted: {failure}")
+    if alive:
+        msgs.append(f"workers of models {alive} still running {timeout_s:.3f}s after the decode")
+    if msgs:
+        raise WorkerFailedError(
+            "; ".join(msgs), partial_tokens=fed[len(prompt):], partial_events=all_events
+        ) from failure
+
     report = TimingReport(
-        events=[e for per in events for e in per],
+        events=all_events,
         wall_s=time.perf_counter() - t_origin,
         blocked_s=pool.blocked_s,
         transfer_s=pool.transfer_s,

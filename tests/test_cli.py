@@ -145,14 +145,29 @@ class TestInfer:
         assert lines[3] == "blocked_s           0.000000"
         assert lines[4] == "state_passing_s     0.000000"
 
-    @pytest.mark.parametrize("command", ["infer", "bench"])
-    def test_prompt_beyond_max_steps_exits_2(self, trained_run, command, capsys):
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            pytest.param(c, None, "exceeds max_steps 10", id=c) for c in ("infer", "bench")
+        ] + [
+            pytest.param(c, line, message, id=f"{c}-{case}")
+            for c in ("infer", "bench")
+            for case, line, message in (
+                ("id_out_of_range", "1 99", "token id 99 out of range for vocab 12"),
+                ("not_an_integer", "1 a", "line 1: prompt tokens must be integers: '1 a'"),
+            )
+        ],
+    )
+    def test_prompt_beyond_max_steps_exits_2(self, trained_run, tmp_path, command, line, message, capsys):
         manifest, prompts = trained_run  # max_steps 10; "1 2 3" + 16 tokens does not fit
+        if line is not None:  # a prompt that is unusable whatever its length
+            prompts = tmp_path / "bad.txt"
+            prompts.write_text(line + "\n")
         code, out, err = run_cli(
             [command, "--manifest", str(manifest), "--prompts", str(prompts)], capsys
         )
         assert code == 2
-        assert "exceeds max_steps 10" in err and out == ""
+        assert message in err and out == ""
 
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run

@@ -241,6 +241,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             TransformerModel.load(p)
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda d: d.update({"param.l1.wk": d["param.l1.wk"][:, :8]}),
+             r"'param.l1.wk' has shape \(16, 8\), its spec needs \(16, 16\)"),
+            (lambda d: d.pop("param.l2.b1"), "'param.l2.b1' is missing"),
+            (lambda d: d.pop("adapter.l1.wv.B"), "'adapter.l1.wv.B' is missing"),
+            (lambda d: d.update({"param.l9.wq": d["param.l1.wq"]}), "'param.l9.wq' is not in its spec"),
+        ],
+        ids=["shape", "missing_param", "missing_adapter_factor", "extra"],
+    )
+    def test_arrays_checked_against_spec(self, tmp_path, tamper, message):
+        p = tmp_path / "ck.npz"
+        small_model(rank=4).save(p)
+        data = dict(np.load(p, allow_pickle=False))
+        tamper(data)
+        np.savez(p, **data)
+        with pytest.raises(ValueError, match=message):
+            TransformerModel.load(p)
+
     def test_dtype_check(self, tmp_path):
         import json
 
@@ -258,12 +278,29 @@ class TestCheckpoint:
 
 class TestForwardTrain:
     def test_matches_teacher(self):
-        m = small_model()
         toks = np.array([[1, 5, 2, 9], [0, 3, 3, 7]])
-        logits, _ = m.forward_train(toks)
-        for b in range(2):
-            trace = m.forward_teacher(toks[b])
-            assert np.allclose(logits[b], trace.logits, atol=1e-10)
+        plain = small_model()
+        # a fused model with nonzero adapters, reading another model's states
+        fused = small_model(rank=3, seed=8)
+        rng = np.random.default_rng(9)
+        for ad in fused.adapters.values():
+            ad.B[...] = rng.normal(0, 0.2, ad.B.shape)
+        _, acts = small_model(seed=10).forward_train(toks)
+        fusion = {l: acts["states"][l - 1] for l in SMALL.fusion_layers()}
+        for m, fusion_in in ((plain, None), (fused, fusion)):
+            logits, _ = m.forward_train(toks, fusion_in)
+            for b in range(2):
+                row = None if fusion_in is None else {l: f[b] for l, f in fusion_in.items()}
+                trace = m.forward_teacher(toks[b], row)
+                assert np.allclose(logits[b], trace.logits, atol=1e-10)
+
+    def test_rejects_negative_token(self):
+        with pytest.raises(IndexError, match="token id -1"):
+            small_model().forward_train(np.array([[1, -1]]))
+
+    def test_missing_fusion_layer_is_contract_error(self):
+        with pytest.raises(ContractError, match="fusion layer 2"):
+            small_model().forward_train(np.array([[1, 2]]), fusion_in={})
 
 
 def _gelu_pow_reference(x):

@@ -199,6 +199,23 @@ class TestDecoderEquivalence:
         assert "boom" in msg and msg.count("decode aborted") == 1
         assert info.value.partial_tokens == []
 
+    def test_worker_still_running_after_join_is_named(self, monkeypatch):
+        ens = make_chain(2, seed=4)
+        step = ens.models[1].forward_step
+        release = threading.Event()
+
+        def stuck(*args, **kwargs):
+            release.wait(timeout=5.0)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(ens.models[1], "forward_step", stuck)
+        try:
+            with pytest.raises(WorkerFailedError) as info:
+                decode_pipelined(ens, [1, 2], max_tokens=3, timeout_s=0.1)
+        finally:
+            release.set()
+        assert "workers of models [1] still running" in str(info.value)
+
     def test_base_only_chain(self):
         ens = make_chain(0, seed=3)
         toks_s, _ = decode_sequential(ens, [4], max_tokens=4)
