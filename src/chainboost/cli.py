@@ -158,10 +158,15 @@ def _read_prompts(path) -> list[list[int]]:
 def _decode_inputs(args):
     """(ensemble, prompts, exit code or None) for infer/bench.
 
-    A manifest that does not load exits 1; a prompt that is not integers,
-    holds an id outside the vocabulary or cannot fit max_steps with
-    --max-tokens is a usage error (exit 2).
+    A manifest that does not load exits 1. A missing --manifest or --prompts
+    file, or a prompt that is not integers, holds an id outside the
+    vocabulary or cannot fit max_steps with --max-tokens, is a usage error
+    (exit 2).
     """
+    for flag, path in (("--manifest", args.manifest), ("--prompts", args.prompts)):
+        if not Path(path).is_file():
+            print(f"{flag} file not found: {path}", file=sys.stderr)
+            return None, [], 2
     try:
         ensemble, _ = ens_mod.load_manifest(args.manifest)
     except ValueError as exc:

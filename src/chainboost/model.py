@@ -7,15 +7,18 @@ fused) stream, a residual + LayerNorm follows, then a GELU MLP with its own
 residual + LayerNorm. Layers are 1-indexed so layer l fuses iff
 l % fusion_period == 0; the embedding output counts as "layer 0".
 
-One transformer pass (TransformerModel._forward) serves every path: batched
+One layer body (transformer_layer, over a parameter view) serves every path.
+TransformerModel._forward wraps it in embedding and unembedding for batched
 training (forward_train, no cache, with analytic gradients in backward that
 the tests cross-check against finite differences) and KV-cache decoding
-(forward_step, the one-token call over a KvCache).
+(forward_step, the one-token call over a KvCache); the layer-synchronous
+chain decoder calls it with k models' weights stacked along the batch axis.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -29,6 +32,9 @@ LN_EPS = 1e-5
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
+# a layer's parameters, by the short name a parameter view uses
+LAYER_KEYS = ("wq", "wk", "wv", "wo", "ln_attn_g", "ln_attn_b",
+              "w1", "b1", "w2", "b2", "ln_mlp_g", "ln_mlp_b")
 
 
 class ContractError(RuntimeError):
@@ -193,83 +199,57 @@ class TransformerModel:
     def effective_weight(self, name: str) -> np.ndarray:
         return apply_adapter(self.params[name], self.adapters.get(name))
 
+    def layer_params(self, l: int) -> dict[str, np.ndarray]:
+        """Layer l's parameter view: its l{l}.* arrays by short name, with wq
+        and wv adapter-merged."""
+        p = f"l{l}."
+        view = {name: self.params[p + name] for name in LAYER_KEYS}
+        view["wq"] = self.effective_weight(p + "wq")
+        view["wv"] = self.effective_weight(p + "wv")
+        return view
+
     # -- the transformer pass ---------------------------------------------
 
     def _forward(
         self,
         tokens: np.ndarray,
-        fusion_in=None,
+        fusion_in: Optional[dict] = None,
         cache: Optional[KvCache] = None,
-        on_layer_end=None,
     ) -> tuple[np.ndarray, dict]:
-        """The one transformer pass, over a (B, T) token batch.
+        """This model's pass over a (B, T) token batch: embedding, then
+        transformer_layer per layer, then unembedding.
 
         Positions start at cache.step_count (0 without a cache); a cache is
         extended in place and attention reads every step it holds. fusion_in,
         when present, maps every fusion layer l to a state that broadcasts
-        against (B, T, d_model), or is a callable l -> state called only at
-        fusion layers; on_layer_end(l, h) fires after each state, l=0 being
-        the embedding. Through these two the pipelined decoder waits for and
-        streams states without forking this code. Returns (logits (B, T, V),
-        activations for backward()); acts["states"] is [h_0, ..., h_L].
+        against (B, T, d_model). Returns (logits (B, T, V), activations for
+        backward()); acts["states"] is [h_0, ..., h_L].
         """
         s = self.spec
         tokens = np.asarray(tokens)
-        B, T = tokens.shape
+        _, T = tokens.shape
         t0 = 0 if cache is None else cache.step_count
         bad = tokens[(tokens < 0) | (tokens >= s.vocab)]
         if bad.size:
             raise IndexError(f"token id {bad[0]} out of range for vocab {s.vocab}")
         if t0 + T > s.max_steps:
             raise IndexError(f"step {t0 + T - 1} exceeds max_steps {s.max_steps}")
-        if fusion_in is not None and not callable(fusion_in):
+        if fusion_in is not None:
             for l in s.fusion_layers():
                 if l not in fusion_in:
                     raise ContractError(f"fusion input missing for fusion layer {l}")
-        nh, dh = s.n_heads, s.d_model // s.n_heads
-        scale = 1.0 / np.sqrt(dh)
-        mask = np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
+        # a one-token step attends to every cached step: its mask is all zeros
+        mask = None if T == 1 else np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
 
         h = self.params["tok_emb"][tokens] + self.params["pos_emb"][t0 : t0 + T]
         acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
-        if on_layer_end is not None:
-            on_layer_end(0, h)
         for l in range(1, s.n_layers + 1):
-            p = f"l{l}."
             fused = fusion_in is not None and l % s.fusion_period == 0
-            a: dict = {"fused": fused}
-            if fused:
-                fv = fusion_in(l) if callable(fusion_in) else fusion_in[l]
-                ht, a["ln_fuse"] = _ln_forward(h + fv, np.ones(s.d_model), np.zeros(s.d_model))
-            else:
-                ht = h
-            wq = self.effective_weight(p + "wq")
-            wv = self.effective_weight(p + "wv")
-            q = ht @ wq
-            k = ht @ self.params[p + "wk"]
-            v = ht @ wv
-            qh = q.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
-            kh = k.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
-            vh = v.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
-            if cache is not None:
-                kh, vh = cache.extend(l - 1, kh, vh)
-            oh, attn = _attention(qh, kh, vh, scale, mask)
-            o = oh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
-            hhat = o @ self.params[p + "wo"]
-            ha, ln_a = _ln_forward(hhat + ht, self.params[p + "ln_attn_g"], self.params[p + "ln_attn_b"])
-            u1 = ha @ self.params[p + "w1"] + self.params[p + "b1"]
-            t1 = gelu_tanh(u1)
-            g1 = gelu(u1, t1)
-            m = g1 @ self.params[p + "w2"] + self.params[p + "b2"]
-            h, ln_m = _ln_forward(m + ha, self.params[p + "ln_mlp_g"], self.params[p + "ln_mlp_b"])
-            a.update(
-                ht=ht, wq=wq, wv=wv, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
-                ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m,
-            )
+            ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
+            h, a = transformer_layer(self.layer_params(l), ht, cache, l, s.n_heads, mask)
+            a.update(fused=fused, ln_fuse=ln_fuse)
             acts["layers"].append(a)
             acts["states"].append(h)
-            if on_layer_end is not None:
-                on_layer_end(l, h)
         logits = h @ self.params["unemb"]
         return logits, acts
 
@@ -277,16 +257,14 @@ class TransformerModel:
         self,
         token_id: int,
         cache: KvCache,
-        fusion_in=None,
-        on_layer_end=None,
+        fusion_in: Optional[dict] = None,
     ) -> tuple[np.ndarray, list[np.ndarray], KvCache]:
         """One decoding step; returns (logits (V,), layer states 0..L, cache).
 
         The (1, 1) call of _forward: the cache is extended in place, and
-        fusion_in and on_layer_end work as there, on (d_model,) states.
+        fusion_in works as there, on (d_model,) states.
         """
-        hook = None if on_layer_end is None else (lambda l, h: on_layer_end(l, h[0, 0]))
-        logits, acts = self._forward(np.array([[token_id]]), fusion_in, cache, hook)
+        logits, acts = self._forward(np.array([[token_id]]), fusion_in, cache)
         return logits[0, 0], [h[0, 0] for h in acts["states"]], cache
 
     def forward_teacher(
@@ -377,7 +355,7 @@ class TransformerModel:
             dht = dr1 + (dq @ a["wq"].T + dk @ self.params[p + "wk"].T + dv @ a["wv"].T)
             # fusion norm (unit gain): gradient flows only into h_own
             if a["fused"]:
-                dh_, _, _ = _ln_backward(dht, a["ln_fuse"], np.ones(s.d_model))
+                dh_, _, _ = _ln_backward(dht, a["ln_fuse"], 1.0)
             else:
                 dh_ = dht
 
@@ -441,9 +419,51 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _attention(qh, kh, vh, scale: float, mask: np.ndarray):
-    """Masked softmax attention over (B, heads, T, dh); returns (context, weights)."""
-    attn = softmax_rows((qh @ kh.swapaxes(-1, -2)) * scale + mask)
+def fuse_states(h: np.ndarray, pred: np.ndarray):
+    """A fusion layer's attention input LayerNorm(h + pred), unit gain and zero
+    bias; returns (input, saved for _ln_backward)."""
+    return _ln_forward(h + pred, 1.0, 0.0)
+
+
+def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: int,
+                      n_heads: int, mask: Optional[np.ndarray]) -> tuple[np.ndarray, dict]:
+    """The one transformer layer body, from its attention input ht (B, T, d_model).
+
+    p is a parameter view (TransformerModel.layer_params): one model's
+    (d, d') weights and (d,) gains, or k models' stacked along a leading
+    model axis, (k, d, d') and (k, 1, d), so that batch row b runs model b.
+    A cache, when given, is extended in place at index layer-1; mask None
+    means every key is visible. Returns (state h_layer, activations).
+    """
+    B, T, d = ht.shape
+    dh = d // n_heads
+    q = ht @ p["wq"]
+    k = ht @ p["wk"]
+    v = ht @ p["wv"]
+    qh = q.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    kh = k.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    vh = v.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    if cache is not None:
+        kh, vh = cache.extend(layer - 1, kh, vh)
+    oh, attn = _attention(qh, kh, vh, 1.0 / math.sqrt(dh), mask)
+    o = oh.transpose(0, 2, 1, 3).reshape(B, T, d)
+    hhat = o @ p["wo"]
+    ha, ln_a = _ln_forward(hhat + ht, p["ln_attn_g"], p["ln_attn_b"])
+    u1 = ha @ p["w1"] + p["b1"]
+    t1 = gelu_tanh(u1)
+    g1 = gelu(u1, t1)
+    m = g1 @ p["w2"] + p["b2"]
+    h, ln_m = _ln_forward(m + ha, p["ln_mlp_g"], p["ln_mlp_b"])
+    acts = dict(ht=ht, wq=p["wq"], wv=p["wv"], qh=qh, kh=kh, vh=vh, attn=attn, o=o,
+                ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m)
+    return h, acts
+
+
+def _attention(qh, kh, vh, scale: float, mask: Optional[np.ndarray] = None):
+    """Softmax attention over (B, heads, T, dh), masked when a mask is given;
+    returns (context, weights)."""
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    attn = softmax_rows(scores if mask is None else scores + mask)
     return attn @ vh, attn
 
 
@@ -457,9 +477,11 @@ def _attention_backward(doh, qh, kh, vh, attn, scale: float):
     return dqh, dkh, dvh
 
 
-def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+def _ln_forward(x: np.ndarray, gain, bias):
+    # np.add.reduce(...) / d is what ndarray.mean computes, minus its Python wrapper
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
     xhat = xc * inv
     return gain * xhat + bias, (xhat, inv)
 
@@ -469,9 +491,10 @@ def _ln_backward(dy: np.ndarray, saved, gain: np.ndarray):
     dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     db = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * gain
+    d = dy.shape[-1]
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
     return dx, dg, db

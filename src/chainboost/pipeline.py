@@ -1,16 +1,16 @@
 """Greedy decoding for model chains.
 
-Two interchangeable decoders run one greedy loop: a sequential reference
-(each model finishes a step before the next one starts) and a near-parallel
-one that runs one worker thread per model and streams, through a blocking
-write-once pool, only the hidden states that successor fusion layers read.
-Both share the exact same per-step forward code, so their token streams are
-bit-identical.
+Two decoders run one greedy loop and give bit-identical tokens and fused
+logits. decode_sequential, the reference, runs each model's forward_step in
+chain order. decode_pipelined is layer-synchronous: successor fusion layer l
+reads predecessor state l-1, the depth of its own input, so one call of the
+shared layer body runs layer l of all k models, their weights stacked along
+the batch axis. A step costs n_layers layer calls whatever k is: GPipe's
+schedule (Huang et al., arXiv:1811.06965) with models in place of devices.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,111 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import KvCache
-
-DEFAULT_TIMEOUT_S = 5.0
-
-
-class PoolProtocolError(RuntimeError):
-    """Write-once violation: some scheduler bug wrote the same key twice."""
-
-
-class PoolTimeoutError(RuntimeError):
-    """A blocking read timed out; the message names the missing state, token or logits."""
-
-
-class WorkerFailedError(RuntimeError):
-    """A decode worker raised; carries the partial trace gathered so far."""
-
-    def __init__(self, msg, partial_tokens=None, partial_events=None):
-        super().__init__(msg)
-        self.partial_tokens = partial_tokens or []
-        self.partial_events = partial_events or []
-
-
-@dataclass(frozen=True)
-class HiddenKey:
-    """Address of one hidden state: model index, layer (0 = embedding), step."""
-
-    model: int
-    layer: int
-    step: int
-
-
-class StatePool:
-    """Thread-safe write-once store for hidden states, logits and tokens.
-
-    Readers block until the key they want has been written (or a timeout /
-    failure wakes them). Wait time and bookkeeping time are accumulated so the
-    decoder can report blocked time and state-passing overhead separately.
-    """
-
-    def __init__(self, timeout_s: float = DEFAULT_TIMEOUT_S):
-        self._cond = threading.Condition()
-        self._states: dict[HiddenKey, np.ndarray] = {}
-        self._logits: dict[tuple[int, int], np.ndarray] = {}
-        self._tokens: dict[int, Optional[int]] = {}
-        self._failure: Optional[BaseException] = None
-        self.timeout_s = timeout_s
-        self.blocked_s = 0.0
-        self.transfer_s = 0.0
-
-    def fail(self, exc: BaseException) -> None:
-        with self._cond:
-            if self._failure is None:
-                self._failure = exc
-            self._cond.notify_all()
-
-    def _put(self, store, key, value) -> None:
-        t0 = time.perf_counter()
-        with self._cond:
-            if key in store:
-                raise PoolProtocolError(f"duplicate write for {key!r}")
-            store[key] = value
-            self._cond.notify_all()
-            self.transfer_s += time.perf_counter() - t0
-
-    def _get(self, store, key, what: str, timeout_s: Optional[float] = None):
-        if timeout_s is None:
-            timeout_s = self.timeout_s
-        t0 = time.perf_counter()
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: key in store or self._failure is not None,
-                timeout=timeout_s,
-            )
-            waited = time.perf_counter() - t0
-            self.blocked_s += waited
-            if self._failure is not None:
-                raise WorkerFailedError(f"decode aborted: {self._failure}")
-            if not ok:
-                raise PoolTimeoutError(f"deadlock: blocked {timeout_s:.3f}s waiting for {what}")
-            return store[key]
-
-    def put_state(self, key: HiddenKey, value: np.ndarray) -> None:
-        self._put(self._states, key, value)
-
-    def get_state(self, key: HiddenKey, timeout_s: Optional[float] = None) -> np.ndarray:
-        """Block for the state at key; timeout_s overrides the pool default for this call."""
-        return self._get(self._states, key, repr(key), timeout_s)
-
-    def put_logits(self, model: int, step: int, z: np.ndarray) -> None:
-        self._put(self._logits, (model, step), z)
-
-    def get_logits(self, model: int, step: int) -> np.ndarray:
-        return self._get(self._logits, (model, step), f"logits of model {model} for step {step}")
-
-    def put_token(self, step: int, token: Optional[int]) -> None:
-        """Broadcast the input token for a step; None tells workers to stop."""
-        self._put(self._tokens, step, token)
-
-    def get_token(self, step: int) -> Optional[int]:
-        return self._get(self._tokens, step, f"token for step {step}")
+from .model import KvCache, fuse_states, transformer_layer
 
 
 @dataclass
 class TimingReport:
-    """Wall-clock accounting for one pipelined decode."""
+    """Wall-clock accounting for one pipelined decode. Nothing waits, so
+    blocked_s stays 0; transfer_s is the time spent stacking the weights."""
 
     events: list = field(default_factory=list)  # (model, layer, step, start_us, finish_us)
     wall_s: float = 0.0
@@ -206,123 +108,67 @@ def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     return _greedy(ensemble, prompt, max_tokens, lambda token: _step_all(ensemble, token, caches))
 
 
-def decode_pipelined(
-    ensemble: Ensemble,
-    prompt,
-    max_tokens: int,
-    workers: Optional[int] = None,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-):
-    """Near-parallel greedy decode; returns (tokens, fused logits, timing).
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-model arrays along a leading model axis; vectors become (k, 1, n)."""
+    out = np.array(arrays)  # np.stack's result at a third of its overhead
+    return out[:, None] if out.ndim == 2 else out
 
-    One worker runs each model (fewer workers fold adjacent models onto one
-    thread, preserving chain order). Waits and publishes follow
-    Ensemble.fusion_inputs: worker i blocks on the pool only at its fusion
-    layers, for the predecessor state (i-1, l-1, t), and publishes only the
-    states its successor reads, the moment each is produced; it posts logits
-    per step. The coordinator fuses all logits for a step, then broadcasts
-    the chosen token, which is the per-step barrier that keeps the token
-    stream identical to decode_sequential. A worker still alive timeout_s
-    after the decode ends is named, by its models, in a WorkerFailedError.
+
+def _stack_weights(models) -> list[dict]:
+    """The chain's weights stacked along a leading model axis: [0] holds the
+    embeddings and unembedding, [l] layer l's adapter-merged parameter view."""
+    views = [[{name: m.params[name] for name in ("tok_emb", "pos_emb", "unemb")}]
+             + [m.layer_params(l) for l in range(1, m.spec.n_layers + 1)] for m in models]
+    return [{name: _stack([v[name] for v in per]) for name in per[0]} for per in zip(*views)]
+
+
+def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optional[int] = None):
+    """Layer-synchronous greedy decode; returns (tokens, fused logits, timing).
+
+    Every call stacks the weights afresh (training updates adapters in
+    place). Per step an embedding lookup feeds one transformer_layer call
+    per depth over a B = k KvCache; at fusion layers rows 1..k-1 take
+    LN(h[1:] + h[:-1]) and the base row passes through. Chains whose models
+    differ in depth, widths, heads or fusion period run decode_sequential.
+    report.events holds (model, layer, step, start_us, finish_us), one per
+    model for each stacked layer call.
+
+    workers is kept only for chainbench/workloads.py, and a benchmark change
+    removes it: below 1 it raises ValueError; any other value has no effect.
     """
     check_prompt(ensemble, prompt, max_tokens)
-    n_models = len(ensemble.models)
-    if workers is None or workers > n_models:
-        workers = n_models
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-
-    # reads[i][l]: the predecessor layer model i's fusion layer l waits for;
-    # publish[i]: the layers of model i that model i+1 reads
-    layers = [range(m.spec.n_layers + 1) for m in ensemble.models]
-    reads = [None] + [ensemble.fusion_inputs(i, layers[i - 1]) for i in range(1, n_models)]
-    publish = [set(r.values()) for r in reads[1:]] + [set()]
-
-    pool = StatePool(timeout_s=timeout_s)
-    caches = [KvCache(m.spec.n_layers) for m in ensemble.models]
-    events: list[list] = [[] for _ in range(n_models)]
     t_origin = time.perf_counter()
+    specs = ensemble.spec.models
+    if len({(m.n_layers, m.d_model, m.d_ff, m.n_heads, m.fusion_period) for m in specs}) > 1:
+        out, fused_hist = decode_sequential(ensemble, prompt, max_tokens)
+        return out, fused_hist, TimingReport(wall_s=time.perf_counter() - t_origin, n_tokens=len(out))
+
+    weights = _stack_weights(ensemble.models)
+    transfer_s = time.perf_counter() - t_origin
+    k, spec = len(specs), specs[0]
+    cache = KvCache(spec.n_layers)
+    calls: list[tuple] = []  # (layer, step, start_us, finish_us) of each stacked call
 
     def now_us() -> int:
         return int((time.perf_counter() - t_origin) * 1e6)
 
-    def run_model(i: int, step: int, token: int) -> np.ndarray:
-        start = 0  # each layer starts when the previous one ends or its fusion wait returns
-
-        def fusion_in(l):
-            nonlocal start
-            h = pool.get_state(HiddenKey(i - 1, reads[i][l], step))
-            start = now_us()
-            return h
-
-        def on_end(l, h):
-            nonlocal start
-            if l > 0:
-                events[i].append((i, l, step, start, now_us()))
-            if l in publish[i]:
-                pool.put_state(HiddenKey(i, l, step), h)
-            start = now_us()
-
-        z, _, _ = ensemble.models[i].forward_step(
-            token, caches[i], fusion_in if i > 0 else None, on_layer_end=on_end
-        )
-        return z
-
-    def run_models(model_indices: list[int]) -> None:
-        try:
-            step = 0
-            while (token := pool.get_token(step)) is not None:
-                for i in model_indices:
-                    pool.put_logits(i, step, run_model(i, step, token))
-                step += 1
-        except WorkerFailedError:
-            return
-        except BaseException as exc:  # noqa: BLE001 - must unblock peers
-            pool.fail(exc)
-
-    # contiguous partition keeps chain order within a thread; with
-    # workers <= n_models no part is empty
-    bounds = np.linspace(0, n_models, workers + 1).astype(int)
-    parts = [list(range(bounds[w], bounds[w + 1])) for w in range(workers)]
-    threads = [threading.Thread(target=run_models, args=(p,), daemon=True) for p in parts]
-    for th in threads:
-        th.start()
-
-    fed: list[int] = []
-
     def step_chain(token: int) -> np.ndarray:
-        step = len(fed)
-        fed.append(token)
-        pool.put_token(step, token)
-        zs = [pool.get_logits(i, step) for i in range(n_models)]
-        return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
+        t = cache.step_count
+        h = weights[0]["tok_emb"][:, token : token + 1] + weights[0]["pos_emb"][:, t : t + 1]
+        for l in range(1, spec.n_layers + 1):
+            start = now_us()
+            ht = h
+            if k > 1 and l % spec.fusion_period == 0:
+                ht = h.copy()
+                ht[1:] = fuse_states(h[1:], h[:-1])[0]
+            h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None)
+            calls.append((l, t, start, now_us()))
+        z = h @ weights[0]["unemb"]
+        return fuse_logits(z[:, 0], ensemble.spec.lambdas, ensemble.spec.top_k)
 
-    failure = None
-    try:
-        out, fused_hist = _greedy(ensemble, prompt, max_tokens, step_chain)
-        pool.put_token(len(fed), None)
-    except BaseException as exc:
-        pool.fail(exc)
-        failure = exc
-    for th in threads:
-        th.join(timeout=timeout_s)
-    alive = [i for th, p in zip(threads, parts) if th.is_alive() for i in p]
-    all_events = [e for per in events for e in per]
-    msgs = []
-    if failure is not None:
-        msgs.append(str(failure) if isinstance(failure, WorkerFailedError) else f"decode aborted: {failure}")
-    if alive:
-        msgs.append(f"workers of models {alive} still running {timeout_s:.3f}s after the decode")
-    if msgs:
-        raise WorkerFailedError(
-            "; ".join(msgs), partial_tokens=fed[len(prompt):], partial_events=all_events
-        ) from failure
-
-    report = TimingReport(
-        events=all_events,
-        wall_s=time.perf_counter() - t_origin,
-        blocked_s=pool.blocked_s,
-        transfer_s=pool.transfer_s,
-        n_tokens=len(out),
-    )
-    return out, fused_hist, report
+    out, fused_hist = _greedy(ensemble, prompt, max_tokens, step_chain)
+    events = [(m, l, t, a, b) for l, t, a, b in calls for m in range(k)]
+    wall_s = time.perf_counter() - t_origin
+    return out, fused_hist, TimingReport(events, wall_s, transfer_s=transfer_s, n_tokens=len(out))

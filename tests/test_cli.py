@@ -169,6 +169,18 @@ class TestInfer:
         assert code == 2
         assert message in err and out == ""
 
+    @pytest.mark.parametrize("missing", ["manifest", "prompts"])
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_missing_input_file_exits_2(self, trained_run, tmp_path, command, missing, capsys):
+        paths = dict(zip(("manifest", "prompts"), trained_run))
+        paths[missing] = tmp_path / "absent.txt"
+        code, out, err = run_cli(
+            [command, "--manifest", str(paths["manifest"]), "--prompts", str(paths["prompts"])],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"--{missing} file not found: {paths[missing]}\n"
+
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run
         empty = tmp_path / "empty.txt"

@@ -11,6 +11,8 @@ from chainboost.model import (
     TransformerModel,
     _attention,
     _attention_backward,
+    _ln_backward,
+    _ln_forward,
     _weight_grad,
     apply_adapter,
     gelu,
@@ -362,3 +364,40 @@ class TestBlasShapedGradients:
         dqh, dkh, dvh = _attention_backward(doh, qh, kh, vh, attn, scale)
         for got, ref in ((attn, attn_ref), (oh, oh_ref), (dqh, dqh_ref), (dkh, dkh_ref), (dvh, dvh_ref)):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+class TestOverheadCuts:
+    """Cheaper spellings of the same arithmetic must not change a bit."""
+
+    def test_layer_norm_matches_mean_formula(self):
+        rng = np.random.default_rng(24)
+        x, dy = rng.normal(size=(3, 5, 32)), rng.normal(size=(3, 5, 32))
+        gain, bias = rng.normal(size=32), rng.normal(size=32)
+
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        y, (got_xhat, got_inv) = _ln_forward(x, gain, bias)
+        assert np.array_equal(y, gain * xhat + bias)
+        assert np.array_equal(got_xhat, xhat) and np.array_equal(got_inv, inv)
+
+        dxhat = dy * gain
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        got_dx, dg, db = _ln_backward(dy, (xhat, inv), gain)
+        assert np.array_equal(got_dx, dx)
+        assert np.array_equal(dg, (dy * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(db, dy.sum(axis=(0, 1)))
+
+    def test_one_token_attention_without_mask(self):
+        # a one-token step's causal mask is all zeros; skipping it changes no bit
+        rng = np.random.default_rng(25)
+        qh = rng.normal(size=(3, 2, 1, 8))
+        kh, vh = rng.normal(size=(3, 2, 6, 8)), rng.normal(size=(3, 2, 6, 8))
+        zeros = np.triu(np.full((1, 6), -1e30), k=6)
+        assert not zeros.any()
+        for got, want in zip(_attention(qh, kh, vh, 0.25), _attention(qh, kh, vh, 0.25, zeros)):
+            assert np.array_equal(got, want)

@@ -1,24 +1,17 @@
-"""Tests for the state pool and the pipelined/sequential decoders."""
+"""Tests for the layer-synchronous and sequential decoders."""
 
 import dataclasses
 import sys
-import threading
 import time
 
 import numpy as np
 import pytest
 
+from chainboost import model, pipeline
 from chainboost.ensemble import Ensemble, EnsembleSpec
-from chainboost.model import ModelSpec, TransformerModel
-from chainboost.pipeline import (
-    HiddenKey,
-    PoolProtocolError,
-    PoolTimeoutError,
-    StatePool,
-    WorkerFailedError,
-    decode_pipelined,
-    decode_sequential,
-)
+from chainboost.model import ModelSpec
+from chainboost.pipeline import decode_pipelined, decode_sequential
+from chainboost.training import sgd_step
 
 TINY = ModelSpec(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=12,
@@ -29,100 +22,6 @@ TINY = ModelSpec(
 def make_chain(n_successors: int, seed: int = 0) -> Ensemble:
     specs = [dataclasses.replace(TINY, seed=seed + 10 * i) for i in range(n_successors + 1)]
     return Ensemble(EnsembleSpec(specs, lambdas=[0.3] * n_successors, top_k=2))
-
-
-class TestStatePool:
-    def test_put_get_roundtrip(self):
-        pool = StatePool()
-        key = HiddenKey(0, 1, 2)
-        v = np.arange(4.0)
-        pool.put_state(key, v)
-        np.testing.assert_array_equal(pool.get_state(key), v)
-
-    def test_write_once(self):
-        pool = StatePool()
-        key = HiddenKey(0, 0, 0)
-        pool.put_state(key, np.zeros(2))
-        with pytest.raises(PoolProtocolError):
-            pool.put_state(key, np.ones(2))
-
-    def test_timeout_names_blocked_key(self):
-        pool = StatePool()
-        with pytest.raises(PoolTimeoutError, match=r"model=1.*layer=0.*step=3|HiddenKey"):
-            pool.get_state(HiddenKey(1, 0, 3), timeout_s=0.05)
-
-    def test_delayed_producer_unblocks_reader(self):
-        pool = StatePool()
-        key = HiddenKey(0, 1, 0)
-
-        def producer():
-            time.sleep(0.05)
-            pool.put_state(key, np.array([7.0]))
-
-        th = threading.Thread(target=producer)
-        th.start()
-        got = pool.get_state(key, timeout_s=2.0)
-        th.join()
-        assert got[0] == 7.0
-        assert pool.blocked_s >= 0.03
-
-    def test_per_call_timeout_leaves_other_readers_alone(self):
-        pool = StatePool(timeout_s=5.0)
-        late = HiddenKey(0, 1, 0)
-        results: dict = {}
-
-        def short_reader():
-            try:
-                pool.get_state(HiddenKey(0, 0, 9), timeout_s=0.05)
-            except PoolTimeoutError as exc:
-                results["short"] = exc
-
-        def default_reader():
-            results["default"] = pool.get_state(late)
-
-        short = threading.Thread(target=short_reader)
-        short.start()
-        time.sleep(0.01)  # the default reader starts waiting during the short wait
-        default = threading.Thread(target=default_reader)
-        default.start()
-        short.join(timeout=5.0)
-        time.sleep(0.1)  # past the short timeout: the default reader must still wait
-        pool.put_state(late, np.array([3.0]))
-        default.join(timeout=5.0)
-        assert not short.is_alive() and not default.is_alive()
-        assert isinstance(results["short"], PoolTimeoutError)
-        assert results["default"][0] == 3.0
-        assert pool.timeout_s == 5.0
-
-    def test_token_timeout_names_store_and_step(self):
-        with pytest.raises(PoolTimeoutError, match=r"token for step 1"):
-            StatePool(timeout_s=0.05).get_token(1)
-
-    def test_failure_poisons_waiters(self):
-        pool = StatePool()
-        pool.fail(RuntimeError("worker crashed"))
-        with pytest.raises(WorkerFailedError):
-            pool.get_state(HiddenKey(0, 0, 0))
-
-    def test_concurrent_interleaving(self):
-        pool = StatePool(timeout_s=5.0)
-        n = 50
-
-        def producer():
-            for s in range(n):
-                pool.put_state(HiddenKey(0, 0, s), np.array([float(s)]))
-
-        def consumer(out):
-            for s in range(n):
-                out.append(float(pool.get_state(HiddenKey(0, 0, s))[0]))
-
-        got: list[float] = []
-        threads = [threading.Thread(target=producer), threading.Thread(target=consumer, args=(got,))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert got == [float(s) for s in range(n)]
 
 
 class TestDecoderEquivalence:
@@ -150,13 +49,14 @@ class TestDecoderEquivalence:
         succ = dataclasses.replace(TINY, n_layers=4, fusion_period=3, seed=1)
         ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
         toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=3)
-        toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=3, timeout_s=2.0)
+        toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=3)
         assert toks_s == toks_p == [10, 0, 9]
         assert np.array_equal(logits_s, logits_p)
 
     def test_deep_chain_under_frequent_thread_switches(self):
-        # three workers switching every microsecond: a wait or publish that
-        # depends on thread timing shows up as a mismatch or a pool timeout
+        # a deep 3-model chain, with the interpreter switching threads every
+        # microsecond: anything that depended on thread timing would show up
+        # as a mismatch
         deep = dataclasses.replace(TINY, n_layers=4)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -165,62 +65,85 @@ class TestDecoderEquivalence:
                 specs = [dataclasses.replace(deep, seed=seed + 10 * i) for i in range(3)]
                 ens = Ensemble(EnsembleSpec(specs, [0.3, 0.3], 2))
                 toks_s, logits_s = decode_sequential(ens, [seed, 1], max_tokens=5)
-                toks_p, logits_p, _ = decode_pipelined(ens, [seed, 1], max_tokens=5, timeout_s=5.0)
+                toks_p, logits_p, _ = decode_pipelined(ens, [seed, 1], max_tokens=5)
                 assert toks_s == toks_p
                 assert np.array_equal(logits_s, logits_p)
         finally:
             sys.setswitchinterval(old)
-
-    def test_publishes_only_states_successors_read(self, monkeypatch):
-        puts = []
-        real_put = StatePool.put_state
-
-        def counting_put(pool, key, value):
-            puts.append(key)
-            real_put(pool, key, value)
-
-        monkeypatch.setattr(StatePool, "put_state", counting_put)
-        ens = make_chain(2, seed=4)
-        toks, _, _ = decode_pipelined(ens, [1, 2], max_tokens=3)
-        n_steps = 2 + len(toks) - 1
-        # TINY fuses at layer 2 only, which reads predecessor layer 1
-        assert sorted(puts, key=lambda k: (k.step, k.model)) == [
-            HiddenKey(m, 1, t) for t in range(n_steps) for m in (0, 1)
-        ]
-
-    def test_worker_error_named_once(self, monkeypatch):
-        def boom(self, *args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(TransformerModel, "forward_step", boom)
-        with pytest.raises(WorkerFailedError) as info:
-            decode_pipelined(make_chain(1), [1, 2], max_tokens=3, timeout_s=2.0)
-        msg = str(info.value)
-        assert "boom" in msg and msg.count("decode aborted") == 1
-        assert info.value.partial_tokens == []
-
-    def test_worker_still_running_after_join_is_named(self, monkeypatch):
-        ens = make_chain(2, seed=4)
-        step = ens.models[1].forward_step
-        release = threading.Event()
-
-        def stuck(*args, **kwargs):
-            release.wait(timeout=5.0)
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(ens.models[1], "forward_step", stuck)
-        try:
-            with pytest.raises(WorkerFailedError) as info:
-                decode_pipelined(ens, [1, 2], max_tokens=3, timeout_s=0.1)
-        finally:
-            release.set()
-        assert "workers of models [1] still running" in str(info.value)
 
     def test_base_only_chain(self):
         ens = make_chain(0, seed=3)
         toks_s, _ = decode_sequential(ens, [4], max_tokens=4)
         toks_p, _, _ = decode_pipelined(ens, [4], max_tokens=4)
         assert toks_s == toks_p
+
+
+class TestLayerSynchronous:
+    @staticmethod
+    def adapted_chain(seed: int = 3) -> Ensemble:
+        """3 models, successor adapters with nonzero B: wq and wv differ from the base."""
+        specs = [dataclasses.replace(TINY, adapter_rank=0 if i == 0 else 4, seed=seed + i)
+                 for i in range(3)]
+        ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.3], top_k=2))
+        rng = np.random.default_rng(seed)
+        for m in ens.models[1:]:
+            for ad in m.adapters.values():
+                ad.B[...] = rng.normal(0.0, 0.5, ad.B.shape)
+        return ens
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_stacked_layer_call_per_depth(self, k, monkeypatch):
+        assert pipeline.transformer_layer is model.transformer_layer  # the one layer body
+        shapes = []
+
+        def counting(p, ht, *args):
+            shapes.append(ht.shape)
+            return model.transformer_layer(p, ht, *args)
+
+        monkeypatch.setattr(pipeline, "transformer_layer", counting)
+        deep = dataclasses.replace(TINY, n_layers=4)
+        ens = Ensemble(EnsembleSpec([dataclasses.replace(deep, seed=i) for i in range(k)],
+                                    [0.3] * (k - 1), 2))
+        prompt = [1, 2, 3]
+        toks, _, report = decode_pipelined(ens, prompt, max_tokens=5)
+        steps = len(prompt) + len(toks) - 1
+        assert shapes == [(k, 1, TINY.d_model)] * (deep.n_layers * steps)
+        assert len(report.events) == k * deep.n_layers * steps
+
+    def test_adapted_chain_bit_identical(self):
+        ens = self.adapted_chain()
+        for seed in range(6):
+            prompt = np.random.default_rng(seed).integers(0, TINY.vocab - 1, size=3).tolist()
+            toks_s, logits_s = decode_sequential(ens, prompt, max_tokens=8)
+            toks_p, logits_p, _ = decode_pipelined(ens, prompt, max_tokens=8)
+            assert toks_s == toks_p
+            assert np.array_equal(logits_s, logits_p)
+
+    def test_no_stale_snapshot_after_adapter_update(self):
+        ens = self.adapted_chain(seed=5)
+        _, before, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+        grads = {"l2.wv.B": np.full((4, TINY.d_model), 0.5)}
+        sgd_step(ens.models[2], grads, 1.0, ["l2.wv.B"])  # in place, as training does
+        toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=4)
+        toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+        assert toks_s == toks_p
+        assert np.array_equal(logits_s, logits_p)
+        assert not np.array_equal(before[0], logits_p[0])
+
+    def test_workers_has_no_effect(self):
+        ens = make_chain(2, seed=6)
+        runs = [decode_pipelined(ens, [1, 2], max_tokens=4, workers=w) for w in (None, 1, 2, 9)]
+        for toks, logits, _ in runs[1:]:
+            assert toks == runs[0][0] and np.array_equal(logits, runs[0][1])
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                decode_pipelined(ens, [1, 2], max_tokens=4, workers=bad)
+
+    def test_report_nothing_waits(self):
+        toks, _, report = decode_pipelined(make_chain(2, seed=7), [1, 2], max_tokens=4)
+        assert report.blocked_s == 0.0
+        assert 0.0 < report.transfer_s < report.wall_s
+        assert report.n_tokens == len(toks)
 
 
 class TestWavefront:
@@ -252,7 +175,7 @@ class TestWavefront:
     def test_liveness(self):
         ens = make_chain(2, seed=5)
         t0 = time.perf_counter()
-        decode_pipelined(ens, [1, 2], max_tokens=4, timeout_s=10.0)
+        decode_pipelined(ens, [1, 2], max_tokens=4)
         assert time.perf_counter() - t0 < 10.0
 
 
