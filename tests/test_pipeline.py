@@ -71,6 +71,18 @@ class TestDecoderEquivalence:
         finally:
             sys.setswitchinterval(old)
 
+    def test_worker_error_named_once(self, monkeypatch):
+        # a failing layer call reaches the caller as its own exception, once,
+        # neither wrapped nor chained
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "transformer_layer", boom)
+        with pytest.raises(RuntimeError) as info:
+            decode_pipelined(make_chain(1), [1, 2], max_tokens=3)
+        assert type(info.value) is RuntimeError and str(info.value) == "boom"
+        assert info.value.__cause__ is None and info.value.__context__ is None
+
     def test_base_only_chain(self):
         ens = make_chain(0, seed=3)
         toks_s, _ = decode_sequential(ens, [4], max_tokens=4)
