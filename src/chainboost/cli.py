@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +35,24 @@ DEFAULT_SEEDS = [1, 2, 3]
 def _load_config(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+# the keys cmd_train reads, by config section; the model seed is set per run
+_CONFIG_KEYS = {
+    "top-level": {"task", "dataset", "model", "n_successors", "lambdas", "top_k",
+                  "train", "seeds", "holdout_fraction", "out"},
+    "model": {f.name for f in dataclasses.fields(ModelSpec)} - {"seed"},
+    "task": {f.name for f in dataclasses.fields(tasks.TaskSpec)},
+}
+
+
+def _unknown_config_key(cfg: dict) -> Optional[str]:
+    """A message naming the first key cmd_train would ignore, or None."""
+    for section, known in _CONFIG_KEYS.items():
+        keys = cfg if section == "top-level" else cfg.get(section, {})
+        for key in sorted(set(keys) - known):
+            return f"unknown {section} key {key!r}"
+    return None
 
 
 def _task_from_dict(d: dict) -> tasks.TaskSpec:
@@ -79,6 +98,10 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
+    unknown = _unknown_config_key(cfg)
+    if unknown:
+        print(f"bad config: {unknown}", file=sys.stderr)
+        return 2
     seeds = args.seeds or cfg.get("seeds", DEFAULT_SEEDS)
     try:  # an unknown key, or a seed (set per run from seeds), is a TypeError naming it
         train_base = TrainConfig(**cfg.get("train", {}), seed=seeds[0])

@@ -8,11 +8,14 @@ residual + LayerNorm. Layers are 1-indexed so layer l fuses iff
 l % fusion_period == 0; the embedding output counts as "layer 0".
 
 One layer body (transformer_layer, over a parameter view) serves every path.
-TransformerModel._forward wraps it in embedding and unembedding for batched
-training (forward_train, no cache, with analytic gradients in backward that
-the tests cross-check against finite differences) and KV-cache decoding
-(forward_step, the one-token call over a KvCache); the layer-synchronous
-chain decoder calls it with k models' weights stacked along the batch axis.
+One walk, forward_pass, wraps it in embedding and unembedding over a model's
+param_views(). TransformerModel._forward checks its inputs and runs the walk
+for batched training (forward_train, no cache, with analytic gradients in
+backward that the tests cross-check against finite differences) and KV-cache
+decoding (forward_step, the one-token call over a KvCache). The sequential
+chain decoder runs the walk over views it builds once per request; the
+layer-synchronous one calls the layer body with k models' weights stacked
+along the batch axis.
 """
 
 from __future__ import annotations
@@ -196,17 +199,21 @@ class TransformerModel:
                     B=np.zeros((r, d)),
                 )
 
-    def effective_weight(self, name: str) -> np.ndarray:
-        return apply_adapter(self.params[name], self.adapters.get(name))
-
     def layer_params(self, l: int) -> dict[str, np.ndarray]:
         """Layer l's parameter view: its l{l}.* arrays by short name, with wq
         and wv adapter-merged."""
         p = f"l{l}."
         view = {name: self.params[p + name] for name in LAYER_KEYS}
-        view["wq"] = self.effective_weight(p + "wq")
-        view["wv"] = self.effective_weight(p + "wv")
+        for name in ("wq", "wv"):
+            view[name] = apply_adapter(view[name], self.adapters.get(p + name))
         return view
+
+    def param_views(self) -> list[dict[str, np.ndarray]]:
+        """The views one pass reads: [0] holds tok_emb, pos_emb and unemb, [l]
+        is layer_params(l). Build them per call, not once per model: sgd_step
+        updates the adapters in place."""
+        emb = {name: self.params[name] for name in ("tok_emb", "pos_emb", "unemb")}
+        return [emb] + [self.layer_params(l) for l in range(1, self.spec.n_layers + 1)]
 
     # -- the transformer pass ---------------------------------------------
 
@@ -216,15 +223,9 @@ class TransformerModel:
         fusion_in: Optional[dict] = None,
         cache: Optional[KvCache] = None,
     ) -> tuple[np.ndarray, dict]:
-        """This model's pass over a (B, T) token batch: embedding, then
-        transformer_layer per layer, then unembedding.
-
-        Positions start at cache.step_count (0 without a cache); a cache is
-        extended in place and attention reads every step it holds. fusion_in,
-        when present, maps every fusion layer l to a state that broadcasts
-        against (B, T, d_model). Returns (logits (B, T, V), activations for
-        backward()); acts["states"] is [h_0, ..., h_L].
-        """
+        """forward_pass over this model's param_views(), once the token range,
+        the step bound and every fusion layer's input (when fusion_in is
+        given) are checked."""
         s = self.spec
         tokens = np.asarray(tokens)
         _, T = tokens.shape
@@ -238,20 +239,7 @@ class TransformerModel:
             for l in s.fusion_layers():
                 if l not in fusion_in:
                     raise ContractError(f"fusion input missing for fusion layer {l}")
-        # a one-token step attends to every cached step: its mask is all zeros
-        mask = None if T == 1 else np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
-
-        h = self.params["tok_emb"][tokens] + self.params["pos_emb"][t0 : t0 + T]
-        acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
-        for l in range(1, s.n_layers + 1):
-            fused = fusion_in is not None and l % s.fusion_period == 0
-            ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
-            h, a = transformer_layer(self.layer_params(l), ht, cache, l, s.n_heads, mask)
-            a.update(fused=fused, ln_fuse=ln_fuse)
-            acts["layers"].append(a)
-            acts["states"].append(h)
-        logits = h @ self.params["unemb"]
-        return logits, acts
+        return forward_pass(s, self.param_views(), tokens, fusion_in, cache)
 
     def forward_step(
         self,
@@ -423,6 +411,36 @@ def fuse_states(h: np.ndarray, pred: np.ndarray):
     """A fusion layer's attention input LayerNorm(h + pred), unit gain and zero
     bias; returns (input, saved for _ln_backward)."""
     return _ln_forward(h + pred, 1.0, 0.0)
+
+
+def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
+                 fusion_in: Optional[dict] = None,
+                 cache: Optional[KvCache] = None) -> tuple[np.ndarray, dict]:
+    """One model's walk over a (B, T) token batch, unchecked: embedding, then
+    transformer_layer per layer, then unembedding, over views as built by
+    TransformerModel.param_views.
+
+    Positions start at cache.step_count (0 without a cache); a cache is
+    extended in place and attention reads every step it holds. fusion_in,
+    when present, maps every fusion layer l to a state that broadcasts
+    against (B, T, d_model). Returns (logits (B, T, V), activations for
+    backward()); acts["states"] is [h_0, ..., h_L].
+    """
+    T = tokens.shape[1]
+    t0 = 0 if cache is None else cache.step_count
+    # a one-token step attends to every cached step: its mask is all zeros
+    mask = None if T == 1 else np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
+    emb = views[0]
+    h = emb["tok_emb"][tokens] + emb["pos_emb"][t0 : t0 + T]
+    acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
+    for l in range(1, spec.n_layers + 1):
+        fused = fusion_in is not None and l % spec.fusion_period == 0
+        ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
+        h, a = transformer_layer(views[l], ht, cache, l, spec.n_heads, mask)
+        a.update(fused=fused, ln_fuse=ln_fuse)
+        acts["layers"].append(a)
+        acts["states"].append(h)
+    return h @ emb["unemb"], acts
 
 
 def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: int,

@@ -1,12 +1,13 @@
 """Greedy decoding for model chains.
 
 Two decoders run one greedy loop and give bit-identical tokens and fused
-logits. decode_sequential, the reference, runs each model's forward_step in
-chain order. decode_pipelined is layer-synchronous: successor fusion layer l
-reads predecessor state l-1, the depth of its own input, so one call of the
-shared layer body runs layer l of all k models, their weights stacked along
-the batch axis. A step costs n_layers layer calls whatever k is: GPipe's
-schedule (Huang et al., arXiv:1811.06965) with models in place of devices.
+logits. decode_sequential, the reference, runs each model's forward_pass in
+chain order over parameter views built once per request. decode_pipelined
+is layer-synchronous: successor fusion layer l reads predecessor state l-1,
+the depth of its own input, so one call of the shared layer body runs layer
+l of all k models, their weights stacked along the batch axis. A step costs
+n_layers layer calls whatever k is: GPipe's schedule (Huang et al.,
+arXiv:1811.06965) with models in place of devices.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import KvCache, fuse_states, transformer_layer
+from .model import KvCache, forward_pass, fuse_states, transformer_layer
 
 
 @dataclass
@@ -88,24 +89,29 @@ def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
         fused = step(nxt)
 
 
-def _step_all(ensemble: Ensemble, token: int, caches: list[KvCache]) -> np.ndarray:
-    """Advance every model one step in chain order; return the fused logits."""
-    zs, states = [], None
-    for i, model in enumerate(ensemble.models):
-        z, states, _ = model.forward_step(token, caches[i], ensemble.fusion_inputs(i, states))
-        zs.append(z)
-    return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
-
-
 def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     """Reference greedy decoder; returns (tokens, per-step fused logits).
 
-    Per step each model runs to completion in chain order and successor
-    fusion layers read the predecessor's states for the same step.
+    Every call builds each model's param_views() afresh (training updates
+    adapters in place). Per step each model runs forward_pass to completion
+    in chain order over its own KvCache, and successor fusion layers read the
+    predecessor's states for the same step.
     """
     check_prompt(ensemble, prompt, max_tokens)
-    caches = [KvCache(m.spec.n_layers) for m in ensemble.models]
-    return _greedy(ensemble, prompt, max_tokens, lambda token: _step_all(ensemble, token, caches))
+    models = ensemble.models
+    views = [m.param_views() for m in models]
+    caches = [KvCache(m.spec.n_layers) for m in models]
+
+    def step_chain(token: int) -> np.ndarray:
+        tokens = np.array([[token]])
+        zs, states = [], None
+        for i, m in enumerate(models):
+            z, acts = forward_pass(m.spec, views[i], tokens, ensemble.fusion_inputs(i, states), caches[i])
+            zs.append(z[0, 0])
+            states = acts["states"]
+        return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
+
+    return _greedy(ensemble, prompt, max_tokens, step_chain)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -115,11 +121,10 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _stack_weights(models) -> list[dict]:
-    """The chain's weights stacked along a leading model axis: [0] holds the
-    embeddings and unembedding, [l] layer l's adapter-merged parameter view."""
-    views = [[{name: m.params[name] for name in ("tok_emb", "pos_emb", "unemb")}]
-             + [m.layer_params(l) for l in range(1, m.spec.n_layers + 1)] for m in models]
-    return [{name: _stack([v[name] for v in per]) for name in per[0]} for per in zip(*views)]
+    """The chain's param_views() stacked along a leading model axis: [0] holds
+    the embeddings and unembedding, [l] layer l's adapter-merged view."""
+    return [{name: _stack([v[name] for v in per]) for name in per[0]}
+            for per in zip(*(m.param_views() for m in models))]
 
 
 def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optional[int] = None):

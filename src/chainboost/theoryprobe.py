@@ -29,6 +29,8 @@ from .training import (
     trainable_keys,
 )
 
+DESCENT_ROUNDS = 12  # descent_probe's cap on L-hat fixed-point rounds
+
 
 def effective_contribution(z_prev_accum: np.ndarray, z_new: np.ndarray) -> np.ndarray:
     """g = J_softmax(z_prev) @ z_new: first-order probability shift per unit λ."""
@@ -186,6 +188,7 @@ class DescentReport:
     eta_bound: float
     precondition_ok: bool = True
     note: str = ""
+    converged: bool = True  # False when the L-hat fixed point ran out of rounds
 
     def format(self) -> str:
         lines = [
@@ -197,6 +200,7 @@ class DescentReport:
             f"eta_used        {self.eta_used:.6e}",
             f"steps           {max(0, len(self.ce_trajectory) - 1)}",
             f"violations      {self.violations}",
+            f"converged       {self.converged}",
         ]
         if self.note:
             lines.append(f"note            {self.note}")
@@ -227,7 +231,9 @@ def descent_probe(
     goes). The accepted pilot is the reported run. Steps use the composite
     gradient; the trajectory and the secants track the primary CE, which is
     what the bound is stated for. If α <= ρ̂Γ̂ the bound does not exist and
-    the probe reports the failed precondition instead of raising.
+    the probe reports the failed precondition instead of raising. After
+    DESCENT_ROUNDS rounds without a consistent L̂ the last pilot is reported
+    with converged=False.
     """
     tokens = np.asarray(tokens)
     gold = np.asarray(gold)
@@ -277,12 +283,14 @@ def descent_probe(
             eta_bound=0.0,
             precondition_ok=False,
             note=str(exc),
+            converged=False,
         )
 
     traj: list[float] = []
     violations = 0
     eta = eta_star = 0.0
-    for _ in range(12):  # fixed-point rounds; converges since eta shrinks
+    converged = False
+    for _ in range(DESCENT_ROUNDS):  # fixed-point rounds; converges since eta shrinks
         eta_star = descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
         eta = eta_scale * eta_star
         theta, g_comp, g_ce = theta0.copy(), g0_comp, g0_ce
@@ -298,6 +306,7 @@ def descent_probe(
             traj.append(ce_next)
             theta, g_comp, g_ce = theta_next, g_comp_next, g_ce_next
         if path_sec <= l_hat:
+            converged = True
             break
         l_hat = path_sec
 
@@ -309,5 +318,6 @@ def descent_probe(
         smoothness=l_hat,
         eta_used=eta,
         eta_bound=eta_star,
+        converged=converged,
     )
 

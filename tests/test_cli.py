@@ -95,6 +95,19 @@ class TestTrainConfig:
         assert code == 2
         assert key in err
 
+    @pytest.mark.parametrize("section, key", [
+        ("model", "n_layer"), ("model", "seed"), ("task", "n_sample"), (None, "n_successor"),
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, section, key, capsys):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
+        (doc if section is None else doc[section])[key] = 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and (section or "top-level") in err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_config_is_the_example_file(self):
         root = Path(__file__).resolve().parents[1]
         readme = (root / "README.md").read_text()

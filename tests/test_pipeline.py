@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from chainboost import model, pipeline
-from chainboost.ensemble import Ensemble, EnsembleSpec
-from chainboost.model import ModelSpec
+from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
+from chainboost.model import KvCache, ModelSpec
 from chainboost.pipeline import decode_pipelined, decode_sequential
 from chainboost.training import sgd_step
 
@@ -22,6 +22,33 @@ TINY = ModelSpec(
 def make_chain(n_successors: int, seed: int = 0) -> Ensemble:
     specs = [dataclasses.replace(TINY, seed=seed + 10 * i) for i in range(n_successors + 1)]
     return Ensemble(EnsembleSpec(specs, lambdas=[0.3] * n_successors, top_k=2))
+
+
+def adapted_chain(seed: int = 3, base: ModelSpec = TINY) -> Ensemble:
+    """3 models, successor adapters with nonzero B: wq and wv differ from the base."""
+    specs = [dataclasses.replace(base, adapter_rank=0 if i == 0 else 4, seed=seed + i)
+             for i in range(3)]
+    ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.3], top_k=2))
+    rng = np.random.default_rng(seed)
+    for m in ens.models[1:]:
+        for ad in m.adapters.values():
+            ad.B[...] = rng.normal(0.0, 0.5, ad.B.shape)
+    return ens
+
+
+def step_fold(ens: Ensemble, prompt, max_tokens: int):
+    """The greedy decode as a fold of forward_step over the chain: the
+    sequential decoder's oracle."""
+    caches = [KvCache(m.spec.n_layers) for m in ens.models]
+
+    def step(token):
+        zs, states = [], None
+        for i, m in enumerate(ens.models):
+            z, states, _ = m.forward_step(token, caches[i], ens.fusion_inputs(i, states))
+            zs.append(z)
+        return fuse_logits(zs, ens.spec.lambdas, ens.spec.top_k)
+
+    return pipeline._greedy(ens, prompt, max_tokens, step)
 
 
 class TestDecoderEquivalence:
@@ -91,18 +118,6 @@ class TestDecoderEquivalence:
 
 
 class TestLayerSynchronous:
-    @staticmethod
-    def adapted_chain(seed: int = 3) -> Ensemble:
-        """3 models, successor adapters with nonzero B: wq and wv differ from the base."""
-        specs = [dataclasses.replace(TINY, adapter_rank=0 if i == 0 else 4, seed=seed + i)
-                 for i in range(3)]
-        ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.3], top_k=2))
-        rng = np.random.default_rng(seed)
-        for m in ens.models[1:]:
-            for ad in m.adapters.values():
-                ad.B[...] = rng.normal(0.0, 0.5, ad.B.shape)
-        return ens
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_one_stacked_layer_call_per_depth(self, k, monkeypatch):
         assert pipeline.transformer_layer is model.transformer_layer  # the one layer body
@@ -123,7 +138,7 @@ class TestLayerSynchronous:
         assert len(report.events) == k * deep.n_layers * steps
 
     def test_adapted_chain_bit_identical(self):
-        ens = self.adapted_chain()
+        ens = adapted_chain()
         for seed in range(6):
             prompt = np.random.default_rng(seed).integers(0, TINY.vocab - 1, size=3).tolist()
             toks_s, logits_s = decode_sequential(ens, prompt, max_tokens=8)
@@ -132,15 +147,18 @@ class TestLayerSynchronous:
             assert np.array_equal(logits_s, logits_p)
 
     def test_no_stale_snapshot_after_adapter_update(self):
-        ens = self.adapted_chain(seed=5)
-        _, before, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+        ens = adapted_chain(seed=5)
+        _, before_s = decode_sequential(ens, [1, 2], max_tokens=4)
+        _, before_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
         grads = {"l2.wv.B": np.full((4, TINY.d_model), 0.5)}
         sgd_step(ens.models[2], grads, 1.0, ["l2.wv.B"])  # in place, as training does
         toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=4)
         toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
         assert toks_s == toks_p
         assert np.array_equal(logits_s, logits_p)
-        assert not np.array_equal(before[0], logits_p[0])
+        assert np.array_equal(logits_s, step_fold(ens, [1, 2], 4)[1])
+        assert not np.array_equal(before_s[0], logits_s[0])
+        assert not np.array_equal(before_p[0], logits_p[0])
 
     def test_workers_has_no_effect(self):
         ens = make_chain(2, seed=6)
@@ -156,6 +174,37 @@ class TestLayerSynchronous:
         assert report.blocked_s == 0.0
         assert 0.0 < report.transfer_s < report.wall_s
         assert report.n_tokens == len(toks)
+
+
+class TestSequential:
+    @pytest.mark.parametrize("base", [
+        TINY,
+        dataclasses.replace(TINY, n_layers=4, fusion_period=1),
+        dataclasses.replace(TINY, n_layers=3, max_steps=16),
+    ])
+    def test_matches_forward_step_fold(self, base):
+        ens = adapted_chain(seed=4, base=base)
+        for seed in range(4):
+            prompt = np.random.default_rng(seed).integers(0, TINY.vocab - 1, size=3).tolist()
+            toks, logits = decode_sequential(ens, prompt, max_tokens=8)
+            toks_f, logits_f = step_fold(ens, prompt, 8)
+            assert toks == toks_f
+            assert np.array_equal(logits, logits_f)
+
+    def test_views_built_once_per_call(self, monkeypatch):
+        ens = adapted_chain(seed=6)
+        built = []
+        layer_params = model.TransformerModel.layer_params
+
+        def counting(self, l):
+            built.append((id(self), l))
+            return layer_params(self, l)
+
+        monkeypatch.setattr(model.TransformerModel, "layer_params", counting)
+        toks, _ = decode_sequential(ens, [1, 2, 3], max_tokens=6)
+        assert len(toks) > 1  # several steps ran on one set of views
+        assert sorted(built) == sorted((id(m), l) for m in ens.models
+                                       for l in range(1, TINY.n_layers + 1))
 
 
 class TestWavefront:

@@ -4,6 +4,7 @@ MSE sweep, and the guaranteed-descent runner."""
 import numpy as np
 import pytest
 
+from chainboost import theoryprobe
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import ShapeError, softmax, softmax_jacobian
 from chainboost.tasks import TaskSpec, generate
@@ -160,5 +161,16 @@ class TestDescentProbe:
         tokens, gold = self._task()
         rep = descent_probe(model, tokens, gold, alpha=0.9, steps=3, seed=0)
         text = rep.format()
-        for field in ("rho_hat", "gamma_hat", "l_hat", "eta_star", "violations"):
+        for field in ("rho_hat", "gamma_hat", "l_hat", "eta_star", "violations", "converged"):
             assert field in text
+
+    def test_reports_unconverged_fixed_point(self, monkeypatch):
+        tokens, gold = self._task()
+        rep = descent_probe(TransformerModel(TINY), tokens, gold, alpha=0.9, steps=5, seed=0)
+        assert rep.converged
+        # this task needs a second round to make L-hat consistent with its path
+        monkeypatch.setattr(theoryprobe, "DESCENT_ROUNDS", 1)
+        short = descent_probe(TransformerModel(TINY), tokens, gold, alpha=0.9, steps=5, seed=0)
+        assert not short.converged
+        assert "converged       False" in short.format()
+        assert len(short.ce_trajectory) == 6 and short.precondition_ok
