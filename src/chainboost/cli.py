@@ -44,6 +44,9 @@ _CONFIG_KEYS = {
     "model": {f.name for f in dataclasses.fields(ModelSpec)} - {"seed"},
     "task": {f.name for f in dataclasses.fields(tasks.TaskSpec)},
 }
+# cmd_train's model defaults; the vocab comes from the data, the seed per run
+_MODEL_DEFAULTS = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, max_steps=32,
+                       fusion_period=2, adapter_rank=4)
 
 
 def _unknown_config_key(cfg: dict) -> Optional[str]:
@@ -53,31 +56,6 @@ def _unknown_config_key(cfg: dict) -> Optional[str]:
         for key in sorted(set(keys) - known):
             return f"unknown {section} key {key!r}"
     return None
-
-
-def _task_from_dict(d: dict) -> tasks.TaskSpec:
-    return tasks.TaskSpec(
-        kind=d["kind"],
-        vocab=d.get("vocab", 32),
-        length=d.get("length", 8),
-        n_samples=d.get("n_samples", 200),
-        seed=d.get("seed", 0),
-        modulus=d.get("modulus", 7),
-    )
-
-
-def _model_from_dict(d: dict, vocab: int, seed: int) -> ModelSpec:
-    return ModelSpec(
-        n_layers=d.get("n_layers", 2),
-        d_model=d.get("d_model", 32),
-        n_heads=d.get("n_heads", 2),
-        d_ff=d.get("d_ff", 64),
-        vocab=vocab,
-        max_steps=d.get("max_steps", 32),
-        fusion_period=d.get("fusion_period", 2),
-        adapter_rank=d.get("adapter_rank", 4),
-        seed=seed,
-    )
 
 
 def cmd_gen(args) -> int:
@@ -108,27 +86,26 @@ def cmd_train(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"bad train config: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out or cfg.get("out", "runs"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if "dataset" in cfg:
         ds_full = tasks.load_dataset(cfg["dataset"])
     else:
-        ds_full = tasks.generate(_task_from_dict(cfg["task"]))
+        ds_full = tasks.generate(tasks.TaskSpec(**cfg["task"]))
     vocab = int(cfg.get("task", {}).get("vocab", ds_full.tokens.max() + 1))
+    mdl = {**_MODEL_DEFAULTS, "vocab": vocab, **cfg.get("model", {})}
+    if mdl["vocab"] != vocab:
+        print(f"bad config: model vocab {mdl['vocab']} differs from the data vocab {vocab}",
+              file=sys.stderr)
+        return 2
     holdout = cfg.get("holdout_fraction", 0.25)
+    out_dir = Path(args.out or cfg.get("out", "runs"))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     for sd in seeds:
         train_cfg = dataclasses.replace(train_base, seed=sd)
         n_succ = cfg.get("n_successors", 1)
-        mdl = cfg.get("model", {})
         specs = [
-            _model_from_dict(
-                {**mdl, "adapter_rank": 0 if i == 0 else mdl.get("adapter_rank", 4)},
-                vocab,
-                seed=sd * 100 + i,
-            )
+            ModelSpec(**{**mdl, "adapter_rank": mdl["adapter_rank"] if i else 0}, seed=sd * 100 + i)
             for i in range(n_succ + 1)
         ]
         espec = ens_mod.EnsembleSpec(

@@ -116,18 +116,6 @@ class KvCache:
         return kh, vh
 
 
-@dataclass
-class LayerTrace:
-    """Per-step, per-layer post-block hidden states plus final logits.
-
-    hidden[t, l] is h_{l,t} for l in 0..L (0 = embedding output);
-    logits[t] is z_t.
-    """
-
-    hidden: np.ndarray  # (T, L + 1, d_model)
-    logits: np.ndarray  # (T, vocab)
-
-
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
     """The tanh factor of the GELU approximation, shared by gelu and gelu_grad."""
     return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
@@ -254,29 +242,6 @@ class TransformerModel:
         """
         logits, acts = self._forward(np.array([[token_id]]), fusion_in, cache)
         return logits[0, 0], [h[0, 0] for h in acts["states"]], cache
-
-    def forward_teacher(
-        self,
-        token_ids,
-        fusion_in: Optional[dict[int, np.ndarray]] = None,
-    ) -> LayerTrace:
-        """Teacher-forced forward: fold forward_step over the sequence.
-
-        fusion_in maps fusion layer l -> (T, d_model) array of predecessor
-        states, one row per step.
-        """
-        s = self.spec
-        token_ids = list(token_ids)
-        T = len(token_ids)
-        cache = KvCache(s.n_layers)
-        hidden = np.zeros((T, s.n_layers + 1, s.d_model))
-        logits = np.zeros((T, s.vocab))
-        for t, tok in enumerate(token_ids):
-            step_fusion = None
-            if fusion_in is not None:
-                step_fusion = {l: fusion_in[l][t] for l in fusion_in}
-            logits[t], hidden[t], cache = self.forward_step(tok, cache, step_fusion)
-        return LayerTrace(hidden=hidden, logits=logits)
 
     def forward_train(
         self,

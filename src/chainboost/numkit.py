@@ -1,12 +1,10 @@
-"""Small numeric kernel: softmax, its Jacobian, layer norm, finite differences.
+"""Small numeric kernel: softmax, its Jacobian, layer norm.
 
 Everything here is a pure function over numpy arrays in float64, as is the
 rest of the package: models, training and probes all run in f64.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -59,26 +57,3 @@ def layer_norm(
     mean = h.mean(axis=-1, keepdims=True)
     var = h.var(axis=-1, keepdims=True)
     return gain * (h - mean) / np.sqrt(var + eps) + bias
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    xw = x.copy()
-    xf = xw.ravel()
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + eps
-        fp = float(f(xw))
-        xf[i] = orig - eps
-        fm = float(f(xw))
-        xf[i] = orig
-        g = (fp - fm) / (2.0 * eps)
-        if not np.isfinite(g):
-            raise FloatingPointError(f"finite_diff_grad: non-finite difference at index {i}")
-        flat[i] = g
-    return grad

@@ -290,7 +290,9 @@ def descent_probe(
     violations = 0
     eta = eta_star = 0.0
     converged = False
+    path_sec = l_hat
     for _ in range(DESCENT_ROUNDS):  # fixed-point rounds; converges since eta shrinks
+        l_hat = path_sec  # the L-hat behind this pilot, and so the one reported
         eta_star = descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
         eta = eta_scale * eta_star
         theta, g_comp, g_ce = theta0.copy(), g0_comp, g0_ce
@@ -308,7 +310,6 @@ def descent_probe(
         if path_sec <= l_hat:
             converged = True
             break
-        l_hat = path_sec
 
     load_flat_params(model, keys, theta0)
     return DescentReport(

@@ -5,6 +5,9 @@ where the suppression term -log sigma(beta (log p[gold] - log p[err])) is
 active only at positions where the frozen predecessor predicted wrongly.
 Gradients are taken in logit space (alpha (p - y*) plus
 beta sigma(-u) (y_err - y*)) and pushed through the model's backward pass.
+One core, _objective, computes both from probabilities: training runs it
+through batch_loss_and_grad, and the scalar API the gradient checks use is
+its one-position view.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
 from .model import TransformerModel
-from .numkit import ShapeError, softmax, softmax_rows
+from .numkit import ShapeError, softmax_rows
 from .tasks import Dataset
 
 log = logging.getLogger(__name__)
@@ -68,32 +71,72 @@ class DivergenceError(RuntimeError):
     """Training loss went non-finite."""
 
 
-def _floored_log(p: float) -> tuple[float, bool]:
-    if p < PROB_FLOOR:
-        return float(np.log(PROB_FLOOR)), True
-    return float(np.log(p)), False
+def _objective(
+    p: np.ndarray, gold: np.ndarray, err: np.ndarray, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The composite objective from probabilities: the one loss implementation.
+
+    p is (..., V); gold and err are (...) with -1 holes, and err counts only
+    where gold is labeled. Returns per-position CE and suppression (...) and
+    the unscaled dlogits (..., V) of sum(suppression + alpha * CE). Logs one
+    warning per call that floors a probability at PROB_FLOOR.
+    """
+    if gold.shape != p.shape[:-1] or err.shape != gold.shape:
+        raise ShapeError(f"probabilities {p.shape} do not match gold {gold.shape} / err {err.shape}")
+    V = p.shape[-1]
+    g, e = gold.ravel(), err.ravel()
+    d = p.copy()
+    flat = d.reshape(-1)  # a view: the copy is C-contiguous
+    labeled = g >= 0
+    r = labeled.nonzero()[0]
+    ig = r * V + g[r]  # flat index of each labeled position's gold entry
+    act = e[r] >= 0
+    a = r[act]
+    ie, iga = a * V + e[a], ig[act]  # the active positions' err and gold entries
+    if (ie == iga).any():
+        raise ValueError("error token must differ from gold")
+    pg, pe = flat[ig], flat[ie]
+    clamped = np.count_nonzero(pg < PROB_FLOOR) + np.count_nonzero(pe < PROB_FLOOR)
+    if clamped:
+        log.warning("composite loss: %d probabilities clamped to floor %.0e", clamped, PROB_FLOOR)
+    flat[ig] -= 1.0
+    d *= alpha
+    if r.size < g.size:
+        d.reshape(-1, V)[~labeled] = 0.0
+    log_pg = np.log(np.maximum(pg, PROB_FLOOR))
+    ce = np.zeros(g.size)
+    ce[r] = -log_pg
+    supp = np.zeros(g.size)
+    if a.size:
+        u = beta * (log_pg[act] - np.log(np.maximum(pe, PROB_FLOOR)))
+        supp[a] = np.logaddexp(0.0, -u)  # -log sigma(u), computed stably
+        coeff = beta * (1.0 / (1.0 + np.exp(np.clip(u, -500, 500))))
+        flat[ie] += coeff
+        flat[iga] -= coeff
+    return ce.reshape(gold.shape), supp.reshape(gold.shape), d
+
+
+def _at(p: np.ndarray, gold: int, err: Optional[int], alpha: float = 1.0, beta: float = 1.0):
+    """The objective at one position: (CE, suppression, dlogits (V,))."""
+    e = -1 if err is None else err
+    ce, supp, d = _objective(np.asarray(p)[None], np.array([gold]), np.array([e]), alpha, beta)
+    return float(ce[0]), float(supp[0]), d[0]
 
 
 def suppression_loss(p: np.ndarray, gold: int, err: Optional[int], beta: float) -> float:
     """-log sigma(beta (log p[gold] - log p[err])), or 0 when err is absent."""
-    if err is None:
-        return 0.0
-    if err == gold:
-        raise ValueError("error token must differ from gold")
-    lg, fg = _floored_log(float(p[gold]))
-    le, fe = _floored_log(float(p[err]))
-    if fg or fe:
-        log.warning("suppression_loss: probability clamped to floor %.0e", PROB_FLOOR)
-    u = beta * (lg - le)
-    # -log(sigmoid(u)) = log(1 + exp(-u)), computed stably
-    return float(np.logaddexp(0.0, -u))
+    return _at(p, gold, err, beta=beta)[1]
 
 
 def cross_entropy(p: np.ndarray, gold: int) -> float:
-    lg, flagged = _floored_log(float(p[gold]))
-    if flagged:
-        log.warning("cross_entropy: probability clamped to floor %.0e", PROB_FLOOR)
-    return -lg
+    return _at(p, gold, None)[0]
+
+
+def loss_logit_grad(
+    p: np.ndarray, gold: int, err: Optional[int], alpha: float, beta: float
+) -> np.ndarray:
+    """Gradient of (suppression + alpha * CE) w.r.t. the logits at one step."""
+    return _at(p, gold, err, alpha, beta)[2]
 
 
 def total_loss(
@@ -107,32 +150,9 @@ def total_loss(
     logits = np.asarray(logits)
     if logits.shape[0] != len(gold) or len(err_trace) != len(gold):
         raise ValueError("logits, gold and error trace must align")
-    out = 0.0
-    for t, g in enumerate(gold):
-        if g < 0:
-            continue
-        p = softmax(logits[t])
-        out += suppression_loss(p, g, err_trace.tokens[t], beta) + alpha * cross_entropy(p, g)
-    return out
-
-
-def loss_logit_grad(
-    p: np.ndarray, gold: int, err: Optional[int], alpha: float, beta: float
-) -> np.ndarray:
-    """Gradient of (suppression + alpha * CE) w.r.t. the logits at one step."""
-    V = p.shape[0]
-    grad = alpha * p.copy()
-    grad[gold] -= alpha
-    if err is not None:
-        if err == gold:
-            raise ValueError("error token must differ from gold")
-        lg, _ = _floored_log(float(p[gold]))
-        le, _ = _floored_log(float(p[err]))
-        u = beta * (lg - le)
-        sig_neg_u = 1.0 / (1.0 + np.exp(u)) if u > -30 else 1.0
-        grad[err] += beta * sig_neg_u
-        grad[gold] -= beta * sig_neg_u
-    return grad
+    err = np.array([-1 if e is None else e for e in err_trace.tokens], dtype=int)
+    ce, supp, _ = _objective(softmax_rows(logits), np.asarray(gold, dtype=int), err, alpha, beta)
+    return float((supp + alpha * ce).sum())
 
 
 def batch_loss_and_grad(
@@ -148,46 +168,9 @@ def batch_loss_and_grad(
     Returns (mean CE per sequence, mean suppression per sequence, dlogits
     scaled for the batch-mean objective).
     """
-    B, T, V = logits.shape
-    p = softmax_rows(logits)
-    labeled = gold >= 0
-    gold_safe = np.where(labeled, gold, 0)
-    rows = np.take_along_axis(p, gold_safe[..., None], axis=-1)[..., 0]
-    rows = np.maximum(rows, PROB_FLOOR)
-    ce = float(np.where(labeled, -np.log(rows), 0.0).sum() / B)
-
-    dlogits = alpha * (p - _onehot(gold_safe, V))
-    dlogits[~labeled] = 0.0
-
-    active = (err >= 0) & labeled
-    supp = 0.0
-    if active.any():
-        err_safe = np.where(active, err, 0)
-        pe = np.take_along_axis(p, err_safe[..., None], axis=-1)[..., 0]
-        pe = np.maximum(pe, PROB_FLOOR)
-        u = beta * (np.log(rows) - np.log(pe))
-        supp = float(np.where(active, np.logaddexp(0.0, -u), 0.0).sum() / B)
-        sig = np.where(active, 1.0 / (1.0 + np.exp(np.clip(u, -500, 500))), 0.0)
-        coeff = beta * sig
-        np.put_along_axis(
-            dlogits,
-            err_safe[..., None],
-            np.take_along_axis(dlogits, err_safe[..., None], axis=-1) + coeff[..., None],
-            axis=-1,
-        )
-        np.put_along_axis(
-            dlogits,
-            gold_safe[..., None],
-            np.take_along_axis(dlogits, gold_safe[..., None], axis=-1) - coeff[..., None],
-            axis=-1,
-        )
-    return ce, supp, dlogits / B
-
-
-def _onehot(idx: np.ndarray, V: int) -> np.ndarray:
-    out = np.zeros(idx.shape + (V,))
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return out
+    B = logits.shape[0]
+    ce, supp, dlogits = _objective(softmax_rows(logits), gold, err, alpha, beta)
+    return float(ce.sum() / B), float(supp.sum() / B), dlogits / B
 
 
 # -- parameter updates ----------------------------------------------------

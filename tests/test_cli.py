@@ -8,6 +8,7 @@ import pytest
 
 from chainboost import cli
 from chainboost.ensemble import load_manifest
+from chainboost.tasks import load_dataset
 from chainboost.training import TrainConfig
 
 
@@ -106,6 +107,25 @@ class TestTrainConfig:
         code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
         assert code == 2 and out == ""
         assert repr(key) in err and (section or "top-level") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", ["task", "dataset"])
+    def test_model_vocab_must_match_data(self, tmp_path, data, capsys):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
+        doc["model"]["vocab"] = 40
+        want = 16
+        if data == "dataset":
+            code, _, _ = run_cli(["gen", "--kind", "modsum", "--vocab", "16", "--length", "8",
+                                  "--n-samples", "40", "--out", str(tmp_path / "d.jsonl")], capsys)
+            assert code == 0
+            del doc["task"]
+            doc["dataset"] = str(tmp_path / "d.jsonl")
+            want = int(load_dataset(doc["dataset"]).tokens.max()) + 1  # a dataset's vocab
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert "model vocab 40" in err and f"data vocab {want}" in err
         assert not (tmp_path / "out").exists()
 
     def test_readme_config_is_the_example_file(self):

@@ -20,6 +20,7 @@ from chainboost.model import (
     gelu_tanh,
 )
 from chainboost.numkit import layer_norm
+from oracles import forward_teacher
 
 SMALL = ModelSpec(
     n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=16,
@@ -82,7 +83,7 @@ class TestForwardStep:
 class TestForwardTeacher:
     def test_length_one_equals_single_step(self):
         m = small_model()
-        trace = m.forward_teacher([4])
+        trace = forward_teacher(m, [4])
         z, states, _ = m.forward_step(4, KvCache(SMALL.n_layers))
         assert np.array_equal(trace.logits[0], z)
         assert np.array_equal(trace.hidden[0], np.stack(states))
@@ -90,7 +91,7 @@ class TestForwardTeacher:
     def test_equals_step_fold(self):
         m = small_model()
         toks = [1, 5, 2, 9, 0]
-        trace = m.forward_teacher(toks)
+        trace = forward_teacher(m, toks)
         cache = KvCache(SMALL.n_layers)
         for t, tok in enumerate(toks):
             z, states, cache = m.forward_step(tok, cache)
@@ -99,15 +100,15 @@ class TestForwardTeacher:
 
     def test_causality(self):
         m = small_model()
-        a = m.forward_teacher([1, 2, 3, 4, 5])
-        b = m.forward_teacher([1, 2, 3, 9, 11])
+        a = forward_teacher(m, [1, 2, 3, 4, 5])
+        b = forward_teacher(m, [1, 2, 3, 9, 11])
         assert np.array_equal(a.logits[:3], b.logits[:3])
         assert not np.array_equal(a.logits[3:], b.logits[3:])
 
     def test_length_overflow(self):
         m = small_model()
         with pytest.raises(IndexError):
-            m.forward_teacher([0] * (SMALL.max_steps + 1))
+            forward_teacher(m, [0] * (SMALL.max_steps + 1))
 
     def test_fusion_period_above_layers_is_identity(self):
         spec = ModelSpec(
@@ -116,8 +117,8 @@ class TestForwardTeacher:
         )
         m = TransformerModel(spec)
         base = TransformerModel(SMALL)
-        t1 = m.forward_teacher([1, 2, 3])
-        t2 = base.forward_teacher([1, 2, 3])
+        t1 = forward_teacher(m, [1, 2, 3])
+        t2 = forward_teacher(base, [1, 2, 3])
         assert np.array_equal(t1.logits, t2.logits)
 
 
@@ -146,8 +147,8 @@ class TestAdapters:
         # B starts at zero, so an adapted model forward equals the base model
         m0 = small_model()
         m1 = small_model(rank=4)
-        t0 = m0.forward_teacher([3, 1, 4])
-        t1 = m1.forward_teacher([3, 1, 4])
+        t0 = forward_teacher(m0, [3, 1, 4])
+        t1 = forward_teacher(m1, [3, 1, 4])
         assert np.array_equal(t0.logits, t1.logits)
 
 
@@ -226,8 +227,8 @@ class TestCheckpoint:
         for k in m.adapters:
             assert np.array_equal(m.adapters[k].A, m2.adapters[k].A)
             assert np.array_equal(m.adapters[k].B, m2.adapters[k].B)
-        a = m.forward_teacher([1, 2, 3]).logits
-        b = m2.forward_teacher([1, 2, 3]).logits
+        a = forward_teacher(m, [1, 2, 3]).logits
+        b = forward_teacher(m2, [1, 2, 3]).logits
         assert np.array_equal(a, b)
 
     def test_version_check(self, tmp_path):
@@ -293,7 +294,7 @@ class TestForwardTrain:
             logits, _ = m.forward_train(toks, fusion_in)
             for b in range(2):
                 row = None if fusion_in is None else {l: f[b] for l, f in fusion_in.items()}
-                trace = m.forward_teacher(toks[b], row)
+                trace = forward_teacher(m, toks[b], row)
                 assert np.allclose(logits[b], trace.logits, atol=1e-10)
 
     def test_rejects_negative_token(self):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from chainboost.numkit import (
     ShapeError,
-    finite_diff_grad,
     layer_norm,
     softmax,
     softmax_jacobian,
 )
+from oracles import finite_diff_grad
 
 
 class TestSoftmax:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from chainboost import model, pipeline
-from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
-from chainboost.model import KvCache, ModelSpec
+from chainboost.ensemble import Ensemble, EnsembleSpec
+from chainboost.model import ModelSpec
 from chainboost.pipeline import decode_pipelined, decode_sequential
 from chainboost.training import sgd_step
+from oracles import step_fold
 
 TINY = ModelSpec(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=12,
@@ -34,21 +35,6 @@ def adapted_chain(seed: int = 3, base: ModelSpec = TINY) -> Ensemble:
         for ad in m.adapters.values():
             ad.B[...] = rng.normal(0.0, 0.5, ad.B.shape)
     return ens
-
-
-def step_fold(ens: Ensemble, prompt, max_tokens: int):
-    """The greedy decode as a fold of forward_step over the chain: the
-    sequential decoder's oracle."""
-    caches = [KvCache(m.spec.n_layers) for m in ens.models]
-
-    def step(token):
-        zs, states = [], None
-        for i, m in enumerate(ens.models):
-            z, states, _ = m.forward_step(token, caches[i], ens.fusion_inputs(i, states))
-            zs.append(z)
-        return fuse_logits(zs, ens.spec.lambdas, ens.spec.top_k)
-
-    return pipeline._greedy(ens, prompt, max_tokens, step)
 
 
 class TestDecoderEquivalence:

@@ -8,6 +8,7 @@ from chainboost import theoryprobe
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import ShapeError, softmax, softmax_jacobian
 from chainboost.tasks import TaskSpec, generate
+from chainboost.training import descent_lr_bound
 from chainboost.theoryprobe import (
     DegenerateFitError,
     descent_probe,
@@ -174,3 +175,14 @@ class TestDescentProbe:
         assert not short.converged
         assert "converged       False" in short.format()
         assert len(short.ce_trajectory) == 6 and short.precondition_ok
+
+    def test_unconverged_report_pairs_l_hat_with_its_eta(self, monkeypatch):
+        # the reported pilot ran at eta_used = 0.9 eta_bound, and eta_bound
+        # must be the one the reported L-hat gives
+        tokens, gold = self._task()
+        monkeypatch.setattr(theoryprobe, "DESCENT_ROUNDS", 1)
+        rep = descent_probe(TransformerModel(TINY), tokens, gold, alpha=0.9, steps=5, seed=0)
+        assert not rep.converged
+        want = descent_lr_bound(0.9, rep.alignment.rho, rep.alignment.gamma, rep.smoothness)
+        assert rep.eta_bound == want
+        assert rep.eta_used == 0.9 * want

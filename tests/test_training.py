@@ -29,6 +29,7 @@ from chainboost.training import (
     train_model,
     trainable_keys,
 )
+from oracles import finite_diff_grad, forward_teacher
 
 SMALL = ModelSpec(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=8,
@@ -56,6 +57,11 @@ class TestSuppressionLoss:
     def test_rejects_err_equal_gold(self):
         with pytest.raises(ValueError):
             suppression_loss(np.array([0.5, 0.5]), 1, 1, 0.1)
+        gold = np.array([[0, 1, -1]])
+        # err at an unlabeled position is ignored; an active one equal to gold is not
+        batch_loss_and_grad(np.zeros((1, 3, 4)), gold, np.array([[2, -1, 0]]), 0.9, 0.1)
+        with pytest.raises(ValueError):
+            batch_loss_and_grad(np.zeros((1, 3, 4)), gold, np.array([[2, 1, -1]]), 0.9, 0.1)
 
     def test_monotone_in_gold_probability(self):
         # when the gold token is already far ahead the penalty shrinks
@@ -116,29 +122,37 @@ class TestLossLogitGrad:
 
 
 class TestBatchLossAndGrad:
-    def test_agrees_with_per_step_oracle(self):
+    def test_dlogits_match_finite_differences(self):
         rng = np.random.default_rng(7)
         B, T, V = 3, 4, 6
+        alpha, beta = 0.9, 0.1
         logits = rng.standard_normal((B, T, V))
         gold = rng.integers(0, V, size=(B, T))
-        gold[0, 0] = -1
+        gold[0, 0] = gold[2, 3] = -1
         err = np.where(rng.random((B, T)) < 0.5, (gold + 1) % V, -1)
-        err[gold < 0] = -1
-        ce, supp, dz = batch_loss_and_grad(logits, gold, err, 0.9, 0.1)
-        want_ce = want_supp = 0.0
-        want_dz = np.zeros_like(logits)
-        for b in range(B):
-            for t in range(T):
-                if gold[b, t] < 0:
-                    continue
-                p = softmax(logits[b, t])
-                e = int(err[b, t]) if err[b, t] >= 0 else None
-                want_ce += cross_entropy(p, int(gold[b, t]))
-                want_supp += suppression_loss(p, int(gold[b, t]), e, 0.1)
-                want_dz[b, t] = loss_logit_grad(p, int(gold[b, t]), e, 0.9, 0.1)
-        assert ce == pytest.approx(want_ce / B, rel=1e-10)
-        assert supp == pytest.approx(want_supp / B, rel=1e-10)
-        np.testing.assert_allclose(dz, want_dz / B, atol=1e-12)
+        err[2, 3] = 1  # err at a hole carries no loss
+        assert (err[gold >= 0] < 0).any() and (err[gold >= 0] >= 0).any()
+
+        def objective(z):
+            ce, supp, _ = batch_loss_and_grad(z, gold, err, alpha, beta)
+            return supp + alpha * ce
+
+        _, _, dz = batch_loss_and_grad(logits, gold, err, alpha, beta)
+        fd = finite_diff_grad(objective, logits, eps=1e-6)
+        np.testing.assert_allclose(dz, fd, rtol=0, atol=1e-7)
+        assert not dz[0, 0].any() and not dz[2, 3].any()
+
+    def test_floor_clamp_logs_once(self, caplog):
+        logits = np.zeros((2, 2, 4))
+        logits[0, 0, 0] = logits[1, 1, 0] = -80.0  # p[gold] ~ 1e-35, under PROB_FLOOR
+        gold = np.array([[0, 1], [2, 0]])
+        err = np.array([[1, -1], [-1, 3]])
+        with caplog.at_level("WARNING", logger="chainboost.training"):
+            ce, supp, dz = batch_loss_and_grad(logits, gold, err, 0.9, 0.1)
+        assert len(caplog.records) == 1 and "clamped" in caplog.records[0].getMessage()
+        # two floored positions and two uniform ones, over B = 2
+        assert ce == pytest.approx(-np.log(1e-30) + np.log(4.0), rel=1e-12)
+        assert np.isfinite(supp) and np.isfinite(dz).all()
 
 
 class TestSgdStep:
@@ -258,7 +272,7 @@ class TestChainWalk:
             trace = None
             for i, m in enumerate(ens.models):
                 pred = None if trace is None else list(trace.hidden.swapaxes(0, 1))
-                trace = m.forward_teacher(tokens[b], ens.fusion_inputs(i, pred))
+                trace = forward_teacher(m, tokens[b], ens.fusion_inputs(i, pred))
                 _, states = pred_forward_chain(ens, i, tokens)
                 hidden = np.stack(states, axis=2)[b]
                 np.testing.assert_allclose(hidden, trace.hidden, rtol=0, atol=1e-10)
