@@ -74,6 +74,30 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _chain_config(cfg: dict):
+    """(dataset, EnsembleSpec) a train config describes, its model seeds
+    left to each run; a config they cannot be built from raises OSError,
+    TypeError or ValueError naming the problem."""
+    if "dataset" in cfg:
+        ds_full = tasks.load_dataset(cfg["dataset"])
+    elif "task" in cfg:
+        ds_full = tasks.generate(tasks.TaskSpec(**cfg["task"]))
+    else:
+        raise ValueError("a config needs a 'task' or a 'dataset'")
+    vocab = int(cfg.get("task", {}).get("vocab", ds_full.tokens.max() + 1))
+    mdl = {**_MODEL_DEFAULTS, "vocab": vocab, **cfg.get("model", {})}
+    if mdl["vocab"] != vocab:
+        raise ValueError(f"model vocab {mdl['vocab']} differs from the data vocab {vocab}")
+    n_succ = cfg.get("n_successors", 1)
+    espec = ens_mod.EnsembleSpec(
+        models=[ModelSpec(**{**mdl, "adapter_rank": mdl["adapter_rank"] if i else 0})
+                for i in range(n_succ + 1)],
+        lambdas=cfg.get("lambdas", [ens_mod.DEFAULT_LAMBDA] * n_succ),
+        top_k=cfg.get("top_k", ens_mod.DEFAULT_TOP_K),
+    )
+    return ds_full, espec
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     unknown = _unknown_config_key(cfg)
@@ -86,15 +110,10 @@ def cmd_train(args) -> int:
     except (TypeError, ValueError) as exc:
         print(f"bad train config: {exc}", file=sys.stderr)
         return 2
-    if "dataset" in cfg:
-        ds_full = tasks.load_dataset(cfg["dataset"])
-    else:
-        ds_full = tasks.generate(tasks.TaskSpec(**cfg["task"]))
-    vocab = int(cfg.get("task", {}).get("vocab", ds_full.tokens.max() + 1))
-    mdl = {**_MODEL_DEFAULTS, "vocab": vocab, **cfg.get("model", {})}
-    if mdl["vocab"] != vocab:
-        print(f"bad config: model vocab {mdl['vocab']} differs from the data vocab {vocab}",
-              file=sys.stderr)
+    try:
+        ds_full, espec_base = _chain_config(cfg)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
         return 2
     holdout = cfg.get("holdout_fraction", 0.25)
     out_dir = Path(args.out or cfg.get("out", "runs"))
@@ -103,16 +122,9 @@ def cmd_train(args) -> int:
     results = []
     for sd in seeds:
         train_cfg = dataclasses.replace(train_base, seed=sd)
-        n_succ = cfg.get("n_successors", 1)
-        specs = [
-            ModelSpec(**{**mdl, "adapter_rank": mdl["adapter_rank"] if i else 0}, seed=sd * 100 + i)
-            for i in range(n_succ + 1)
-        ]
-        espec = ens_mod.EnsembleSpec(
-            models=specs,
-            lambdas=cfg.get("lambdas", [ens_mod.DEFAULT_LAMBDA] * n_succ),
-            top_k=cfg.get("top_k", ens_mod.DEFAULT_TOP_K),
-        )
+        espec = dataclasses.replace(espec_base, models=[
+            dataclasses.replace(ms, seed=sd * 100 + i) for i, ms in enumerate(espec_base.models)
+        ])
         ensemble = ens_mod.Ensemble(espec)
         train_ds, hold_ds = ds_full.split(holdout, seed=sd)
         try:
@@ -396,12 +408,11 @@ def cmd_sched(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="chainboost", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("gen", help="generate a synthetic dataset")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
     p.add_argument("--kind", choices=tasks.TASK_KINDS, required=True)
     p.add_argument("--vocab", type=int, default=32)
     p.add_argument("--length", type=int, default=8)
@@ -409,19 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=7)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", parents=[common], help="train a chain per seed")
+    p = sub.add_parser("train", help="train a chain per seed")
+    p.add_argument("--out", default=None)
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=int, nargs="+", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", parents=[common], help="decode prompts")
+    p = sub.add_parser("infer", help="decode prompts")
     p.add_argument("--manifest", required=True)
     p.add_argument("--prompts", required=True)
     p.add_argument("--mode", choices=["sequential", "pipelined"], default="sequential")
     p.add_argument("--max-tokens", type=int, default=16)
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("bench", parents=[common], help="latency comparison")
+    p = sub.add_parser("bench", help="latency comparison")
     p.add_argument("--manifest", required=True)
     p.add_argument("--prompts", required=True)
     p.add_argument("--reps", type=int, default=5)
@@ -429,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", parents=[common], help="run probe suites")
+    p = sub.add_parser("verify", help="run probe suites")
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--selector",
         choices=["grad", "remainder", "mse", "descent", "sched", "all"],
@@ -437,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sched", parents=[common], help="speedup tables")
+    p = sub.add_parser("sched", help="speedup tables")
     p.add_argument("ranges", nargs="*", help="e.g. k=1..6 l=1..12 g=1..4")
     p.add_argument("--c", type=int, default=1)
     p.add_argument("--delta", type=int, default=0)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numkit import ShapeError, softmax_rows
+from .numkit import softmax_rows
 from .numkit import layer_norm  # noqa: F401 - chainbench/tracer.py patches model.layer_norm
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -67,29 +67,6 @@ class ModelSpec:
 
     def fusion_layers(self) -> list[int]:
         return [l for l in range(1, self.n_layers + 1) if l % self.fusion_period == 0]
-
-
-@dataclass
-class Adapter:
-    """Low-rank delta A @ B attached to one square projection weight."""
-
-    target: str  # "wq" or "wv"
-    A: np.ndarray  # (d_model, r)
-    B: np.ndarray  # (r, d_model)
-
-
-def apply_adapter(base_weight: np.ndarray, adapter: Optional[Adapter]) -> np.ndarray:
-    """base + A @ B; rank 0 (or no adapter) returns the base unchanged."""
-    if adapter is None or adapter.A.shape[1] == 0:
-        return base_weight
-    d = base_weight.shape[0]
-    if base_weight.shape != (d, d) or adapter.A.shape[0] != d or adapter.B.shape[1] != d:
-        raise ShapeError(
-            f"adapter shapes {adapter.A.shape}x{adapter.B.shape} do not conform to base {base_weight.shape}"
-        )
-    if adapter.A.shape[1] != adapter.B.shape[0]:
-        raise ShapeError("adapter rank mismatch between A and B")
-    return base_weight + adapter.A @ adapter.B
 
 
 class KvCache:
@@ -141,7 +118,6 @@ class TransformerModel:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.params: dict[str, np.ndarray] = {}
-        self.adapters: dict[str, Adapter] = {}
         self._init_params()
 
     # -- construction -----------------------------------------------------
@@ -174,32 +150,32 @@ class TransformerModel:
             self.init_adapters(rng)
 
     def init_adapters(self, rng: Optional[np.random.Generator] = None) -> None:
-        """Attach rank-r adapters to wq and wv of every layer (A gaussian, B zero)."""
+        """Set the rank-r factors of wq and wv of every layer in params, as
+        l{l}.wq.A (d_model, r), l{l}.wq.B (r, d_model) and the same for wv
+        (A gaussian, B zero, so a fresh adapter changes nothing)."""
         s = self.spec
         if rng is None:
             rng = np.random.default_rng(s.seed + 1)
         r, d = s.adapter_rank, s.d_model
         for l in range(1, s.n_layers + 1):
             for target in ("wq", "wv"):
-                self.adapters[f"l{l}.{target}"] = Adapter(
-                    target=target,
-                    A=rng.standard_normal((d, r)) * 0.01,
-                    B=np.zeros((r, d)),
-                )
+                self.params[f"l{l}.{target}.A"] = rng.standard_normal((d, r)) * 0.01
+                self.params[f"l{l}.{target}.B"] = np.zeros((r, d))
 
     def layer_params(self, l: int) -> dict[str, np.ndarray]:
         """Layer l's parameter view: its l{l}.* arrays by short name, with wq
-        and wv adapter-merged."""
+        and wv merged with their factors as w + A @ B on a rank > 0 model."""
         p = f"l{l}."
         view = {name: self.params[p + name] for name in LAYER_KEYS}
-        for name in ("wq", "wv"):
-            view[name] = apply_adapter(view[name], self.adapters.get(p + name))
+        if self.spec.adapter_rank > 0:
+            for name in ("wq", "wv"):
+                view[name] = view[name] + self.params[p + name + ".A"] @ self.params[p + name + ".B"]
         return view
 
     def param_views(self) -> list[dict[str, np.ndarray]]:
         """The views one pass reads: [0] holds tok_emb, pos_emb and unemb, [l]
         is layer_params(l). Build them per call, not once per model: sgd_step
-        updates the adapters in place."""
+        updates the adapter factors in place."""
         emb = {name: self.params[name] for name in ("tok_emb", "pos_emb", "unemb")}
         return [emb] + [self.layer_params(l) for l in range(1, self.spec.n_layers + 1)]
 
@@ -255,11 +231,13 @@ class TransformerModel:
         return self._forward(tokens, fusion_in)
 
     def backward(self, dlogits: np.ndarray, acts: dict) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every parameter and adapter factor.
+        """Gradients of a scalar loss w.r.t. every array in params.
 
-        dlogits is dL/dz of shape (B, T, V). Adapter gradients appear under
-        keys like 'l1.wq.A'. No gradient flows into fusion inputs (they come
-        from a frozen predecessor).
+        dlogits is dL/dz of shape (B, T, V). Each layer's weights are read
+        from the view its forward used (acts["layers"][l - 1]["p"]), so wq and
+        wv are the adapter-merged ones; their factors get gradients under
+        their params keys, like 'l1.wq.A'. No gradient flows into fusion
+        inputs (they come from a frozen predecessor).
         """
         s = self.spec
         B, T, _ = dlogits.shape
@@ -273,23 +251,24 @@ class TransformerModel:
         for l in range(s.n_layers, 0, -1):
             p = f"l{l}."
             a = acts["layers"][l - 1]
+            w = a["p"]
             # mlp block
-            dr2, dg, db = _ln_backward(dh_, a["ln_mlp"], self.params[p + "ln_mlp_g"])
+            dr2, dg, db = _ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"])
             grads[p + "ln_mlp_g"], grads[p + "ln_mlp_b"] = dg, db
             dm = dr2
             grads[p + "w2"] = _weight_grad(a["g1"], dm)
             grads[p + "b2"] = dm.sum(axis=(0, 1))
-            dg1 = dm @ self.params[p + "w2"].T
+            dg1 = dm @ w["w2"].T
             du1 = dg1 * gelu_grad(a["u1"], a["t1"])
             grads[p + "w1"] = _weight_grad(a["ha"], du1)
             grads[p + "b1"] = du1.sum(axis=(0, 1))
-            dha = dr2 + du1 @ self.params[p + "w1"].T
+            dha = dr2 + du1 @ w["w1"].T
             # attention block
-            dr1, dg, db = _ln_backward(dha, a["ln_attn"], self.params[p + "ln_attn_g"])
+            dr1, dg, db = _ln_backward(dha, a["ln_attn"], w["ln_attn_g"])
             grads[p + "ln_attn_g"], grads[p + "ln_attn_b"] = dg, db
             dhhat = dr1
             grads[p + "wo"] = _weight_grad(a["o"], dhhat)
-            do = dhhat @ self.params[p + "wo"].T
+            do = dhhat @ w["wo"].T
             doh = do.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             dqh, dkh, dvh = _attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale)
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
@@ -300,12 +279,11 @@ class TransformerModel:
             dwk = _weight_grad(ht, dk)
             dwv = _weight_grad(ht, dv)
             grads[p + "wq"], grads[p + "wk"], grads[p + "wv"] = dwq, dwk, dwv
-            for target, dw in (("wq", dwq), ("wv", dwv)):
-                ad = self.adapters.get(p + target)
-                if ad is not None and ad.A.shape[1] > 0:
-                    grads[f"{p}{target}.A"] = dw @ ad.B.T
-                    grads[f"{p}{target}.B"] = ad.A.T @ dw
-            dht = dr1 + (dq @ a["wq"].T + dk @ self.params[p + "wk"].T + dv @ a["wv"].T)
+            if s.adapter_rank > 0:
+                for target, dw in ((p + "wq", dwq), (p + "wv", dwv)):
+                    grads[target + ".A"] = dw @ self.params[target + ".B"].T
+                    grads[target + ".B"] = self.params[target + ".A"].T @ dw
+            dht = dr1 + (dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T)
             # fusion norm (unit gain): gradient flows only into h_own
             if a["fused"]:
                 dh_, _, _ = _ln_backward(dht, a["ln_fuse"], 1.0)
@@ -325,23 +303,23 @@ class TransformerModel:
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write params to an .npz archive in params order, adapter factors as
+        adapter.<key> and every other array as param.<key>, plus a JSON header."""
         header = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "spec": asdict(self.spec),
             "dtype": "float64",
-            "adapters": sorted(self.adapters),
+            "adapters": sorted(k[:-2] for k in self.params if k.endswith(".A")),
         }
-        arrays = {f"param.{k}": v for k, v in self.params.items()}
-        for k, a in self.adapters.items():
-            arrays[f"adapter.{k}.A"] = a.A
-            arrays[f"adapter.{k}.B"] = a.B
+        arrays = {_archive_name(k): v for k, v in self.params.items()}
         arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         with open(path, "wb") as f:
             np.savez(f, **arrays)
 
     @staticmethod
     def load(path) -> "TransformerModel":
-        """Read a checkpoint; every array must be one its spec declares, with that shape."""
+        """Read a checkpoint; every array must be one its spec declares, with
+        that shape, under the name save gives it."""
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
             if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
@@ -349,9 +327,7 @@ class TransformerModel:
             if header["dtype"] != "float64":
                 raise ValueError(f"unsupported checkpoint dtype {header['dtype']!r} (only float64)")
             model = TransformerModel(ModelSpec(**header["spec"]))
-            want = {f"param.{k}": v for k, v in model.params.items()}
-            for name, ad in model.adapters.items():
-                want[f"adapter.{name}.A"], want[f"adapter.{name}.B"] = ad.A, ad.B
+            want = {_archive_name(k): v for k, v in model.params.items()}
             for key in sorted(want.keys() | set(data.files) - {"header"}):
                 if key not in want:
                     raise ValueError(f"checkpoint {path}: array {key!r} is not in its spec")
@@ -365,6 +341,17 @@ class TransformerModel:
                     )
                 want[key][...] = arr  # want holds the new model's own arrays
         return model
+
+
+def is_factor(key: str) -> bool:
+    """Whether a params key names an adapter factor, like l1.wq.A or l1.wv.B."""
+    return key.endswith((".A", ".B"))
+
+
+def _archive_name(key: str) -> str:
+    """A params key's array name in a checkpoint: adapter.<key> for an
+    adapter factor, param.<key> otherwise."""
+    return ("adapter." if is_factor(key) else "param.") + key
 
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -437,7 +424,7 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
     g1 = gelu(u1, t1)
     m = g1 @ p["w2"] + p["b2"]
     h, ln_m = _ln_forward(m + ha, p["ln_mlp_g"], p["ln_mlp_b"])
-    acts = dict(ht=ht, wq=p["wq"], wv=p["wv"], qh=qh, kh=kh, vh=vh, attn=attn, o=o,
+    acts = dict(p=p, ht=ht, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
                 ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m)
     return h, acts
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
-from .model import TransformerModel
+from .model import TransformerModel, is_factor
 from .numkit import ShapeError, softmax_rows
 from .tasks import Dataset
 
@@ -177,21 +177,14 @@ def batch_loss_and_grad(
 
 
 def trainable_keys(model: TransformerModel, scope: str) -> list[str]:
-    """'full' covers every base parameter; 'adapters' only the low-rank factors."""
-    if scope == "full":
-        return sorted(model.params)
-    if scope == "adapters":
-        if not model.adapters:
-            raise ValueError("model has no adapters; use scope='full'")
-        return sorted(f"{name}.{fac}" for name in model.adapters for fac in ("A", "B"))
-    raise ValueError(f"unknown scope {scope!r}")
-
-
-def get_param(model: TransformerModel, key: str) -> np.ndarray:
-    if key.endswith((".A", ".B")):
-        name, fac = key.rsplit(".", 1)
-        return getattr(model.adapters[name], fac)
-    return model.params[key]
+    """The sorted params keys a scope trains: 'full' every base parameter,
+    'adapters' only the low-rank factors (the keys ending in .A or .B)."""
+    if scope not in ("full", "adapters"):
+        raise ValueError(f"unknown scope {scope!r}")
+    keys = sorted(k for k in model.params if is_factor(k) == (scope == "adapters"))
+    if not keys:
+        raise ValueError("model has no adapters; use scope='full'")
+    return keys
 
 
 def sgd_step(model: TransformerModel, grads: dict, lr: float, keys: Sequence[str]) -> None:
@@ -200,7 +193,7 @@ def sgd_step(model: TransformerModel, grads: dict, lr: float, keys: Sequence[str
         g = grads.get(key)
         if g is None:
             continue
-        arr = get_param(model, key)
+        arr = model.params[key]
         if g.shape != arr.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {key} {arr.shape}")
         arr -= lr * g
@@ -211,14 +204,14 @@ def flatten_grads(grads: dict, keys: Sequence[str]) -> np.ndarray:
 
 
 def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
-    return np.concatenate([np.ravel(get_param(model, k)) for k in keys])
+    return np.concatenate([np.ravel(model.params[k]) for k in keys])
 
 
 def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.ndarray) -> None:
     """Inverse of flatten_params: write theta's slices into the params in place."""
     off = 0
     for key in keys:
-        arr = get_param(model, key)
+        arr = model.params[key]
         arr[...] = theta[off : off + arr.size].reshape(arr.shape)
         off += arr.size
 
@@ -375,7 +368,7 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
     """
     metrics: list[dict] = []
     base = ensemble.models[0]
-    scope0 = "full" if not base.adapters else "adapters"
+    scope0 = "adapters" if base.spec.adapter_rank > 0 else "full"
     train_model(
         base,
         dataset,
@@ -397,21 +390,21 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
             # no pretrained checkpoints exist at this scale; the trained base
             # plays that role for every successor
             donor = ensemble.models[0]
-            for k, v in succ.params.items():
-                src = donor.params.get(k)
+            base_keys = [k for k in succ.params if not is_factor(k)]
+            for k in base_keys:
+                v, src = succ.params[k], donor.params.get(k)
                 if src is None or src.shape != v.shape:
                     raise ValueError(
                         f"base_copy: param {k!r} of model {i} has shape {v.shape}, "
                         f"the base's is {'missing' if src is None else src.shape}"
                     )
-            succ.params = {k: donor.params[k].copy() for k in succ.params}
+            succ.params = {k: donor.params[k].copy() for k in base_keys}
             if succ.spec.adapter_rank > 0:
-                succ.adapters = {}
                 succ.init_adapters(np.random.default_rng(succ.spec.seed + 1))
         pred_logits, pred_states = pred_forward_chain(ensemble, i - 1, dataset.tokens)
         err = predecessor_errors(pred_logits, dataset.gold)
         fusion_in = ensemble.fusion_inputs(i, pred_states)
-        scope_i = "adapters" if succ.adapters else "full"
+        scope_i = "adapters" if succ.spec.adapter_rank > 0 else "full"
         train_model(
             succ,
             dataset,

@@ -128,6 +128,23 @@ class TestTrainConfig:
         assert "model vocab 40" in err and f"data vocab {want}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d, tmp: d["task"].update(kind="nope"), "unknown task kind 'nope'"),
+        (lambda d, tmp: d.pop("task"), "needs a 'task' or a 'dataset'"),
+        (lambda d, tmp: d.update(dataset=str(tmp / "absent.jsonl")), "absent.jsonl"),
+        (lambda d, tmp: d["model"].update(n_heads=3), "d_model must be divisible by n_heads"),
+        (lambda d, tmp: d.update(lambdas=[0.3, 0.3]), "need 1 lambdas (one per successor), got 2"),
+    ], ids=["task_kind", "no_data", "missing_dataset", "model_heads", "lambdas"])
+    def test_bad_config_exits_2(self, tmp_path, edit, message, capsys):
+        doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
+        edit(doc, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("bad config: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_readme_config_is_the_example_file(self):
         root = Path(__file__).resolve().parents[1]
         readme = (root / "README.md").read_text()
@@ -248,6 +265,15 @@ class TestSched:
     def test_malformed_range_exits_2(self, capsys):
         code, _, err = run_cli(["sched", "k=banana"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["sched", "--seed", "5"], ["sched", "--out", "x"],
+                                      ["verify", "--out", "x"]],
+                             ids=["sched-seed", "sched-out", "verify-out"])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,10 +1,11 @@
 """Tests for the toy decoder-only transformer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chainboost.model import (
-    Adapter,
     ContractError,
     KvCache,
     ModelSpec,
@@ -14,7 +15,6 @@ from chainboost.model import (
     _ln_backward,
     _ln_forward,
     _weight_grad,
-    apply_adapter,
     gelu,
     gelu_grad,
     gelu_tanh,
@@ -124,24 +124,20 @@ class TestForwardTeacher:
 
 class TestAdapters:
     def test_rank_zero_identity(self):
-        w = np.eye(4)
-        assert apply_adapter(w, None) is w
+        m = small_model()
+        assert m.layer_params(1)["wq"] is m.params["l1.wq"]
 
     def test_zero_b_identity(self):
-        w = np.random.default_rng(0).normal(size=(4, 4))
-        ad = Adapter("wq", A=np.random.default_rng(1).normal(size=(4, 2)), B=np.zeros((2, 4)))
-        assert np.array_equal(apply_adapter(w, ad), w)
+        m = small_model(rank=2)
+        assert not m.params["l1.wq.B"].any() and m.params["l1.wq.A"].any()
+        assert np.array_equal(m.layer_params(1)["wq"], m.params["l1.wq"])
 
     def test_matches_dense_product(self):
+        m = small_model(rank=2)
         rng = np.random.default_rng(2)
-        w = rng.normal(size=(4, 4))
-        a, b = rng.normal(size=(4, 2)), rng.normal(size=(2, 4))
-        out = apply_adapter(w, Adapter("wv", A=a, B=b))
-        assert np.allclose(out, w + a @ b, atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_adapter(np.eye(4), Adapter("wq", A=np.zeros((3, 2)), B=np.zeros((2, 4))))
+        a, b = m.params["l2.wv.A"], m.params["l2.wv.B"]
+        a[...], b[...] = rng.normal(size=a.shape), rng.normal(size=b.shape)
+        assert np.array_equal(m.layer_params(2)["wv"], m.params["l2.wv"] + a @ b)
 
     def test_fresh_adapter_is_noop_in_forward(self):
         # B starts at zero, so an adapted model forward equals the base model
@@ -177,12 +173,7 @@ class TestBackward:
         np.put_along_axis(dz, gold[..., None], np.take_along_axis(dz, gold[..., None], -1) - 1.0, -1)
         grads = m.backward(dz, acts)
 
-        if name.endswith(".A"):
-            target = m.adapters[name[:-2]].A
-        elif name.endswith(".B"):
-            target = m.adapters[name[:-2]].B
-        else:
-            target = m.params[name]
+        target = m.params[name]
         g = grads[name]
         if target.ndim == 1:
             idx = [(0,), (target.shape[0] - 1,)]
@@ -216,20 +207,35 @@ class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         m = small_model(rank=4)
         rng = np.random.default_rng(5)
-        for ad in m.adapters.values():
-            ad.B[...] = rng.normal(0, 0.1, ad.B.shape)
+        for k, v in m.params.items():
+            if k.endswith(".B"):
+                v[...] = rng.normal(0, 0.1, v.shape)
         p = tmp_path / "ck.npz"
         m.save(p)
         m2 = TransformerModel.load(p)
         assert m2.spec == m.spec
+        assert list(m2.params) == list(m.params)
         for k in m.params:
             assert np.array_equal(m.params[k], m2.params[k]), k
-        for k in m.adapters:
-            assert np.array_equal(m.adapters[k].A, m2.adapters[k].A)
-            assert np.array_equal(m.adapters[k].B, m2.adapters[k].B)
         a = forward_teacher(m, [1, 2, 3]).logits
         b = forward_teacher(m2, [1, 2, 3]).logits
         assert np.array_equal(a, b)
+
+    def test_pinned_checkpoint_loads_and_resaves_identically(self, tmp_path):
+        # data/tiny_rank2.npz was written while adapter factors still lived
+        # outside params: TINY (n_layers 2, d_model 16, d_ff 32, vocab 12,
+        # max_steps 12) at adapter_rank 2, seed 5, every B drawn N(0, 0.1)
+        # from default_rng(6)
+        pinned = Path(__file__).parent / "data" / "tiny_rank2.npz"
+        m = TransformerModel.load(pinned)
+        assert m.spec.adapter_rank == 2
+        assert all(m.params[f"l{l}.{w}.B"].any() for l in (1, 2) for w in ("wq", "wv"))
+        m.save(tmp_path / "again.npz")
+        with np.load(pinned) as old, np.load(tmp_path / "again.npz") as new:
+            assert new.files == old.files
+            for name in old.files:  # the header included
+                assert new[name].dtype == old[name].dtype, name
+                assert np.array_equal(new[name], old[name]), name
 
     def test_version_check(self, tmp_path):
         m = small_model()
@@ -252,8 +258,10 @@ class TestCheckpoint:
             (lambda d: d.pop("param.l2.b1"), "'param.l2.b1' is missing"),
             (lambda d: d.pop("adapter.l1.wv.B"), "'adapter.l1.wv.B' is missing"),
             (lambda d: d.update({"param.l9.wq": d["param.l1.wq"]}), "'param.l9.wq' is not in its spec"),
+            (lambda d: d.update({"adapter.l1.wq.A": d["adapter.l1.wq.A"][:12]}),
+             r"'adapter.l1.wq.A' has shape \(12, 4\), its spec needs \(16, 4\)"),
         ],
-        ids=["shape", "missing_param", "missing_adapter_factor", "extra"],
+        ids=["shape", "missing_param", "missing_adapter_factor", "extra", "adapter_factor_shape"],
     )
     def test_arrays_checked_against_spec(self, tmp_path, tamper, message):
         p = tmp_path / "ck.npz"
@@ -286,8 +294,9 @@ class TestForwardTrain:
         # a fused model with nonzero adapters, reading another model's states
         fused = small_model(rank=3, seed=8)
         rng = np.random.default_rng(9)
-        for ad in fused.adapters.values():
-            ad.B[...] = rng.normal(0, 0.2, ad.B.shape)
+        for k, v in fused.params.items():
+            if k.endswith(".B"):
+                v[...] = rng.normal(0, 0.2, v.shape)
         _, acts = small_model(seed=10).forward_train(toks)
         fusion = {l: acts["states"][l - 1] for l in SMALL.fusion_layers()}
         for m, fusion_in in ((plain, None), (fused, fusion)):

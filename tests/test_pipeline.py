@@ -32,8 +32,9 @@ def adapted_chain(seed: int = 3, base: ModelSpec = TINY) -> Ensemble:
     ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.3], top_k=2))
     rng = np.random.default_rng(seed)
     for m in ens.models[1:]:
-        for ad in m.adapters.values():
-            ad.B[...] = rng.normal(0.0, 0.5, ad.B.shape)
+        for k, v in m.params.items():
+            if k.endswith(".B"):
+                v[...] = rng.normal(0.0, 0.5, v.shape)
     return ens
 
 
