@@ -49,12 +49,25 @@ _MODEL_DEFAULTS = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, max_steps=32,
                        fusion_period=2, adapter_rank=4)
 
 
-def _unknown_config_key(cfg: dict) -> Optional[str]:
-    """A message naming the first key cmd_train would ignore, or None."""
+def _config_problem(cfg, seeds) -> Optional[str]:
+    """A message naming the first part of a train config that cmd_train
+    cannot use as given, or None: a section that is not an object, a key it
+    would ignore, seeds that are not a nonempty list of integers, or a
+    holdout_fraction outside (0, 1)."""
+    if not isinstance(cfg, dict):
+        return "a config must be a JSON object"
+    for section in ("model", "task", "train"):
+        if not isinstance(cfg.get(section, {}), dict):
+            return f"the {section!r} section must be an object, got {cfg[section]!r}"
     for section, known in _CONFIG_KEYS.items():
         keys = cfg if section == "top-level" else cfg.get(section, {})
         for key in sorted(set(keys) - known):
             return f"unknown {section} key {key!r}"
+    if not (isinstance(seeds, list) and seeds and all(type(sd) is int for sd in seeds)):
+        return f"seeds must be a nonempty list of integers, got {seeds!r}"
+    holdout = cfg.get("holdout_fraction", 0.25)
+    if type(holdout) not in (int, float) or not 0 < holdout < 1:
+        return f"holdout_fraction must be a number in (0, 1), got {holdout!r}"
     return None
 
 
@@ -100,11 +113,11 @@ def _chain_config(cfg: dict):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    unknown = _unknown_config_key(cfg)
-    if unknown:
-        print(f"bad config: {unknown}", file=sys.stderr)
+    seeds = args.seeds or (cfg.get("seeds", DEFAULT_SEEDS) if isinstance(cfg, dict) else None)
+    problem = _config_problem(cfg, seeds)
+    if problem:
+        print(f"bad config: {problem}", file=sys.stderr)
         return 2
-    seeds = args.seeds or cfg.get("seeds", DEFAULT_SEEDS)
     try:  # an unknown key, or a seed (set per run from seeds), is a TypeError naming it
         train_base = TrainConfig(**cfg.get("train", {}), seed=seeds[0])
     except (TypeError, ValueError) as exc:
@@ -116,6 +129,10 @@ def cmd_train(args) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     holdout = cfg.get("holdout_fraction", 0.25)
+    if len(ds_full.split(holdout)[0]) == 0:  # split sizes do not depend on the seed
+        print(f"bad config: holdout_fraction {holdout} leaves no training sample "
+              f"of {len(ds_full)}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out or cfg.get("out", "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
 

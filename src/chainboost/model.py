@@ -230,7 +230,8 @@ class TransformerModel:
         """
         return self._forward(tokens, fusion_in)
 
-    def backward(self, dlogits: np.ndarray, acts: dict) -> dict[str, np.ndarray]:
+    def backward(self, dlogits: np.ndarray, acts: dict,
+                 per_sample: bool = False) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. every array in params.
 
         dlogits is dL/dz of shape (B, T, V). Each layer's weights are read
@@ -238,14 +239,21 @@ class TransformerModel:
         wv are the adapter-merged ones; their factors get gradients under
         their params keys, like 'l1.wq.A'. No gradient flows into fusion
         inputs (they come from a frozen predecessor).
+
+        Gradients are summed over the batch. With per_sample=True each one
+        keeps a leading B axis instead, row b being the gradient of batch row
+        b's own loss, bit for bit what a B = 1 call on that row returns: the
+        weight products run one (d, T) @ (T, e) matmul per row and the bias,
+        gain and embedding sums run over positions only.
         """
         s = self.spec
         B, T, _ = dlogits.shape
         nh, dh = s.n_heads, s.d_model // s.n_heads
         scale = 1.0 / np.sqrt(dh)
+        rows = 1 if per_sample else (0, 1)  # the axes a bias gradient sums
         grads: dict[str, np.ndarray] = {}
 
-        grads["unemb"] = _weight_grad(acts["states"][-1], dlogits)
+        grads["unemb"] = _weight_grad(acts["states"][-1], dlogits, per_sample)
         dh_ = dlogits @ self.params["unemb"].T
 
         for l in range(s.n_layers, 0, -1):
@@ -253,21 +261,21 @@ class TransformerModel:
             a = acts["layers"][l - 1]
             w = a["p"]
             # mlp block
-            dr2, dg, db = _ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"])
+            dr2, dg, db = _ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"], per_sample)
             grads[p + "ln_mlp_g"], grads[p + "ln_mlp_b"] = dg, db
             dm = dr2
-            grads[p + "w2"] = _weight_grad(a["g1"], dm)
-            grads[p + "b2"] = dm.sum(axis=(0, 1))
+            grads[p + "w2"] = _weight_grad(a["g1"], dm, per_sample)
+            grads[p + "b2"] = dm.sum(axis=rows)
             dg1 = dm @ w["w2"].T
             du1 = dg1 * gelu_grad(a["u1"], a["t1"])
-            grads[p + "w1"] = _weight_grad(a["ha"], du1)
-            grads[p + "b1"] = du1.sum(axis=(0, 1))
+            grads[p + "w1"] = _weight_grad(a["ha"], du1, per_sample)
+            grads[p + "b1"] = du1.sum(axis=rows)
             dha = dr2 + du1 @ w["w1"].T
             # attention block
-            dr1, dg, db = _ln_backward(dha, a["ln_attn"], w["ln_attn_g"])
+            dr1, dg, db = _ln_backward(dha, a["ln_attn"], w["ln_attn_g"], per_sample)
             grads[p + "ln_attn_g"], grads[p + "ln_attn_b"] = dg, db
             dhhat = dr1
-            grads[p + "wo"] = _weight_grad(a["o"], dhhat)
+            grads[p + "wo"] = _weight_grad(a["o"], dhhat, per_sample)
             do = dhhat @ w["wo"].T
             doh = do.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             dqh, dkh, dvh = _attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale)
@@ -275,9 +283,9 @@ class TransformerModel:
             dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             ht = a["ht"]
-            dwq = _weight_grad(ht, dq)
-            dwk = _weight_grad(ht, dk)
-            dwv = _weight_grad(ht, dv)
+            dwq = _weight_grad(ht, dq, per_sample)
+            dwk = _weight_grad(ht, dk, per_sample)
+            dwv = _weight_grad(ht, dv, per_sample)
             grads[p + "wq"], grads[p + "wk"], grads[p + "wv"] = dwq, dwk, dwv
             if s.adapter_rank > 0:
                 for target, dw in ((p + "wq", dwq), (p + "wv", dwv)):
@@ -292,11 +300,12 @@ class TransformerModel:
 
         # embeddings
         tokens = acts["tokens"]
-        dtok = np.zeros_like(self.params["tok_emb"])
-        np.add.at(dtok, tokens, dh_)
+        lead = (B,) if per_sample else ()
+        dtok = np.zeros(lead + self.params["tok_emb"].shape)
+        np.add.at(dtok, (np.arange(B)[:, None], tokens) if per_sample else tokens, dh_)
         grads["tok_emb"] = dtok
-        dpos = np.zeros_like(self.params["pos_emb"])
-        dpos[:T] = dh_.sum(axis=0)
+        dpos = np.zeros(lead + self.params["pos_emb"].shape)
+        dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
         grads["pos_emb"] = dpos
         return grads
 
@@ -354,8 +363,11 @@ def _archive_name(key: str) -> str:
     return ("adapter." if is_factor(key) else "param.") + key
 
 
-def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """sum over (b, t) of outer(x[b, t], dy[b, t]), as one 2-D matmul."""
+def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool = False) -> np.ndarray:
+    """sum over (b, t) of outer(x[b, t], dy[b, t]), as one 2-D matmul; per
+    sample, the sum over t alone, one (d, T) @ (T, e) matmul per row b."""
+    if per_sample:
+        return x.swapaxes(-1, -2) @ dy
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
@@ -456,10 +468,13 @@ def _ln_forward(x: np.ndarray, gain, bias):
     return gain * xhat + bias, (xhat, inv)
 
 
-def _ln_backward(dy: np.ndarray, saved, gain: np.ndarray):
+def _ln_backward(dy: np.ndarray, saved, gain: np.ndarray, per_sample: bool = False):
+    """(dx, dgain, dbias); the gain and bias gradients sum over every leading
+    axis, or per sample over all but the first."""
     xhat, inv = saved
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    lead = tuple(range(1 if per_sample else 0, dy.ndim - 1))
+    dg = (dy * xhat).sum(axis=lead)
+    db = dy.sum(axis=lead)
     dxhat = dy * gain
     d = dy.shape[-1]
     dx = inv * (

@@ -251,21 +251,13 @@ def estimate_alignment(
 
     Both gradients are taken per sample over the trainable keys. gold/err use
     -1 holes as elsewhere; samples whose CE gradient vanishes are skipped for
-    the ratio.
+    the ratio. One batched pass serves every sample: one forward_train over
+    all rows, then one per-sample backward for CE and one for suppression.
     """
-    B = tokens.shape[0]
     if not ((err >= 0) & (gold >= 0)).any():
         raise EmptyEstimateError("no active error tokens in batch")
     rho, gamma, count = 0.0, 0.0, 0
-    for b in range(B):
-        tb, gb, eb = tokens[b : b + 1], gold[b : b + 1], err[b : b + 1]
-        f_in = {l: fusion_in[l][b : b + 1] for l in fusion_in} if fusion_in else None
-        logits, acts = model.forward_train(tb, f_in)
-        _, _, dz_ce = batch_loss_and_grad(logits, gb, np.full_like(eb, -1), 1.0, beta)
-        g_ce = flatten_grads(model.backward(dz_ce, acts), keys)
-        # suppression-only gradient (the alpha = 0 contribution)
-        _, _, dz_s = batch_loss_and_grad(logits, gb, eb, 0.0, beta)
-        g_s = flatten_grads(model.backward(dz_s, acts), keys)
+    for g_ce, g_s in _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
         count += 1
         n_ce = float(np.linalg.norm(g_ce))
         n_s = float(np.linalg.norm(g_s))
@@ -277,6 +269,25 @@ def estimate_alignment(
             rho = max(rho, min(-cos, 1.0 - 1e-12))
     rho = max(0.0, rho)
     return AlignmentEstimate(rho=rho, gamma=gamma, sample_count=count)
+
+
+def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
+    """Yield each row's flat gradients over keys, in order, of its CE and of
+    its suppression term (the alpha = 0 objective), from one forward and two
+    per-sample backwards. A row's dlogits are unscaled, as a one-row
+    batch_loss_and_grad gives them. Rows are flattened one at a time, so no
+    (B, P) copy of either gradient is made."""
+    logits, acts = model.forward_train(tokens, fusion_in)
+    p = softmax_rows(logits)
+    B = tokens.shape[0]
+    rows = []
+    for e, alpha in ((np.full_like(err, -1), 1.0), (err, 0.0)):
+        grads = model.backward(_objective(p, gold, e, alpha, beta)[2], acts, per_sample=True)
+        rows.append([grads[k].reshape(B, -1) for k in keys])
+    del acts  # the generator would hold the activations until its last row
+    ce, supp = rows
+    for b in range(B):
+        yield np.concatenate([g[b] for g in ce]), np.concatenate([g[b] for g in supp])
 
 
 def descent_lr_bound(alpha: float, rho: float, gamma: float, l_smooth: float) -> float:

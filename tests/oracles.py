@@ -2,7 +2,8 @@
 
 Each one re-derives by the plainest route what the package computes a faster
 way: a teacher-forced forward and a greedy chain decode as folds of
-forward_step, and a gradient by central differences.
+forward_step, a gradient by central differences, and the alignment estimate
+as a loop of one-row passes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from chainboost import pipeline
 from chainboost.ensemble import Ensemble, fuse_logits
 from chainboost.model import KvCache, TransformerModel
+from chainboost.training import AlignmentEstimate, batch_loss_and_grad, flatten_grads
 
 
 @dataclass
@@ -89,3 +91,36 @@ def finite_diff_grad(
             raise FloatingPointError(f"finite_diff_grad: non-finite difference at index {i}")
         flat[i] = g
     return grad
+
+
+def estimate_alignment_loop(model: TransformerModel, tokens, gold, err, keys, beta,
+                            fusion_in=None):
+    """estimate_alignment as a loop over samples: per row one forward_train and
+    two backward calls, each on a one-row batch_loss_and_grad. Returns the
+    estimate and the per-row CE and suppression gradients, (B, P) each."""
+    B = tokens.shape[0]
+    rho, gamma, count = 0.0, 0.0, 0
+    rows_ce, rows_s = [], []
+    for b in range(B):
+        tb, gb, eb = tokens[b : b + 1], gold[b : b + 1], err[b : b + 1]
+        f_in = {l: fusion_in[l][b : b + 1] for l in fusion_in} if fusion_in else None
+        logits, acts = model.forward_train(tb, f_in)
+        _, _, dz_ce = batch_loss_and_grad(logits, gb, np.full_like(eb, -1), 1.0, beta)
+        g_ce = flatten_grads(model.backward(dz_ce, acts), keys)
+        # suppression-only gradient (the alpha = 0 contribution)
+        _, _, dz_s = batch_loss_and_grad(logits, gb, eb, 0.0, beta)
+        g_s = flatten_grads(model.backward(dz_s, acts), keys)
+        rows_ce.append(g_ce)
+        rows_s.append(g_s)
+        count += 1
+        n_ce = float(np.linalg.norm(g_ce))
+        n_s = float(np.linalg.norm(g_s))
+        if n_ce <= 0:
+            continue
+        gamma = max(gamma, n_s / n_ce)
+        if n_s > 0:
+            cos = float(g_s @ g_ce) / (n_s * n_ce)
+            rho = max(rho, min(-cos, 1.0 - 1e-12))
+    rho = max(0.0, rho)
+    est = AlignmentEstimate(rho=rho, gamma=gamma, sample_count=count)
+    return est, np.array(rows_ce), np.array(rows_s)

@@ -134,7 +134,18 @@ class TestTrainConfig:
         (lambda d, tmp: d.update(dataset=str(tmp / "absent.jsonl")), "absent.jsonl"),
         (lambda d, tmp: d["model"].update(n_heads=3), "d_model must be divisible by n_heads"),
         (lambda d, tmp: d.update(lambdas=[0.3, 0.3]), "need 1 lambdas (one per successor), got 2"),
-    ], ids=["task_kind", "no_data", "missing_dataset", "model_heads", "lambdas"])
+        (lambda d, tmp: d.update(seeds=[]), "seeds must be a nonempty list of integers, got []"),
+        (lambda d, tmp: d.update(seeds=[1, "2"]), "seeds must be a nonempty list of integers"),
+        (lambda d, tmp: d.update(seeds=3), "seeds must be a nonempty list of integers, got 3"),
+        (lambda d, tmp: d.update(model=5), "the 'model' section must be an object, got 5"),
+        (lambda d, tmp: d.update(task="modsum"), "the 'task' section must be an object"),
+        (lambda d, tmp: d.update(train=[1]), "the 'train' section must be an object"),
+        (lambda d, tmp: d.update(holdout_fraction=1.5), "holdout_fraction must be a number in (0, 1), got 1.5"),
+        (lambda d, tmp: d.update(holdout_fraction=0), "holdout_fraction must be a number in (0, 1), got 0"),
+        (lambda d, tmp: d.update(holdout_fraction=0.999), "holdout_fraction 0.999 leaves no training sample of 240"),
+    ], ids=["task_kind", "no_data", "missing_dataset", "model_heads", "lambdas", "seeds_empty",
+            "seeds_not_ints", "seeds_not_a_list", "model_not_object", "task_not_object",
+            "train_not_object", "holdout_above_1", "holdout_0", "holdout_leaves_no_sample"])
     def test_bad_config_exits_2(self, tmp_path, edit, message, capsys):
         doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
         edit(doc, tmp_path)

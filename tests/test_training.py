@@ -1,5 +1,7 @@
 """Tests for the composite objective, alignment estimates and chain trainer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from chainboost.ensemble import Ensemble, EnsembleSpec, ErrorTokenTrace
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import softmax
 from chainboost.tasks import TaskSpec, generate
+from chainboost import training
 from chainboost.training import (
     BoundViolatedError,
     EmptyEstimateError,
@@ -28,7 +31,7 @@ from chainboost.training import (
     train_model,
     trainable_keys,
 )
-from oracles import finite_diff_grad, forward_teacher
+from oracles import estimate_alignment_loop, finite_diff_grad, forward_teacher
 
 SMALL = ModelSpec(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=8,
@@ -226,6 +229,96 @@ class TestEstimateAlignment:
         assert 0.0 <= est.rho < 1.0
         assert est.gamma >= 0.0
         assert est.sample_count == 4
+
+
+def _alignment_case(name):
+    """(model, tokens, gold, err, keys, fusion_in) for the oracle comparisons."""
+    spec = dataclasses.replace(SMALL, max_steps=16, seed=0)
+    rng = np.random.default_rng(3)
+    fusion_in = None
+    if name.startswith("tiny_full"):
+        seed = int(name[-1])
+        spec = dataclasses.replace(spec, seed=seed)
+        rng = np.random.default_rng(seed)
+        tokens = rng.integers(0, spec.vocab, size=(24, 4))
+        gold = rng.integers(0, spec.vocab, size=(24, 4))
+        err = (gold + 1) % spec.vocab
+    elif name.startswith("rank3"):
+        spec = dataclasses.replace(spec, adapter_rank=3)
+        tokens = rng.integers(0, spec.vocab, size=(12, 6))
+        gold = rng.integers(0, spec.vocab, size=(12, 6))
+        other = (gold + 1 + rng.integers(0, 10, gold.shape)) % spec.vocab
+        err = np.where(rng.random(gold.shape) < 0.4, other, -1)
+        fusion_in = {l: rng.standard_normal((12, 6, spec.d_model)) for l in spec.fusion_layers()}
+    elif name in ("holes", "one_row"):
+        tokens = rng.integers(0, spec.vocab, size=(5, 6))
+        gold = rng.integers(0, spec.vocab, size=(5, 6))
+        gold[:, :2] = -1  # unlabeled prefix
+        gold[3, 4] = -1
+        err = np.where(rng.random(gold.shape) < 0.5, (gold + 2) % spec.vocab, -1)
+        err[gold < 0] = 1  # an err at a hole is not active
+        err[2] = -1  # a row with no active error token
+        if name == "one_row":
+            tokens, gold, err = tokens[:1], gold[:1], err[:1]
+    else:  # "rho_positive": later positions' gold is row 0's err token
+        spec = dataclasses.replace(spec, seed=9)
+        tokens = np.random.default_rng(9).integers(0, spec.vocab, size=(3, 6))
+        gold = np.array([[0, 5, 5, 5, 5, 5], [1, 2, 3, 4, 5, 6], [3, 7, 7, 7, 7, 7]])
+        err = np.full_like(gold, -1)
+        err[:, 0] = [5, 0, 7]
+    model = TransformerModel(spec)
+    for key in model.params:
+        if key.endswith(".B"):
+            model.params[key][...] = rng.normal(0.0, 0.1, model.params[key].shape)
+    scope = "adapters" if name == "rank3_adapters" else "full"
+    return model, tokens, gold, err, trainable_keys(model, scope), fusion_in
+
+
+ALIGNMENT_CASES = ["tiny_full0", "tiny_full1", "tiny_full2", "rank3_adapters", "rank3_full",
+                   "holes", "one_row", "rho_positive"]
+
+
+class TestBatchedAlignment:
+    """estimate_alignment's one batched pass against the one-row loop it replaced."""
+
+    @pytest.mark.parametrize("name", ALIGNMENT_CASES)
+    def test_bit_identical_to_loop(self, name):
+        model, tokens, gold, err, keys, fusion_in = _alignment_case(name)
+        want, want_ce, want_s = estimate_alignment_loop(model, tokens, gold, err, keys, 0.1, fusion_in)
+        rows = list(training._alignment_rows(model, tokens, gold, err, keys, 0.1, fusion_in))
+        assert np.array_equal([ce for ce, _ in rows], want_ce)
+        assert np.array_equal([s for _, s in rows], want_s)
+        assert estimate_alignment(model, tokens, gold, err, keys, 0.1, fusion_in) == want
+        if name == "rho_positive":
+            assert want.rho > 0.0
+
+    @pytest.mark.parametrize("name", ["rank3_full", "holes"])
+    def test_per_sample_sums_to_batch_gradient(self, name):
+        model, tokens, gold, err, _, fusion_in = _alignment_case(name)
+        logits, acts = model.forward_train(tokens, fusion_in)
+        _, _, dz = batch_loss_and_grad(logits, gold, err, 0.9, 0.1)
+        batch = model.backward(dz, acts)
+        per_sample = model.backward(dz, acts, per_sample=True)
+        assert list(per_sample) == list(batch)
+        for key, g in batch.items():
+            assert per_sample[key].shape == (len(tokens),) + g.shape
+            assert np.abs(per_sample[key].sum(axis=0) - g).max() <= 1e-12 * np.abs(g).max(), key
+
+    @pytest.mark.parametrize("rows", [1, 4, 24])
+    def test_one_forward_two_backwards(self, rows, monkeypatch):
+        model, tokens, gold, err, keys, _ = _alignment_case("tiny_full0")
+        calls = {"forward_train": 0, "backward": 0}
+        for name in calls:
+            orig = getattr(TransformerModel, name)
+
+            def counted(self, *args, _orig=orig, _name=name, **kw):
+                calls[_name] += 1
+                return _orig(self, *args, **kw)
+
+            monkeypatch.setattr(TransformerModel, name, counted)
+        est = estimate_alignment(model, tokens[:rows], gold[:rows], err[:rows], keys, 0.1)
+        assert est.sample_count == rows
+        assert calls == {"forward_train": 1, "backward": 2}
 
 
 class TestPredecessorErrors:
