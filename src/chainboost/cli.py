@@ -72,14 +72,18 @@ def _config_problem(cfg, seeds) -> Optional[str]:
 
 
 def cmd_gen(args) -> int:
-    spec = tasks.TaskSpec(
-        kind=args.kind,
-        vocab=args.vocab,
-        length=args.length,
-        n_samples=args.n_samples,
-        seed=args.seed if args.seed is not None else 0,
-        modulus=args.modulus,
-    )
+    try:
+        spec = tasks.TaskSpec(
+            kind=args.kind,
+            vocab=args.vocab,
+            length=args.length,
+            n_samples=args.n_samples,
+            seed=args.seed if args.seed is not None else 0,
+            modulus=args.modulus,
+        )
+    except ValueError as exc:
+        print(f"bad task: {exc}", file=sys.stderr)
+        return 2
     ds = tasks.generate(spec)
     out = args.out or f"{args.kind}.jsonl"
     tasks.save_dataset(out, ds)
@@ -187,10 +191,11 @@ def _read_prompts(path) -> list[list[int]]:
 def _decode_inputs(args):
     """(ensemble, prompts, exit code or None) for infer/bench.
 
-    A manifest that does not load exits 1. A missing --manifest or --prompts
-    file, or a prompt that is not integers, holds an id outside the
-    vocabulary or cannot fit max_steps with --max-tokens, is a usage error
-    (exit 2).
+    A manifest that does not load exits 1, with one stderr line naming the
+    file at fault: the manifest, or a checkpoint it names. A missing
+    --manifest or --prompts file, a --max-tokens below 1, or a prompt that
+    is not integers, holds an id outside the vocabulary or cannot fit
+    max_steps with --max-tokens, is a usage error (exit 2).
     """
     for flag, path in (("--manifest", args.manifest), ("--prompts", args.prompts)):
         if not Path(path).is_file():
@@ -198,8 +203,16 @@ def _decode_inputs(args):
             return None, [], 2
     try:
         ensemble, _ = ens_mod.load_manifest(args.manifest)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        problem = f"not valid JSON: {exc}"
+    except OSError as exc:  # a checkpoint it names is missing or unreadable
+        problem = f"cannot read {exc.filename}: {exc.strerror}"
+    except ValueError as exc:  # checkpoint errors name their file
+        problem = str(exc)
+    else:
+        problem = None
+    if problem is not None:
+        print(f"manifest {args.manifest} does not load: {problem}", file=sys.stderr)
         return None, [], 1
     try:
         prompts = _read_prompts(args.prompts)
@@ -392,10 +405,14 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str) -> range:
+    """lo..hi (or one value) as a range; ValueError unless 1 <= lo <= hi."""
     lo, _, hi = text.partition("..")
     if not hi:
         hi = lo
-    return range(int(lo), int(hi) + 1)
+    lo, hi = int(lo), int(hi)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"bounds must satisfy 1 <= lo <= hi, got {lo}..{hi}")
+    return range(lo, hi + 1)
 
 
 def cmd_sched(args) -> int:
@@ -407,8 +424,8 @@ def cmd_sched(args) -> int:
             return 2
         try:
             ranges[key] = _parse_range(val)
-        except ValueError:
-            print(f"malformed range {item!r}", file=sys.stderr)
+        except ValueError as exc:
+            print(f"malformed range {item!r}: {exc}", file=sys.stderr)
             return 2
     table = schedlab.speedup_table(
         ranges.get("k", range(1, 7)),

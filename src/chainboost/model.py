@@ -11,8 +11,10 @@ One layer body (transformer_layer, over a parameter view) serves every path.
 One walk, forward_pass, wraps it in embedding and unembedding over a model's
 param_views(). TransformerModel._forward checks its inputs and runs the walk
 for batched training (forward_train, no cache, with analytic gradients in
-backward that the tests cross-check against finite differences) and KV-cache
-decoding (forward_step, the one-token call over a KvCache). The sequential
+backward that the tests cross-check against finite differences), for the
+teacher-forced chain walk and for KV-cache decoding (forward_step, the
+one-token call over a KvCache). Only forward_train keeps each layer's
+activations; the other calls return the layer states alone. The sequential
 chain decoder runs the walk over views it builds once per request; the
 layer-synchronous one calls the layer body with k models' weights stacked
 along the batch axis.
@@ -186,10 +188,12 @@ class TransformerModel:
         tokens: np.ndarray,
         fusion_in: Optional[dict] = None,
         cache: Optional[KvCache] = None,
+        keep_acts: bool = False,
     ) -> tuple[np.ndarray, dict]:
         """forward_pass over this model's param_views(), once the token range,
         the step bound and every fusion layer's input (when fusion_in is
-        given) are checked."""
+        given) are checked. keep_acts is forward_pass's: only forward_train
+        sets it; every other caller reads just acts["states"]."""
         s = self.spec
         tokens = np.asarray(tokens)
         _, T = tokens.shape
@@ -203,7 +207,7 @@ class TransformerModel:
             for l in s.fusion_layers():
                 if l not in fusion_in:
                     raise ContractError(f"fusion input missing for fusion layer {l}")
-        return forward_pass(s, self.param_views(), tokens, fusion_in, cache)
+        return forward_pass(s, self.param_views(), tokens, fusion_in, cache, keep_acts)
 
     def forward_step(
         self,
@@ -225,10 +229,11 @@ class TransformerModel:
         fusion_in: Optional[dict[int, np.ndarray]] = None,
     ) -> tuple[np.ndarray, dict]:
         """Batched forward over a (B, T) token batch from position 0, keeping
-        activations for backward(): the cache-free call of _forward, with
-        fusion_in mapping each fusion layer l to (B, T, d_model) states.
+        every layer's activations for backward(): the cache-free call of
+        _forward with keep_acts set, fusion_in mapping each fusion layer l to
+        (B, T, d_model) states.
         """
-        return self._forward(tokens, fusion_in)
+        return self._forward(tokens, fusion_in, keep_acts=True)
 
     def backward(self, dlogits: np.ndarray, acts: dict,
                  per_sample: bool = False) -> dict[str, np.ndarray]:
@@ -379,7 +384,8 @@ def fuse_states(h: np.ndarray, pred: np.ndarray):
 
 def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
                  fusion_in: Optional[dict] = None,
-                 cache: Optional[KvCache] = None) -> tuple[np.ndarray, dict]:
+                 cache: Optional[KvCache] = None,
+                 keep_acts: bool = False) -> tuple[np.ndarray, dict]:
     """One model's walk over a (B, T) token batch, unchecked: embedding, then
     transformer_layer per layer, then unembedding, over views as built by
     TransformerModel.param_views.
@@ -387,8 +393,11 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     Positions start at cache.step_count (0 without a cache); a cache is
     extended in place and attention reads every step it holds. fusion_in,
     when present, maps every fusion layer l to a state that broadcasts
-    against (B, T, d_model). Returns (logits (B, T, V), activations for
-    backward()); acts["states"] is [h_0, ..., h_L].
+    against (B, T, d_model). Returns (logits (B, T, V), acts), where
+    acts["states"] is [h_0, ..., h_L]. Only with keep_acts does
+    acts["layers"] hold each layer's activations for backward(); without
+    it the list stays empty and a layer's intermediates are freed as soon
+    as the next layer starts.
     """
     T = tokens.shape[1]
     t0 = 0 if cache is None else cache.step_count
@@ -401,9 +410,11 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
         fused = fusion_in is not None and l % spec.fusion_period == 0
         ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
         h, a = transformer_layer(views[l], ht, cache, l, spec.n_heads, mask)
-        a.update(fused=fused, ln_fuse=ln_fuse)
-        acts["layers"].append(a)
         acts["states"].append(h)
+        if keep_acts:
+            a.update(fused=fused, ln_fuse=ln_fuse)
+            acts["layers"].append(a)
+        del a  # else this layer's activations would live through the next layer
     return h @ emb["unemb"], acts
 
 

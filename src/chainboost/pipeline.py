@@ -52,8 +52,10 @@ class TimingReport:
 
 
 def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
-    """Raise ValueError unless the prompt is nonempty, its ids lie in [0, vocab)
-    and prompt + max_tokens fits max_steps."""
+    """Raise ValueError unless max_tokens >= 1, the prompt is nonempty, its
+    ids lie in [0, vocab) and prompt + max_tokens fits max_steps."""
+    if max_tokens < 1:  # the greedy loop emits a token before it checks the limit
+        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
     vocab = ensemble.spec.vocab

@@ -439,11 +439,14 @@ def _chain_forward(ensemble: Ensemble, upto: int, tokens: np.ndarray):
     """Teacher-forced walk down the chain through model `upto`.
 
     Returns every walked model's (B, T, V) logits and model `upto`'s states
-    [h_0, ..., h_L], each (B, T, d_model).
+    [h_0, ..., h_L], each (B, T, d_model). No backward follows, so each model
+    runs the checked walk without keeping layer activations (forward_train
+    keeps them): while model i + 1 runs, only model i's states, which its
+    fusion layers read, stay alive.
     """
     zs, states = [], None
     for i in range(upto + 1):
-        z, acts = ensemble.models[i].forward_train(tokens, ensemble.fusion_inputs(i, states))
+        z, acts = ensemble.models[i]._forward(tokens, ensemble.fusion_inputs(i, states))
         zs.append(z)
         states = acts["states"]
     return zs, states
@@ -455,7 +458,8 @@ def chain_logits(ensemble: Ensemble, tokens: np.ndarray) -> list[np.ndarray]:
 
 
 def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
-    """Held-out next-token accuracy of every model and of the fused chain."""
+    """Held-out next-token accuracy of every model and of the fused chain,
+    from one teacher-forced chain walk that keeps no layer activations."""
     zs = chain_logits(ensemble, dataset.tokens)
     labeled = dataset.gold >= 0
     gold = dataset.gold[labeled]

@@ -2,8 +2,9 @@
 
 Each one re-derives by the plainest route what the package computes a faster
 way: a teacher-forced forward and a greedy chain decode as folds of
-forward_step, a gradient by central differences, and the alignment estimate
-as a loop of one-row passes.
+forward_step, the teacher-forced chain walk as forward_train calls that keep
+every activation, a gradient by central differences, and the alignment
+estimate as a loop of one-row passes.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ def step_fold(ens: Ensemble, prompt, max_tokens: int):
         return fuse_logits(zs, ens.spec.lambdas, ens.spec.top_k)
 
     return pipeline._greedy(ens, prompt, max_tokens, step)
+
+
+def chain_walk_train(ens: Ensemble, upto: int, tokens):
+    """The teacher-forced chain walk through model `upto` as one forward_train
+    per model, activations kept: every walked model's logits and model
+    `upto`'s states, as training._chain_forward returns them."""
+    zs, states = [], None
+    for i in range(upto + 1):
+        z, acts = ens.models[i].forward_train(tokens, ens.fusion_inputs(i, states))
+        assert len(acts["layers"]) == ens.models[i].spec.n_layers
+        zs.append(z)
+        states = acts["states"]
+    return zs, states
 
 
 def finite_diff_grad(

@@ -70,6 +70,18 @@ class TestGen:
         for i in range(len(ds)):
             assert np.array_equal(derive_gold(spec, ds.tokens[i]), ds.gold[i])
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--vocab", "1", "vocab must be >= 6"),
+        ("--n-samples", "0", "invalid length or sample count"),
+    ])
+    def test_bad_task_exits_2(self, tmp_path, flag, value, message, capsys):
+        out_path = tmp_path / "ds.jsonl"
+        code, out, err = run_cli(
+            ["gen", "--kind", "modsum", flag, value, "--out", str(out_path)], capsys
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.startswith(f"bad task: {message}") and err.count("\n") == 1
+
 
 class TestTrainArtifacts:
     def test_manifest_roundtrip(self, trained_run):
@@ -242,6 +254,46 @@ class TestInfer:
         assert code == 2 and out == ""
         assert err == f"--{missing} file not found: {paths[missing]}\n"
 
+    @pytest.mark.parametrize("max_tokens", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_max_tokens_below_one_exits_2(self, trained_run, command, max_tokens, capsys):
+        manifest, prompts = trained_run
+        code, out, err = run_cli(
+            [command, "--manifest", str(manifest), "--prompts", str(prompts),
+             "--max-tokens", max_tokens],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"max_tokens must be >= 1, got {max_tokens}\n"
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_manifest_naming_a_missing_checkpoint_exits_1(self, trained_run, tmp_path,
+                                                          command, capsys):
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
+        doc["checkpoints"][1] = str(tmp_path / "gone.npz")
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            [command, "--manifest", str(bad), "--prompts", str(prompts)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == (f"manifest {bad} does not load: cannot read {tmp_path / 'gone.npz'}: "
+                       "No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_manifest_not_json_exits_1(self, trained_run, tmp_path, command, capsys):
+        _, prompts = trained_run
+        bad = tmp_path / "manifest.json"
+        bad.write_text('{"checkpoints": [\n')
+        code, out, err = run_cli(
+            [command, "--manifest", str(bad), "--prompts", str(prompts)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"manifest {bad} does not load: not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run
         empty = tmp_path / "empty.txt"
@@ -276,6 +328,13 @@ class TestSched:
     def test_malformed_range_exits_2(self, capsys):
         code, _, err = run_cli(["sched", "k=banana"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("item", ["k=0..2", "k=3..1", "l=0", "g=-1..2"])
+    def test_range_outside_one_to_hi_exits_2(self, item, capsys):
+        code, out, err = run_cli(["sched", item], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"malformed range {item!r}: bounds must satisfy 1 <= lo <= hi")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["sched", "--seed", "5"], ["sched", "--out", "x"],
                                       ["verify", "--out", "x"]],

@@ -235,6 +235,13 @@ class TestPromptValidation:
         with pytest.raises(ValueError):
             decode_pipelined(ens, [], max_tokens=3)
 
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_max_tokens_below_one(self, max_tokens):
+        ens = make_chain(1)
+        for decode in (decode_sequential, decode_pipelined):
+            with pytest.raises(ValueError, match=f"max_tokens must be >= 1, got {max_tokens}"):
+                decode(ens, [1, 2], max_tokens)
+
     def test_out_of_vocab_prompt(self):
         ens = make_chain(0)
         with pytest.raises((ValueError, IndexError)):

@@ -1,6 +1,7 @@
 """Tests for the composite objective, alignment estimates and chain trainer."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chainboost.training import (
     EmptyEstimateError,
     TrainConfig,
     batch_loss_and_grad,
+    chain_eval,
     chain_logits,
     cross_entropy,
     descent_lr_bound,
@@ -31,7 +33,7 @@ from chainboost.training import (
     train_model,
     trainable_keys,
 )
-from oracles import estimate_alignment_loop, finite_diff_grad, forward_teacher
+from oracles import chain_walk_train, estimate_alignment_loop, finite_diff_grad, forward_teacher
 
 SMALL = ModelSpec(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=8,
@@ -369,6 +371,86 @@ class TestChainWalk:
                 _, states = pred_forward_chain(ens, i, tokens)
                 hidden = np.stack(states, axis=2)[b]
                 np.testing.assert_allclose(hidden, trace.hidden, rtol=0, atol=1e-10)
+
+
+# the chain of the train_modsum benchmark: d_model 32, a rank-8 successor
+BASE32 = ModelSpec(
+    n_layers=2, d_model=32, n_heads=2, d_ff=64, vocab=16, max_steps=16,
+    fusion_period=2, adapter_rank=0, seed=0,
+)
+
+
+def _rank8_chain(k: int, seed: int = 0) -> Ensemble:
+    """k BASE32 models; successors carry rank-8 adapters with nonzero B, and
+    the third model fuses at every layer."""
+    specs = [dataclasses.replace(BASE32, adapter_rank=8 if i else 0,
+                                 fusion_period=1 if i == 2 else 2, seed=seed + i)
+             for i in range(k)]
+    ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3] * (k - 1), top_k=2))
+    rng = np.random.default_rng(seed)
+    for m in ens.models[1:]:
+        for key, v in m.params.items():
+            if key.endswith(".B"):
+                v[...] = rng.normal(0.0, 0.1, v.shape)
+    return ens
+
+
+def _modsum(n_samples: int, seed: int = 1):
+    return generate(TaskSpec("modsum", vocab=16, length=8, n_samples=n_samples, seed=seed,
+                             modulus=7))
+
+
+class TestLeanChainWalk:
+    """The teacher-forced chain walk keeps no layer activations, and gives
+    bit for bit what a walk of forward_train calls gives."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bit_identical_to_forward_train_walk(self, k, monkeypatch):
+        ens = _rank8_chain(k)
+        ds = _modsum(20)
+        want, _ = chain_walk_train(ens, k - 1, ds.tokens)
+        got = chain_logits(ens, ds.tokens)
+        assert len(got) == k
+        for z, w in zip(got, want):
+            assert np.array_equal(z, w)
+        for i in range(k):
+            want_z, want_states = chain_walk_train(ens, i, ds.tokens)
+            z, states = pred_forward_chain(ens, i, ds.tokens)
+            assert np.array_equal(z, want_z[-1])
+            assert len(states) == len(want_states) == BASE32.n_layers + 1
+            for h, w in zip(states, want_states):
+                assert np.array_equal(h, w)
+        got_eval = chain_eval(ens, ds)
+        monkeypatch.setattr(training, "chain_logits",
+                            lambda e, tokens: chain_walk_train(e, len(e.models) - 1, tokens)[0])
+        assert got_eval == chain_eval(ens, ds)
+
+    def test_only_forward_train_keeps_activations(self):
+        ens = _rank8_chain(2)
+        tokens = _modsum(4).tokens
+        pred = ens.models[0]._forward(tokens)[1]["states"]
+        succ = ens.models[1]
+        f_in = ens.fusion_inputs(1, pred)
+        _, acts = succ._forward(tokens, f_in)
+        assert acts["layers"] == [] and len(acts["states"]) == BASE32.n_layers + 1
+        _, acts = succ.forward_train(tokens, f_in)
+        assert len(acts["layers"]) == BASE32.n_layers
+        assert [a["fused"] for a in acts["layers"]] == [False, True]
+
+    def test_chain_eval_peak_memory(self):
+        # one 100-sample part of the train_modsum benchmark's held-out set:
+        # 16.0 MB traced at peak when every layer's activations were kept,
+        # 6.6 MB when the walk holds one layer's at a time
+        ens = _rank8_chain(2)
+        part = _modsum(100)
+        chain_eval(ens, part)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            chain_eval(ens, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"chain_eval peaked at {peak / 1e6:.1f} MB"
 
 
 class TestTrainChain:
