@@ -416,6 +416,12 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_sched(args) -> int:
+    if args.c <= 0:
+        print(f"--c must be positive, got {args.c}", file=sys.stderr)
+        return 2
+    if args.delta < 0:
+        print(f"--delta must be nonnegative, got {args.delta}", file=sys.stderr)
+        return 2
     ranges = {}
     for item in args.ranges:
         key, _, val = item.partition("=")

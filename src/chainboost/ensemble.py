@@ -167,11 +167,18 @@ def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> 
 def load_manifest(path) -> tuple[Ensemble, dict]:
     """Load manifest + checkpoints into an Ensemble.
 
-    Rejects vocab mismatches, "fusion_enabled": false (fusion cannot be
-    switched off) and a fusion_period that disagrees with a checkpoint.
+    Rejects a document that is not a JSON object or lacks checkpoints,
+    lambdas or top_k, vocab mismatches, "fusion_enabled": false (fusion
+    cannot be switched off) and a fusion_period that disagrees with a
+    checkpoint.
     """
     path = Path(path)
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a manifest must be a JSON object, got {type(doc).__name__}")
+    for key in ("checkpoints", "lambdas", "top_k"):
+        if key not in doc:
+            raise ValueError(f"manifest key {key!r} is missing")
     if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise ValueError("unsupported manifest format version")
     if doc.get("fusion_enabled", True) is not True:

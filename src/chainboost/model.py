@@ -11,7 +11,9 @@ One layer body (transformer_layer, over a parameter view) serves every path.
 One walk, forward_pass, wraps it in embedding and unembedding over a model's
 param_views(). TransformerModel._forward checks its inputs and runs the walk
 for batched training (forward_train, no cache, with analytic gradients in
-backward that the tests cross-check against finite differences), for the
+backward that the tests cross-check against finite differences; backward
+takes every gradient, or only those of the keys a trainer asks for and none
+of the work of the rest), for the
 teacher-forced chain walk and for KV-cache decoding (forward_step, the
 one-token call over a KvCache). Only forward_train keeps each layer's
 activations; the other calls return the layer states alone. The sequential
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -235,15 +237,22 @@ class TransformerModel:
         """
         return self._forward(tokens, fusion_in, keep_acts=True)
 
-    def backward(self, dlogits: np.ndarray, acts: dict,
-                 per_sample: bool = False) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every array in params.
+    def backward(self, dlogits: np.ndarray, acts: dict, per_sample: bool = False,
+                 keys: Optional[Sequence[str]] = None) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss w.r.t. the params arrays named in keys,
+        or w.r.t. every array in params when keys is None.
 
         dlogits is dL/dz of shape (B, T, V). Each layer's weights are read
         from the view its forward used (acts["layers"][l - 1]["p"]), so wq and
         wv are the adapter-merged ones; their factors get gradients under
         their params keys, like 'l1.wq.A'. No gradient flows into fusion
         inputs (they come from a frozen predecessor).
+
+        With keys, the dict holds exactly those keys, each array_equal to
+        what the full call returns, and the work of every other gradient is
+        skipped: its weight product or sum, the factor products, and the pass
+        below layer 1 when neither embedding is asked for. A key that is not
+        in params raises KeyError.
 
         Gradients are summed over the batch. With per_sample=True each one
         keeps a leading B axis instead, row b being the gradient of batch row
@@ -256,9 +265,19 @@ class TransformerModel:
         nh, dh = s.n_heads, s.d_model // s.n_heads
         scale = 1.0 / np.sqrt(dh)
         rows = 1 if per_sample else (0, 1)  # the axes a bias gradient sums
+        want = self.params.keys() if keys is None else set(keys)
+        unknown = sorted(want - self.params.keys())
+        if unknown:
+            raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
+        below = "tok_emb" in want or "pos_emb" in want  # run the pass below layer 1
         grads: dict[str, np.ndarray] = {}
 
-        grads["unemb"] = _weight_grad(acts["states"][-1], dlogits, per_sample)
+        def put(key, grad):
+            """grads[key] = grad(), run only when key is asked for."""
+            if key in want:
+                grads[key] = grad()
+
+        put("unemb", lambda: _weight_grad(acts["states"][-1], dlogits, per_sample))
         dh_ = dlogits @ self.params["unemb"].T
 
         for l in range(s.n_layers, 0, -1):
@@ -266,52 +285,57 @@ class TransformerModel:
             a = acts["layers"][l - 1]
             w = a["p"]
             # mlp block
-            dr2, dg, db = _ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"], per_sample)
-            grads[p + "ln_mlp_g"], grads[p + "ln_mlp_b"] = dg, db
+            xhat = a["ln_mlp"][0]
+            put(p + "ln_mlp_g", lambda: (dh_ * xhat).sum(axis=rows))
+            put(p + "ln_mlp_b", lambda: dh_.sum(axis=rows))
+            dr2 = _ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"])
             dm = dr2
-            grads[p + "w2"] = _weight_grad(a["g1"], dm, per_sample)
-            grads[p + "b2"] = dm.sum(axis=rows)
+            put(p + "w2", lambda: _weight_grad(a["g1"], dm, per_sample))
+            put(p + "b2", lambda: dm.sum(axis=rows))
             dg1 = dm @ w["w2"].T
             du1 = dg1 * gelu_grad(a["u1"], a["t1"])
-            grads[p + "w1"] = _weight_grad(a["ha"], du1, per_sample)
-            grads[p + "b1"] = du1.sum(axis=rows)
+            put(p + "w1", lambda: _weight_grad(a["ha"], du1, per_sample))
+            put(p + "b1", lambda: du1.sum(axis=rows))
             dha = dr2 + du1 @ w["w1"].T
             # attention block
-            dr1, dg, db = _ln_backward(dha, a["ln_attn"], w["ln_attn_g"], per_sample)
-            grads[p + "ln_attn_g"], grads[p + "ln_attn_b"] = dg, db
+            xhat = a["ln_attn"][0]
+            put(p + "ln_attn_g", lambda: (dha * xhat).sum(axis=rows))
+            put(p + "ln_attn_b", lambda: dha.sum(axis=rows))
+            dr1 = _ln_backward(dha, a["ln_attn"], w["ln_attn_g"])
             dhhat = dr1
-            grads[p + "wo"] = _weight_grad(a["o"], dhhat, per_sample)
+            put(p + "wo", lambda: _weight_grad(a["o"], dhhat, per_sample))
             do = dhhat @ w["wo"].T
             doh = do.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             dqh, dkh, dvh = _attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale)
             dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
             dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
-            ht = a["ht"]
-            dwq = _weight_grad(ht, dq, per_sample)
-            dwk = _weight_grad(ht, dk, per_sample)
-            dwv = _weight_grad(ht, dv, per_sample)
-            grads[p + "wq"], grads[p + "wk"], grads[p + "wv"] = dwq, dwk, dwv
-            if s.adapter_rank > 0:
-                for target, dw in ((p + "wq", dwq), (p + "wv", dwv)):
-                    grads[target + ".A"] = dw @ self.params[target + ".B"].T
-                    grads[target + ".B"] = self.params[target + ".A"].T @ dw
+            for name, dy in (("wq", dq), ("wk", dk), ("wv", dv)):
+                # wq and wv carry factors key.A, key.B on a rank > 0 model
+                key = p + name
+                if key in want or key + ".A" in want or key + ".B" in want:
+                    dw = _weight_grad(a["ht"], dy, per_sample)
+                    if key in want:
+                        grads[key] = dw
+                    put(key + ".A", lambda: dw @ self.params[key + ".B"].T)
+                    put(key + ".B", lambda: self.params[key + ".A"].T @ dw)
+            if l == 1 and not below:
+                break
             dht = dr1 + (dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T)
             # fusion norm (unit gain): gradient flows only into h_own
-            if a["fused"]:
-                dh_, _, _ = _ln_backward(dht, a["ln_fuse"], 1.0)
-            else:
-                dh_ = dht
+            dh_ = _ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
 
         # embeddings
         tokens = acts["tokens"]
         lead = (B,) if per_sample else ()
-        dtok = np.zeros(lead + self.params["tok_emb"].shape)
-        np.add.at(dtok, (np.arange(B)[:, None], tokens) if per_sample else tokens, dh_)
-        grads["tok_emb"] = dtok
-        dpos = np.zeros(lead + self.params["pos_emb"].shape)
-        dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
-        grads["pos_emb"] = dpos
+        if "tok_emb" in want:
+            dtok = np.zeros(lead + self.params["tok_emb"].shape)
+            np.add.at(dtok, (np.arange(B)[:, None], tokens) if per_sample else tokens, dh_)
+            grads["tok_emb"] = dtok
+        if "pos_emb" in want:
+            dpos = np.zeros(lead + self.params["pos_emb"].shape)
+            dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
+            grads["pos_emb"] = dpos
         return grads
 
     # -- persistence -------------------------------------------------------
@@ -479,18 +503,14 @@ def _ln_forward(x: np.ndarray, gain, bias):
     return gain * xhat + bias, (xhat, inv)
 
 
-def _ln_backward(dy: np.ndarray, saved, gain: np.ndarray, per_sample: bool = False):
-    """(dx, dgain, dbias); the gain and bias gradients sum over every leading
-    axis, or per sample over all but the first."""
+def _ln_backward(dy: np.ndarray, saved, gain) -> np.ndarray:
+    """dx of _ln_forward given dy; backward takes the gain and bias sums
+    itself, and only for the keys it is asked for."""
     xhat, inv = saved
-    lead = tuple(range(1 if per_sample else 0, dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=lead)
-    db = dy.sum(axis=lead)
     dxhat = dy * gain
     d = dy.shape[-1]
-    dx = inv * (
+    return inv * (
         dxhat
         - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
         - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
-    return dx, dg, db

@@ -252,9 +252,9 @@ def descent_probe(
     def at(theta: np.ndarray):
         """(primary CE, composite flat grad, CE-only flat grad) at theta."""
         load_flat_params(model, keys, theta)
-        ce, _, grads = stage_batch_pass(model, tokens, gold, err, alpha, beta, fusion_in)
+        ce, _, grads = stage_batch_pass(model, tokens, gold, err, alpha, beta, fusion_in, keys=keys)
         g_comp = flatten_grads(grads, keys)
-        _, _, grads_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, beta, fusion_in)
+        _, _, grads_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, beta, fusion_in, keys=keys)
         return ce, g_comp, flatten_grads(grads_ce, keys)
 
     ce0, g0_comp, g0_ce = at(theta0)

@@ -188,11 +188,12 @@ def trainable_keys(model: TransformerModel, scope: str) -> list[str]:
 
 
 def sgd_step(model: TransformerModel, grads: dict, lr: float, keys: Sequence[str]) -> None:
-    """In-place params -= lr * grads, restricted to the given keys."""
+    """In-place params -= lr * grads, restricted to the given keys; a key
+    with no gradient raises KeyError rather than going untrained."""
     for key in keys:
         g = grads.get(key)
         if g is None:
-            continue
+            raise KeyError(f"no gradient for {key!r} to step")
         arr = model.params[key]
         if g.shape != arr.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {key} {arr.shape}")
@@ -227,11 +228,13 @@ def stage_batch_pass(
     alpha: float,
     beta: float,
     fusion_in: Optional[dict[int, np.ndarray]] = None,
+    keys: Optional[Sequence[str]] = None,
 ):
-    """One forward + composite-loss backward; returns (ce, supp, grads)."""
+    """One forward + composite-loss backward; returns (ce, supp, grads), the
+    gradients of keys only, or of every params array when keys is None."""
     logits, acts = model.forward_train(tokens, fusion_in)
     ce, supp, dz = batch_loss_and_grad(logits, gold, err, alpha, beta)
-    grads = model.backward(dz, acts)
+    grads = model.backward(dz, acts, keys=keys)
     return ce, supp, grads
 
 
@@ -274,15 +277,17 @@ def estimate_alignment(
 def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     """Yield each row's flat gradients over keys, in order, of its CE and of
     its suppression term (the alpha = 0 objective), from one forward and two
-    per-sample backwards. A row's dlogits are unscaled, as a one-row
-    batch_loss_and_grad gives them. Rows are flattened one at a time, so no
-    (B, P) copy of either gradient is made."""
+    per-sample backwards that take the gradients of keys alone. A row's
+    dlogits are unscaled, as a one-row batch_loss_and_grad gives them. Rows
+    are flattened one at a time, so no (B, P) copy of either gradient is
+    made."""
     logits, acts = model.forward_train(tokens, fusion_in)
     p = softmax_rows(logits)
     B = tokens.shape[0]
     rows = []
     for e, alpha in ((np.full_like(err, -1), 1.0), (err, 0.0)):
-        grads = model.backward(_objective(p, gold, e, alpha, beta)[2], acts, per_sample=True)
+        dz = _objective(p, gold, e, alpha, beta)[2]
+        grads = model.backward(dz, acts, per_sample=True, keys=keys)
         rows.append([grads[k].reshape(B, -1) for k in keys])
     del acts  # the generator would hold the activations until its last row
     ce, supp = rows
@@ -347,7 +352,8 @@ def train_model(
             if fusion_in is not None:
                 f_in = {l: fusion_in[l][idx] for l in fusion_in}
             ce, supp, grads = stage_batch_pass(
-                model, dataset.tokens[idx], dataset.gold[idx], err[idx], alpha, beta, f_in
+                model, dataset.tokens[idx], dataset.gold[idx], err[idx], alpha, beta, f_in,
+                keys=keys,
             )
             if not np.isfinite(ce) or not np.isfinite(supp):
                 raise DivergenceError(

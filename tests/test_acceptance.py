@@ -5,7 +5,6 @@ here on purpose; loosening them is not an acceptable fix for a red test.
 """
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -243,11 +242,6 @@ def test_criterion_7_chain_never_hurts():
     assert wall < 900.0
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="latency criterion needs >= 4 hardware threads; this host has "
-           f"{os.cpu_count()} (thread parallelism cannot be measured honestly)",
-)
 def test_criterion_8_pipelined_latency():
     """Pipelined decode at most 0.8x sequential median latency over >= 5 reps."""
     t0 = time.time()

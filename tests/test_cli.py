@@ -294,6 +294,23 @@ class TestInfer:
         assert err.startswith(f"manifest {bad} does not load: not valid JSON: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc,problem", [
+        ([], "a manifest must be a JSON object, got list"),
+        ({"format_version": 1}, "manifest key 'checkpoints' is missing"),
+        ({"format_version": 1, "checkpoints": [], "top_k": 2}, "manifest key 'lambdas' is missing"),
+    ], ids=["list", "no-checkpoints", "no-lambdas"])
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_manifest_not_a_full_object_exits_1(self, trained_run, tmp_path, command, doc,
+                                                 problem, capsys):
+        _, prompts = trained_run
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            [command, "--manifest", str(bad), "--prompts", str(prompts)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"manifest {bad} does not load: {problem}\n"
+
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run
         empty = tmp_path / "empty.txt"
@@ -335,6 +352,14 @@ class TestSched:
         assert code == 2 and out == ""
         assert err.startswith(f"malformed range {item!r}: bounds must satisfy 1 <= lo <= hi")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value,rule", [("--c", "0", "positive"),
+                                                 ("--c", "-2", "positive"),
+                                                 ("--delta", "-1", "nonnegative")])
+    def test_bad_cost_flag_exits_2(self, flag, value, rule, capsys):
+        code, out, err = run_cli(["sched", "k=1..2", flag, value], capsys)
+        assert code == 2 and out == ""
+        assert err == f"{flag} must be {rule}, got {value}\n"
 
     @pytest.mark.parametrize("argv", [["sched", "--seed", "5"], ["sched", "--out", "x"],
                                       ["verify", "--out", "x"]],

@@ -18,6 +18,7 @@ from chainboost.model import (
     gelu,
     gelu_grad,
     gelu_tanh,
+    is_factor,
 )
 from chainboost.numkit import layer_norm
 from oracles import forward_teacher
@@ -201,6 +202,80 @@ class TestBackward:
     @pytest.mark.parametrize("name", ["l1.wq.A", "l1.wq.B", "l2.wv.A", "l2.wv.B"])
     def test_adapter_grads_vs_fd(self, name):
         self._fd_check(name, rank=3)
+
+
+KEY_SETS = {
+    "adapters": lambda m: [k for k in m.params if is_factor(k)],
+    "full": lambda m: [k for k in m.params if not is_factor(k)],
+    "one_factor": lambda m: ["l1.wq.A"] if "l1.wq.A" in m.params else ["l1.wq"],
+    "embeddings": lambda m: ["pos_emb", "tok_emb"],
+    "mixed": lambda m: ["unemb", "l2.wk", "l3.ln_attn_g", "l1.b1", "l2.ln_mlp_b"]
+                       + (["l2.wv.B"] if "l2.wv.B" in m.params else []),
+}
+
+
+def keyed_case(rank, fusion_period, fused):
+    """(model, dlogits, acts) of one forward_train; rank > 0 gets nonzero B factors."""
+    import dataclasses
+
+    spec = dataclasses.replace(SMALL, adapter_rank=rank, fusion_period=fusion_period, seed=13)
+    m = TransformerModel(spec)
+    rng = np.random.default_rng(8)
+    for k, v in m.params.items():
+        if k.endswith(".B"):
+            v[...] = rng.normal(0, 0.1, v.shape)
+    tokens = rng.integers(0, spec.vocab, (3, 5))
+    fusion_in = None
+    if fused:
+        fusion_in = {l: rng.standard_normal((3, 5, spec.d_model)) for l in spec.fusion_layers()}
+    logits, acts = m.forward_train(tokens, fusion_in)
+    return m, rng.standard_normal(logits.shape), acts
+
+
+class TestKeyedBackward:
+    """backward(keys=...) returns exactly the keys asked for, each bit for bit
+    what the full call returns, and skips the work of the others."""
+
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+    @pytest.mark.parametrize("keyset", list(KEY_SETS))
+    @pytest.mark.parametrize("rank,fusion_period,fused", [
+        (3, 2, True), (3, 1, True), (3, 2, False), (0, 2, True), (0, 1, True),
+    ], ids=["rank3_fused", "rank3_period1", "rank3_plain", "rank0_fused", "rank0_period1"])
+    def test_equals_full_backward(self, rank, fusion_period, fused, keyset, per_sample):
+        m, dz, acts = keyed_case(rank, fusion_period, fused)
+        keys = KEY_SETS[keyset](m)
+        full = m.backward(dz, acts, per_sample=per_sample)
+        got = m.backward(dz, acts, per_sample=per_sample, keys=keys)
+        assert sorted(got) == sorted(keys)
+        for k in keys:
+            assert np.array_equal(got[k], full[k]), k
+
+    @pytest.mark.parametrize("bad", ["l9.wq", "l1.wk.A", "unemb.A"])
+    def test_unknown_key_raises(self, bad):
+        m, dz, acts = keyed_case(3, 2, False)
+        with pytest.raises(KeyError, match=bad.replace(".", r"\.")):
+            m.backward(dz, acts, keys=["unemb", bad])
+
+    @pytest.mark.parametrize("keyset,weight_grads,ln_backwards", [
+        ("full", 3 * 6 + 1, 3 * 2 + 3), ("adapters", 3 * 2, 3 * 2 + 2),
+        ("embeddings", 0, 3 * 2 + 3),
+    ])
+    def test_skipped_work_is_not_done(self, keyset, weight_grads, ln_backwards, monkeypatch):
+        # fusion_period 1: every layer, layer 1 too, runs a fusion-norm backward
+        import chainboost.model as model_mod
+
+        m, dz, acts = keyed_case(3, 1, True)
+        calls = {"_weight_grad": 0, "_ln_backward": 0}
+        for name in calls:
+            orig = getattr(model_mod, name)
+
+            def counted(*args, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(model_mod, name, counted)
+        m.backward(dz, acts, keys=KEY_SETS[keyset](m))
+        assert calls == {"_weight_grad": weight_grads, "_ln_backward": ln_backwards}
 
 
 class TestCheckpoint:
@@ -397,10 +472,7 @@ class TestOverheadCuts:
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        got_dx, dg, db = _ln_backward(dy, (xhat, inv), gain)
-        assert np.array_equal(got_dx, dx)
-        assert np.array_equal(dg, (dy * xhat).sum(axis=(0, 1)))
-        assert np.array_equal(db, dy.sum(axis=(0, 1)))
+        assert np.array_equal(_ln_backward(dy, (xhat, inv), gain), dx)
 
     def test_one_token_attention_without_mask(self):
         # a one-token step's causal mask is all zeros; skipping it changes no bit

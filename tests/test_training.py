@@ -174,6 +174,14 @@ class TestSgdStep:
         sgd_step(model, grads, 0.5, ["unemb"])
         assert np.array_equal(model.params["tok_emb"], before)
 
+    def test_key_without_gradient_raises(self):
+        # backward returns only the keys it is asked for: a key it was not
+        # asked for must not go untrained without a word
+        model = TransformerModel(SMALL)
+        grads = {"unemb": np.ones_like(model.params["unemb"])}
+        with pytest.raises(KeyError, match="tok_emb"):
+            sgd_step(model, grads, 0.5, ["unemb", "tok_emb"])
+
 
 class TestLoadFlatParams:
     def test_roundtrip_is_bit_exact_with_adapters(self):
@@ -519,6 +527,39 @@ class TestTrainChain:
         for m in align:
             assert 0.0 <= m["rho"] < 1.0
             assert m["gamma"] >= 0.0
+
+    def test_keyed_backward_trains_bit_identically(self, monkeypatch):
+        # train_model asks backward for its trainable keys only; with the full
+        # backward instead, records and every weight come out the same
+        ds = self._dataset()
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=0,
+                          stage2_epochs=3, stage2_learning_rate=0.1)
+
+        def run():
+            succ_spec = dataclasses.replace(SMALL, adapter_rank=8, seed=100)
+            ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+            return train_chain(ens, ds, cfg), ens.models
+
+        orig = training.stage_batch_pass
+        seen = []
+
+        def spy(*args, keys=None, **kw):
+            seen.append(keys)
+            return orig(*args, keys=keys, **kw)
+
+        monkeypatch.setattr(training, "stage_batch_pass", spy)
+        keyed_records, keyed = run()
+        assert {tuple(k) for k in seen} == {
+            tuple(trainable_keys(m, "full" if i == 0 else "adapters")) for i, m in enumerate(keyed)
+        }
+        monkeypatch.setattr(training, "stage_batch_pass",
+                            lambda *args, keys=None, **kw: orig(*args, **kw))
+        full_records, full = run()
+        assert keyed_records == full_records
+        for a, b in zip(keyed, full):
+            assert list(a.params) == list(b.params)
+            for k in a.params:
+                assert np.array_equal(a.params[k], b.params[k]), k
 
     def test_successor_diverges_from_base_on_error_positions(self):
         ds = self._dataset()
