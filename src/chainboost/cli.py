@@ -229,14 +229,16 @@ def cmd_infer(args) -> int:
     if code is not None:
         return code
     for prompt in prompts:
-        if args.mode == "sequential":
+        if args.mode == "sequential":  # measures nothing but its wall time
             t0 = time.perf_counter()
             toks, _ = decode_sequential(ensemble, prompt, args.max_tokens)
             report = TimingReport(wall_s=time.perf_counter() - t0, n_tokens=len(toks))
+            timing = "\n".join(report.latency_lines())
         else:
             toks, _, report = decode_pipelined(ensemble, prompt, args.max_tokens)
+            timing = report.format()
         print(" ".join(map(str, toks)))
-        print(report.format())
+        print(timing)
     return 0
 
 

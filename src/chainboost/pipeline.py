@@ -37,10 +37,15 @@ class TimingReport:
     def per_token_s(self) -> float:
         return self.wall_s / self.n_tokens if self.n_tokens else 0.0
 
-    def format(self, per_layer: bool = False) -> str:
-        lines = [
+    def latency_lines(self) -> list[str]:
+        """The lines every decode measures: its wall time and per-token share."""
+        return [
             f"end_to_end_s        {self.wall_s:.6f}",
             f"per_token_latency_s {self.per_token_s:.6f}",
+        ]
+
+    def format(self, per_layer: bool = False) -> str:
+        lines = self.latency_lines() + [
             f"blocked_s           {self.blocked_s:.6f}",
             f"state_passing_s     {self.transfer_s:.6f}",
         ]

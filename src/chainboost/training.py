@@ -8,6 +8,18 @@ beta sigma(-u) (y_err - y*)) and pushed through the model's backward pass.
 One core, _objective, computes both from probabilities: training runs it
 through batch_loss_and_grad, and the scalar API the gradient checks use is
 its one-position view.
+
+Every teacher-forced pass that has gold labels (stage_batch_pass, the
+alignment estimate, chain_eval) runs only the batch's live width: columns
+0 .. n-1, n being 1 + the last column in which any row is labelled. Under
+the causal mask no labelled position attends to a later column, so the dead
+columns past it add nothing to any loss or gradient. The loss sums still run
+over the full (B, T) grid, the dead columns as zero-logit holes, so a
+reported loss adds the same terms in the same order as a full-width pass.
+Each attention row then sums over n keys, not T. numpy groups those sums as
+it did at T for the modsum (T = 9) and probe (T = 5, 10) shapes the tests
+pin bit for bit; at some widths (T = 8, n = 7) it does not, and a trained
+weight can move by a rounding step.
 """
 
 from __future__ import annotations
@@ -46,6 +58,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0 or self.learning_rate <= 0:
             raise ValueError("alpha, beta, learning_rate must be positive")
+        for name in ("epochs", "batch_size", "stage2_epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.successor_init not in ("base_copy", "fresh"):
             raise ValueError(
                 f"successor_init must be 'base_copy' or 'fresh', got {self.successor_init!r}"
@@ -220,6 +236,20 @@ def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.nda
 # -- forward/backward wrappers --------------------------------------------
 
 
+def _live(gold: np.ndarray, tokens: np.ndarray, fusion_in: Optional[dict] = None):
+    """(n, tokens, fusion_in) of a labelled (B, T) batch cut to its live
+    width: n is 1 + the last column in which any row has gold >= 0 (1 when
+    no row has a label), and the tokens and every fusion input keep columns
+    0 .. n-1. No labelled position sees a later column, so the cut pass gives
+    each labelled position the logits the full one does; an error token
+    counts only where gold is labelled, so err needs no check of its own."""
+    cols = np.flatnonzero((gold >= 0).any(axis=0))
+    n = int(cols[-1]) + 1 if cols.size else 1
+    if fusion_in is not None:
+        fusion_in = {l: f[:, :n] for l, f in fusion_in.items()}
+    return n, tokens[:, :n], fusion_in
+
+
 def stage_batch_pass(
     model: TransformerModel,
     tokens: np.ndarray,
@@ -231,10 +261,19 @@ def stage_batch_pass(
     keys: Optional[Sequence[str]] = None,
 ):
     """One forward + composite-loss backward; returns (ce, supp, grads), the
-    gradients of keys only, or of every params array when keys is None."""
+    gradients of keys only, or of every params array when keys is None.
+
+    The forward and backward run the batch's live width only (see _live);
+    the loss runs over the full (B, T) grid with the dead columns' logits
+    zero-filled, so ce and supp are the sums a full-width pass reports."""
+    n, tokens, fusion_in = _live(gold, tokens, fusion_in)
     logits, acts = model.forward_train(tokens, fusion_in)
+    if n < gold.shape[1]:
+        full = np.zeros(gold.shape + logits.shape[-1:])
+        full[:, :n] = logits
+        logits = full
     ce, supp, dz = batch_loss_and_grad(logits, gold, err, alpha, beta)
-    grads = model.backward(dz, acts, keys=keys)
+    grads = model.backward(dz[:, :n], acts, keys=keys)
     return ce, supp, grads
 
 
@@ -255,7 +294,8 @@ def estimate_alignment(
     Both gradients are taken per sample over the trainable keys. gold/err use
     -1 holes as elsewhere; samples whose CE gradient vanishes are skipped for
     the ratio. One batched pass serves every sample: one forward_train over
-    all rows, then one per-sample backward for CE and one for suppression.
+    all rows, then one per-sample backward for CE and one for suppression,
+    each over the batch's live width only (see _live).
     """
     if not ((err >= 0) & (gold >= 0)).any():
         raise EmptyEstimateError("no active error tokens in batch")
@@ -280,7 +320,10 @@ def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     per-sample backwards that take the gradients of keys alone. A row's
     dlogits are unscaled, as a one-row batch_loss_and_grad gives them. Rows
     are flattened one at a time, so no (B, P) copy of either gradient is
-    made."""
+    made. The pass runs the live width n only, and no loss is summed, so the
+    objective runs over the first n columns too."""
+    n, tokens, fusion_in = _live(gold, tokens, fusion_in)
+    gold, err = gold[:, :n], err[:, :n]
     logits, acts = model.forward_train(tokens, fusion_in)
     p = softmax_rows(logits)
     B = tokens.shape[0]
@@ -311,7 +354,7 @@ def descent_lr_bound(alpha: float, rho: float, gamma: float, l_smooth: float) ->
 
 def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
-    if batch_size <= 0 or batch_size >= n:
+    if batch_size >= n:
         yield perm
         return
     for i in range(0, n, batch_size):
@@ -465,10 +508,13 @@ def chain_logits(ensemble: Ensemble, tokens: np.ndarray) -> list[np.ndarray]:
 
 def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
     """Held-out next-token accuracy of every model and of the fused chain,
-    from one teacher-forced chain walk that keeps no layer activations."""
-    zs = chain_logits(ensemble, dataset.tokens)
-    labeled = dataset.gold >= 0
-    gold = dataset.gold[labeled]
+    from one teacher-forced chain walk that keeps no layer activations and
+    runs the dataset's live width only (see _live): the columns past the
+    last labelled one are scored nowhere."""
+    n, tokens, _ = _live(dataset.gold, dataset.tokens)
+    zs = chain_logits(ensemble, tokens)
+    labeled = dataset.gold[:, :n] >= 0
+    gold = dataset.gold[:, :n][labeled]
     accs = [float((z.argmax(-1)[labeled] == gold).mean()) for z in zs]
     fused = fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
     fused_acc = float((fused.argmax(-1)[labeled] == gold).mean())

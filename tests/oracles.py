@@ -3,8 +3,9 @@
 Each one re-derives by the plainest route what the package computes a faster
 way: a teacher-forced forward and a greedy chain decode as folds of
 forward_step, the teacher-forced chain walk as forward_train calls that keep
-every activation, a gradient by central differences, and the alignment
-estimate as a loop of one-row passes.
+every activation, a gradient by central differences, the alignment estimate
+as a loop of one-row passes, and a training batch pass and chain_eval over
+every column, the dead ones past the last labelled column included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import numpy as np
 from chainboost import pipeline
 from chainboost.ensemble import Ensemble, fuse_logits
 from chainboost.model import KvCache, TransformerModel
-from chainboost.training import AlignmentEstimate, batch_loss_and_grad, flatten_grads
+from chainboost.training import (
+    AlignmentEstimate,
+    batch_loss_and_grad,
+    chain_logits,
+    flatten_grads,
+)
 
 
 @dataclass
@@ -82,6 +88,26 @@ def chain_walk_train(ens: Ensemble, upto: int, tokens):
         zs.append(z)
         states = acts["states"]
     return zs, states
+
+
+def stage_batch_pass_full(model: TransformerModel, tokens, gold, err, alpha, beta,
+                          fusion_in=None, keys=None):
+    """training.stage_batch_pass over the full (B, T) batch: one forward_train,
+    the loss and one backward, every column included."""
+    logits, acts = model.forward_train(tokens, fusion_in)
+    ce, supp, dz = batch_loss_and_grad(logits, gold, err, alpha, beta)
+    return ce, supp, model.backward(dz, acts, keys=keys)
+
+
+def chain_eval_full(ens: Ensemble, dataset) -> dict:
+    """training.chain_eval over every column of the dataset."""
+    zs = chain_logits(ens, dataset.tokens)
+    labeled = dataset.gold >= 0
+    gold = dataset.gold[labeled]
+    accs = [float((z.argmax(-1)[labeled] == gold).mean()) for z in zs]
+    fused = fuse_logits(zs, ens.spec.lambdas, ens.spec.top_k)
+    fused_acc = float((fused.argmax(-1)[labeled] == gold).mean())
+    return {"model_accs": accs, "base_acc": accs[0], "fused_acc": fused_acc}
 
 
 def finite_diff_grad(

@@ -33,7 +33,14 @@ from chainboost.training import (
     train_model,
     trainable_keys,
 )
-from oracles import chain_walk_train, estimate_alignment_loop, finite_diff_grad, forward_teacher
+from oracles import (
+    chain_eval_full,
+    chain_walk_train,
+    estimate_alignment_loop,
+    finite_diff_grad,
+    forward_teacher,
+    stage_batch_pass_full,
+)
 
 SMALL = ModelSpec(
     n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=8,
@@ -461,9 +468,136 @@ class TestLeanChainWalk:
         assert peak < 8e6, f"chain_eval peaked at {peak / 1e6:.1f} MB"
 
 
+# the criterion-6 probe's model shape
+TINY = ModelSpec(
+    n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=16,
+    fusion_period=2, adapter_rank=0, seed=2,
+)
+
+
+def _live_width_case(name):
+    """(model, tokens, gold, err, alpha, keys, fusion_in, live width) of a
+    labelled batch; every modsum row ends in [..., eos, -1]."""
+    ds = _modsum(32)
+    tokens, gold, err = ds.tokens, ds.gold.copy(), np.full_like(ds.gold, -1)
+    T = tokens.shape[1]
+    alpha, keys, fusion_in, width = 1.0, None, None, T - 1
+    model = TransformerModel(dataclasses.replace(BASE32, seed=10))
+    if name.startswith("successor"):  # stage 2: a rank-8 model behind a frozen base
+        ens = _rank8_chain(2, seed=11)
+        z, states = pred_forward_chain(ens, 0, tokens)
+        err = predecessor_errors(z, gold)
+        assert (err >= 0).any()
+        model, fusion_in, alpha = ens.models[1], ens.fusion_inputs(1, states), 0.9
+        if name == "successor_adapters":
+            keys = trainable_keys(model, "adapters")
+    elif name == "probe":  # criterion 6's modsum+err batch
+        ds = generate(TaskSpec("modsum", vocab=12, length=4, n_samples=24, seed=2, modulus=7))
+        tokens, gold = ds.tokens, ds.gold
+        err = np.where(gold >= 0, (gold + 1) % 12, -1)
+        model, alpha, width = TransformerModel(TINY), 0.9, tokens.shape[1] - 1
+    elif name == "last_column_labelled":
+        gold[5, -1] = 3
+        width = T
+    elif name == "all_holes":
+        gold[:] = -1
+        width = 1
+    elif name == "one_row":
+        tokens, gold, err = tokens[:1], gold[:1], err[:1]
+    return model, tokens, gold, err, alpha, keys, fusion_in, width
+
+
+LIVE_WIDTH_CASES = ["stage1", "successor_adapters", "successor_full", "probe",
+                    "last_column_labelled", "all_holes", "one_row"]
+
+
+def _record_widths(monkeypatch) -> list:
+    """Patch TransformerModel._forward, which every teacher-forced pass runs
+    through, to record the width of each token batch it receives."""
+    widths = []
+    orig = TransformerModel._forward
+
+    def spy(self, tokens, *args, **kw):
+        widths.append(np.shape(tokens)[1])
+        return orig(self, tokens, *args, **kw)
+
+    monkeypatch.setattr(TransformerModel, "_forward", spy)
+    return widths
+
+
+class TestLiveWidth:
+    """Labelled passes run only columns 0 .. n-1, n = 1 + the last labelled
+    column, bit for bit equal to the full-width pass."""
+
+    @pytest.mark.parametrize("name", LIVE_WIDTH_CASES)
+    def test_stage_batch_pass_matches_full_width(self, name, monkeypatch):
+        model, tokens, gold, err, alpha, keys, fusion_in, width = _live_width_case(name)
+        want_ce, want_supp, want = stage_batch_pass_full(
+            model, tokens, gold, err, alpha, 0.1, fusion_in, keys=keys)
+        widths = _record_widths(monkeypatch)
+        ce, supp, grads = training.stage_batch_pass(
+            model, tokens, gold, err, alpha, 0.1, fusion_in, keys=keys)
+        assert widths == [width]
+        assert ce == want_ce and supp == want_supp
+        if name.startswith("successor"):
+            assert supp > 0.0
+        if name == "all_holes":
+            assert ce == 0.0 and supp == 0.0
+        assert list(grads) == list(want)
+        for key, g in want.items():
+            assert np.array_equal(grads[key], g), key
+
+    def test_close_where_attention_sums_regroup(self):
+        # T = 8 cut to 7: numpy groups a 7-key attention row sum unlike an
+        # 8-key one, so bits may differ, by rounding only
+        ds = generate(TaskSpec("copy", vocab=12, length=3, n_samples=16, seed=1))
+        err = np.where(ds.gold >= 0, (ds.gold + 1) % 12, -1)
+        model = TransformerModel(SMALL)
+        want_ce, want_supp, want = stage_batch_pass_full(model, ds.tokens, ds.gold, err, 0.9, 0.1)
+        ce, supp, grads = training.stage_batch_pass(model, ds.tokens, ds.gold, err, 0.9, 0.1)
+        assert ce == pytest.approx(want_ce, rel=1e-13) and supp == pytest.approx(want_supp, rel=1e-13)
+        for key, g in want.items():
+            np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-12 * np.abs(g).max())
+
+    def test_alignment_runs_live_width(self, monkeypatch):
+        model, tokens, gold, err, _, _, fusion_in, width = _live_width_case("successor_full")
+        for scope in ("full", "adapters"):
+            keys = trainable_keys(model, scope)
+            want = estimate_alignment_loop(model, tokens, gold, err, keys, 0.1, fusion_in)[0]
+            widths = _record_widths(monkeypatch)
+            assert estimate_alignment(model, tokens, gold, err, keys, 0.1, fusion_in) == want
+            assert widths == [width]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chain_eval_matches_full_width(self, k, monkeypatch):
+        ens, ds = _rank8_chain(k, seed=4), _modsum(100)
+        want = chain_eval_full(ens, ds)
+        widths = _record_widths(monkeypatch)
+        assert chain_eval(ens, ds) == want
+        assert widths == [ds.tokens.shape[1] - 1] * k
+
+    def test_training_sees_one_column_less(self, monkeypatch):
+        # modsum rows end in [..., eos, -1]: the eos column carries no label
+        ds = _modsum(40)
+        widths = _record_widths(monkeypatch)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=0)
+        train_model(TransformerModel(BASE32), ds, cfg, scope="full", alpha=1.0, beta=0.1)
+        assert widths == [ds.tokens.shape[1] - 1] * 3
+
+
 class TestTrainChain:
     def _dataset(self):
         return generate(TaskSpec("copy", vocab=12, length=3, n_samples=24, seed=1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("stage2_epochs", 0),
+    ])
+    def test_rejects_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+            TrainConfig(**{field: value})
+        TrainConfig(**{field: 1})
+        TrainConfig(stage2_epochs=None)
 
     def test_rejects_unknown_successor_init(self):
         with pytest.raises(ValueError, match="successor_init"):
