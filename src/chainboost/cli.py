@@ -233,12 +233,10 @@ def cmd_infer(args) -> int:
             t0 = time.perf_counter()
             toks, _ = decode_sequential(ensemble, prompt, args.max_tokens)
             report = TimingReport(wall_s=time.perf_counter() - t0, n_tokens=len(toks))
-            timing = "\n".join(report.latency_lines())
         else:
             toks, _, report = decode_pipelined(ensemble, prompt, args.max_tokens)
-            timing = report.format()
         print(" ".join(map(str, toks)))
-        print(timing)
+        print(report.format())
     return 0
 
 

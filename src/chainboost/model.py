@@ -20,6 +20,16 @@ activations; the other calls return the layer states alone. The sequential
 chain decoder runs the walk over views it builds once per request; the
 layer-synchronous one calls the layer body with k models' weights stacked
 along the batch axis.
+
+Ownership rule: a kernel writes only arrays it allocated. LayerNorm forward
+and backward, GELU and its gradient, softmax_rows, attention and its
+backward, and the residual and bias adds of transformer_layer and backward
+allocate an array only for a value they keep or return and run every other
+elementwise step in place on it; their inputs and the activations
+forward_train saves are only read. Each in-place step is the IEEE operation
+the plain expression ran, at most with the operands of one + or * swapped,
+so the results are bit for bit those of the out-of-place expressions that
+tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -98,22 +108,47 @@ class KvCache:
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """The tanh factor of the GELU approximation, shared by gelu and gelu_grad."""
-    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    """The tanh factor of the GELU approximation, shared by gelu and gelu_grad,
+    built in the one array this call allocates; x is only read."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def gelu(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
-    """Tanh GELU; t, when given, is gelu_tanh(x) computed beforehand."""
+    """Tanh GELU; t, when given, is gelu_tanh(x) computed beforehand. Builds
+    0.5 x (1 + t) in its result, with 1 + t the one temporary; x and t are
+    only read."""
     if t is None:
         t = gelu_tanh(x)
-    return 0.5 * x * (1.0 + t)
+    g = x * 0.5
+    g *= t + 1.0
+    return g
 
 
 def gelu_grad(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
-    """d gelu / dx; t, when given, is the forward pass's gelu_tanh(x)."""
+    """d gelu / dx; t, when given, is the forward pass's gelu_tanh(x).
+
+    0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2), term by term in that
+    order, in the two arrays this call allocates; x and t are only read."""
     if t is None:
         t = gelu_tanh(x)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    dx = x * 0.5
+    dx *= g
+    dx *= _GELU_C
+    np.multiply(x, x, out=g)
+    g *= 3.0 * _GELU_A
+    g += 1.0
+    dx *= g
+    np.add(t, 1.0, out=g)
+    g *= 0.5
+    g += dx
+    return g
 
 
 class TransformerModel:
@@ -292,11 +327,12 @@ class TransformerModel:
             dm = dr2
             put(p + "w2", lambda: _weight_grad(a["g1"], dm, per_sample))
             put(p + "b2", lambda: dm.sum(axis=rows))
-            dg1 = dm @ w["w2"].T
-            du1 = dg1 * gelu_grad(a["u1"], a["t1"])
+            du1 = dm @ w["w2"].T
+            du1 *= gelu_grad(a["u1"], a["t1"])
             put(p + "w1", lambda: _weight_grad(a["ha"], du1, per_sample))
             put(p + "b1", lambda: du1.sum(axis=rows))
-            dha = dr2 + du1 @ w["w1"].T
+            dha = du1 @ w["w1"].T
+            dha += dr2
             # attention block
             xhat = a["ln_attn"][0]
             put(p + "ln_attn_g", lambda: (dha * xhat).sum(axis=rows))
@@ -321,7 +357,10 @@ class TransformerModel:
                     put(key + ".B", lambda: self.params[key + ".A"].T @ dw)
             if l == 1 and not below:
                 break
-            dht = dr1 + (dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T)
+            dht = dq @ w["wq"].T
+            dht += dk @ w["wk"].T
+            dht += dv @ w["wv"].T
+            dht += dr1
             # fusion norm (unit gain): gradient flows only into h_own
             dh_ = _ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
 
@@ -450,7 +489,9 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
     (d, d') weights and (d,) gains, or k models' stacked along a leading
     model axis, (k, d, d') and (k, 1, d), so that batch row b runs model b.
     A cache, when given, is extended in place at index layer-1; mask None
-    means every key is visible. Returns (state h_layer, activations).
+    means every key is visible. Returns (state h_layer, activations). The
+    residual and bias adds go in place onto the fresh products; ht and p
+    are only read.
     """
     B, T, d = ht.shape
     dh = d // n_heads
@@ -465,12 +506,16 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
     oh, attn = _attention(qh, kh, vh, 1.0 / math.sqrt(dh), mask)
     o = oh.transpose(0, 2, 1, 3).reshape(B, T, d)
     hhat = o @ p["wo"]
-    ha, ln_a = _ln_forward(hhat + ht, p["ln_attn_g"], p["ln_attn_b"])
-    u1 = ha @ p["w1"] + p["b1"]
+    hhat += ht
+    ha, ln_a = _ln_forward(hhat, p["ln_attn_g"], p["ln_attn_b"])
+    u1 = ha @ p["w1"]
+    u1 += p["b1"]
     t1 = gelu_tanh(u1)
     g1 = gelu(u1, t1)
-    m = g1 @ p["w2"] + p["b2"]
-    h, ln_m = _ln_forward(m + ha, p["ln_mlp_g"], p["ln_mlp_b"])
+    m = g1 @ p["w2"]
+    m += p["b2"]
+    m += ha
+    h, ln_m = _ln_forward(m, p["ln_mlp_g"], p["ln_mlp_b"])
     acts = dict(p=p, ht=ht, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
                 ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m)
     return h, acts
@@ -478,39 +523,62 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
 
 def _attention(qh, kh, vh, scale: float, mask: Optional[np.ndarray] = None):
     """Softmax attention over (B, heads, T, dh), masked when a mask is given;
-    returns (context, weights)."""
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    attn = softmax_rows(scores if mask is None else scores + mask)
+    returns (context, weights). The scale and the mask go onto the scores
+    in place."""
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    if mask is not None:
+        scores += mask
+    attn = softmax_rows(scores)
     return attn @ vh, attn
 
 
 def _attention_backward(doh, qh, kh, vh, attn, scale: float):
-    """Gradients (dq, dk, dv) of _attention given the context gradient doh."""
+    """Gradients (dq, dk, dv) of _attention given the context gradient doh.
+    dscores = attn * (dattn - rowsum(dattn * attn)) is built in dattn."""
     dattn = doh @ vh.swapaxes(-1, -2)
     dvh = attn.swapaxes(-1, -2) @ doh
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dqh = (dscores @ kh) * scale
-    dkh = (dscores.swapaxes(-1, -2) @ qh) * scale
+    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dattn *= attn
+    dqh = dattn @ kh
+    dqh *= scale
+    dkh = dattn.swapaxes(-1, -2) @ qh
+    dkh *= scale
     return dqh, dkh, dvh
 
 
 def _ln_forward(x: np.ndarray, gain, bias):
+    """LayerNorm over the last axis; returns (gain * xhat + bias, (xhat, inv))
+    with inv = 1 / sqrt(var + eps). Of the full-size arrays it allocates the
+    centred copy, which becomes the saved xhat, and the output, which first
+    holds the squares; x is only read. The per-row values stay out of place:
+    on a one-row decode step, in-place steps on a (1, 1, 1) array cost more
+    than they save."""
     # np.add.reduce(...) / d is what ndarray.mean computes, minus its Python wrapper
     d = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
-    xhat = xc * inv
-    return gain * xhat + bias, (xhat, inv)
+    y = xc * xc
+    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + LN_EPS)
+    xc *= inv
+    np.multiply(gain, xc, out=y)
+    y += bias
+    return y, (xc, inv)
 
 
 def _ln_backward(dy: np.ndarray, saved, gain) -> np.ndarray:
     """dx of _ln_forward given dy; backward takes the gain and bias sums
-    itself, and only for the keys it is asked for."""
+    itself, and only for the keys it is asked for.
+
+    inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with dxhat =
+    dy * gain, built in dxhat; the product dxhat * xhat is the one other
+    full-size array allocated. dy and saved are only read."""
     xhat, inv = saved
     dxhat = dy * gain
     d = dy.shape[-1]
-    return inv * (
-        dxhat
-        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
-    )
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    prod = dxhat * xhat
+    np.multiply(xhat, np.add.reduce(prod, axis=-1, keepdims=True) / d, out=prod)
+    dxhat -= mean_dxhat
+    dxhat -= prod
+    dxhat *= inv
+    return dxhat

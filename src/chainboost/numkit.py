@@ -30,11 +30,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over the last axis of an n-D array."""
-    z = np.asarray(z)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise stable softmax over the last axis of an n-D array, shifted,
+    exponentiated and normalised in the one array it allocates; z is only
+    read."""
+    z = np.asarray(z, dtype=np.float64)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_jacobian(z: np.ndarray) -> np.ndarray:

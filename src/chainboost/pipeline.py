@@ -24,8 +24,10 @@ from .model import KvCache, forward_pass, fuse_states, transformer_layer
 
 @dataclass
 class TimingReport:
-    """Wall-clock accounting for one pipelined decode. Nothing waits, so
-    blocked_s stays 0; transfer_s is the time spent stacking the weights."""
+    """Wall-clock accounting for one decode. Nothing waits, so blocked_s
+    stays 0; transfer_s is the time spent stacking the weights. A report
+    without events stacked nothing (a sequential decode, or a pipelined one
+    that fell back to it), so format() prints only its wall-time lines."""
 
     events: list = field(default_factory=list)  # (model, layer, step, start_us, finish_us)
     wall_s: float = 0.0
@@ -37,18 +39,16 @@ class TimingReport:
     def per_token_s(self) -> float:
         return self.wall_s / self.n_tokens if self.n_tokens else 0.0
 
-    def latency_lines(self) -> list[str]:
-        """The lines every decode measures: its wall time and per-token share."""
-        return [
+    def format(self, per_layer: bool = False) -> str:
+        lines = [
             f"end_to_end_s        {self.wall_s:.6f}",
             f"per_token_latency_s {self.per_token_s:.6f}",
         ]
-
-    def format(self, per_layer: bool = False) -> str:
-        lines = self.latency_lines() + [
-            f"blocked_s           {self.blocked_s:.6f}",
-            f"state_passing_s     {self.transfer_s:.6f}",
-        ]
+        if self.events:
+            lines += [
+                f"blocked_s           {self.blocked_s:.6f}",
+                f"state_passing_s     {self.transfer_s:.6f}",
+            ]
         if per_layer:
             lines.append("model layer step start_us finish_us")
             for m, l, t, a, b in sorted(self.events, key=lambda e: (e[2], e[0], e[1])):

@@ -186,7 +186,8 @@ def batch_loss_and_grad(
     """
     B = logits.shape[0]
     ce, supp, dlogits = _objective(softmax_rows(logits), gold, err, alpha, beta)
-    return float(ce.sum() / B), float(supp.sum() / B), dlogits / B
+    dlogits /= B
+    return float(ce.sum() / B), float(supp.sum() / B), dlogits
 
 
 # -- parameter updates ----------------------------------------------------
@@ -225,7 +226,12 @@ def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
 
 
 def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.ndarray) -> None:
-    """Inverse of flatten_params: write theta's slices into the params in place."""
+    """Inverse of flatten_params: write theta's slices into the params in place.
+    Raises ValueError, before writing anything, unless theta has exactly as
+    many entries as the keys' arrays together."""
+    need = sum(model.params[key].size for key in keys)
+    if theta.size != need:
+        raise ValueError(f"theta has {theta.size} entries, the keys' arrays hold {need}")
     off = 0
     for key in keys:
         arr = model.params[key]

@@ -4,12 +4,15 @@ Each one re-derives by the plainest route what the package computes a faster
 way: a teacher-forced forward and a greedy chain decode as folds of
 forward_step, the teacher-forced chain walk as forward_train calls that keep
 every activation, a gradient by central differences, the alignment estimate
-as a loop of one-row passes, and a training batch pass and chain_eval over
-every column, the dead ones past the last labelled column included.
+as a loop of one-row passes, a training batch pass and chain_eval over
+every column, the dead ones past the last labelled column included, and the
+layer kernels as out-of-place expressions, one fresh array per step, which
+the in-place kernels must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from chainboost import pipeline
 from chainboost.ensemble import Ensemble, fuse_logits
-from chainboost.model import KvCache, TransformerModel
+from chainboost.model import _GELU_A, _GELU_C, LN_EPS, KvCache, TransformerModel
 from chainboost.training import (
     AlignmentEstimate,
     batch_loss_and_grad,
@@ -164,3 +167,134 @@ def estimate_alignment_loop(model: TransformerModel, tokens, gold, err, keys, be
     rho = max(0.0, rho)
     est = AlignmentEstimate(rho=rho, gamma=gamma, sample_count=count)
     return est, np.array(rows_ce), np.array(rows_s)
+
+
+# -- the layer kernels, out of place: the in-place ones must match these bit for bit
+
+
+def softmax_rows(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def gelu_tanh(x):
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+
+
+def gelu(x, t=None):
+    if t is None:
+        t = gelu_tanh(x)
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_grad(x, t=None):
+    if t is None:
+        t = gelu_tanh(x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+
+
+def ln_forward(x, gain, bias):
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
+    xhat = xc * inv
+    return gain * xhat + bias, (xhat, inv)
+
+
+def ln_backward(dy, saved, gain):
+    xhat, inv = saved
+    dxhat = dy * gain
+    d = dy.shape[-1]
+    return inv * (
+        dxhat
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
+    )
+
+
+def attention(qh, kh, vh, scale, mask=None):
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    attn = softmax_rows(scores if mask is None else scores + mask)
+    return attn @ vh, attn
+
+
+def attention_backward(doh, qh, kh, vh, attn, scale):
+    dattn = doh @ vh.swapaxes(-1, -2)
+    dvh = attn.swapaxes(-1, -2) @ doh
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = (dscores @ kh) * scale
+    dkh = (dscores.swapaxes(-1, -2) @ qh) * scale
+    return dqh, dkh, dvh
+
+
+def transformer_layer(p, ht, n_heads, mask):
+    """model.transformer_layer without a cache, its residual and bias adds
+    out of place; returns (h, activations) like it."""
+    B, T, d = ht.shape
+    dh = d // n_heads
+    qh, kh, vh = ((ht @ p[w]).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+                  for w in ("wq", "wk", "wv"))
+    oh, attn = attention(qh, kh, vh, 1.0 / math.sqrt(dh), mask)
+    o = oh.transpose(0, 2, 1, 3).reshape(B, T, d)
+    ha, ln_a = ln_forward(o @ p["wo"] + ht, p["ln_attn_g"], p["ln_attn_b"])
+    u1 = ha @ p["w1"] + p["b1"]
+    t1 = gelu_tanh(u1)
+    g1 = gelu(u1, t1)
+    h, ln_m = ln_forward(g1 @ p["w2"] + p["b2"] + ha, p["ln_mlp_g"], p["ln_mlp_b"])
+    return h, dict(p=p, ht=ht, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
+                   ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m)
+
+
+def backward(model: TransformerModel, dlogits, acts, per_sample=False):
+    """TransformerModel.backward with every key, its gradient steps out of
+    place over the oracle kernels above."""
+    s = model.spec
+    B, T, _ = dlogits.shape
+    nh, dh = s.n_heads, s.d_model // s.n_heads
+    scale = 1.0 / np.sqrt(dh)
+    rows = 1 if per_sample else (0, 1)
+
+    def wgrad(x, dy):
+        if per_sample:
+            return x.swapaxes(-1, -2) @ dy
+        return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+    def heads(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
+
+    grads = {"unemb": wgrad(acts["states"][-1], dlogits)}
+    dh_ = dlogits @ model.params["unemb"].T
+    for l in range(s.n_layers, 0, -1):
+        p, a = f"l{l}.", acts["layers"][l - 1]
+        w = a["p"]
+        grads[p + "ln_mlp_g"] = (dh_ * a["ln_mlp"][0]).sum(axis=rows)
+        grads[p + "ln_mlp_b"] = dh_.sum(axis=rows)
+        dr2 = ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"])
+        grads[p + "w2"] = wgrad(a["g1"], dr2)
+        grads[p + "b2"] = dr2.sum(axis=rows)
+        du1 = (dr2 @ w["w2"].T) * gelu_grad(a["u1"], a["t1"])
+        grads[p + "w1"] = wgrad(a["ha"], du1)
+        grads[p + "b1"] = du1.sum(axis=rows)
+        dha = dr2 + du1 @ w["w1"].T
+        grads[p + "ln_attn_g"] = (dha * a["ln_attn"][0]).sum(axis=rows)
+        grads[p + "ln_attn_b"] = dha.sum(axis=rows)
+        dr1 = ln_backward(dha, a["ln_attn"], w["ln_attn_g"])
+        grads[p + "wo"] = wgrad(a["o"], dr1)
+        doh = (dr1 @ w["wo"].T).reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
+        dq, dk, dv = map(heads, attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale))
+        for name, dy in (("wq", dq), ("wk", dk), ("wv", dv)):
+            key = p + name
+            grads[key] = dw = wgrad(a["ht"], dy)
+            if key + ".A" in model.params:
+                grads[key + ".A"] = dw @ model.params[key + ".B"].T
+                grads[key + ".B"] = model.params[key + ".A"].T @ dw
+        dht = dr1 + (dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T)
+        dh_ = ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
+    lead = (B,) if per_sample else ()
+    dtok = np.zeros(lead + model.params["tok_emb"].shape)
+    np.add.at(dtok, (np.arange(B)[:, None], acts["tokens"]) if per_sample else acts["tokens"], dh_)
+    dpos = np.zeros(lead + model.params["pos_emb"].shape)
+    dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
+    grads["tok_emb"], grads["pos_emb"] = dtok, dpos
+    return grads

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from chainboost import cli
 from chainboost.ensemble import load_manifest
+from chainboost.model import TransformerModel
 from chainboost.tasks import load_dataset
 from chainboost.training import TrainConfig
 
@@ -228,6 +230,28 @@ class TestInfer:
         )
         lines = out.splitlines()
         # two prompts: tokens + the two timing lines a sequential decode measures
+        assert len(lines) == 6
+        for first in (0, 3):
+            assert [l.split()[0] for l in lines[first + 1 : first + 3]] == [
+                "end_to_end_s", "per_token_latency_s"
+            ]
+
+    def test_unstackable_chain_prints_only_what_it_measures(self, trained_run, tmp_path, capsys):
+        # a successor with another d_ff cannot be stacked: pipelined falls back
+        # to the sequential decode, which measures no blocking or stacking time
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        base, succ = (TransformerModel.load(manifest.parent / c) for c in doc["checkpoints"])
+        narrow = TransformerModel(dataclasses.replace(succ.spec, d_ff=24))
+        narrow.save(tmp_path / "narrow.npz")
+        doc["checkpoints"] = [str(manifest.parent / doc["checkpoints"][0]), "narrow.npz"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        _, out, _ = run_cli(
+            ["infer", "--manifest", str(tmp_path / "manifest.json"), "--prompts", str(prompts),
+             "--mode", "pipelined", "--max-tokens", "4"],
+            capsys,
+        )
+        lines = out.splitlines()
         assert len(lines) == 6
         for first in (0, 3):
             assert [l.split()[0] for l in lines[first + 1 : first + 3]] == [

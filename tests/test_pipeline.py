@@ -163,6 +163,19 @@ class TestLayerSynchronous:
         assert report.n_tokens == len(toks)
 
 
+    def test_fallback_report_claims_no_stacked_timing(self):
+        # models of different d_ff cannot be stacked: the sequential decode runs
+        succ = dataclasses.replace(TINY, d_ff=24, seed=1)
+        ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
+        toks, logits, report = decode_pipelined(ens, [1, 2], max_tokens=4)
+        toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=4)
+        assert toks == toks_s and np.array_equal(logits, logits_s)
+        assert report.events == [] and report.n_tokens == len(toks)
+        assert [l.split()[0] for l in report.format().splitlines()] == [
+            "end_to_end_s", "per_token_latency_s"
+        ]
+
+
 class TestSequential:
     @pytest.mark.parametrize("base", [
         TINY,

@@ -205,6 +205,16 @@ class TestLoadFlatParams:
         for k in keys:
             assert np.array_equal(model.params[k], fresh.params[k])
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_wrong_size_raises_before_writing(self, extra):
+        model = TransformerModel(SMALL)
+        keys = trainable_keys(model, "full")
+        theta = flatten_params(model, keys)
+        bad = np.zeros(theta.size + extra)
+        with pytest.raises(ValueError, match=f"theta has {bad.size} entries, .* hold {theta.size}"):
+            load_flat_params(model, keys, bad)
+        assert np.array_equal(flatten_params(model, keys), theta)
+
 
 class TestDescentLrBound:
     def test_unit_case(self):
