@@ -52,8 +52,8 @@ _MODEL_DEFAULTS = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, max_steps=32,
 def _config_problem(cfg, seeds) -> Optional[str]:
     """A message naming the first part of a train config that cmd_train
     cannot use as given, or None: a section that is not an object, a key it
-    would ignore, seeds that are not a nonempty list of integers, or a
-    holdout_fraction outside (0, 1)."""
+    would ignore, seeds that are not a nonempty list of nonnegative integers,
+    or a holdout_fraction outside (0, 1)."""
     if not isinstance(cfg, dict):
         return "a config must be a JSON object"
     for section in ("model", "task", "train"):
@@ -65,6 +65,8 @@ def _config_problem(cfg, seeds) -> Optional[str]:
             return f"unknown {section} key {key!r}"
     if not (isinstance(seeds, list) and seeds and all(type(sd) is int for sd in seeds)):
         return f"seeds must be a nonempty list of integers, got {seeds!r}"
+    if min(seeds) < 0:  # model seeds are 100 * seed + i; numpy takes none below 0
+        return f"seeds must be nonnegative, got {seeds!r}"
     holdout = cfg.get("holdout_fraction", 0.25)
     if type(holdout) not in (int, float) or not 0 < holdout < 1:
         return f"holdout_fraction must be a number in (0, 1), got {holdout!r}"
@@ -93,8 +95,9 @@ def cmd_gen(args) -> int:
 
 def _chain_config(cfg: dict):
     """(dataset, EnsembleSpec) a train config describes, its model seeds
-    left to each run; a config they cannot be built from raises OSError,
-    TypeError or ValueError naming the problem."""
+    left to each run; a config they cannot be built from, or whose models'
+    max_steps cannot hold the data's sequences, raises OSError, TypeError or
+    ValueError naming the problem."""
     if "dataset" in cfg:
         ds_full = tasks.load_dataset(cfg["dataset"])
     elif "task" in cfg:
@@ -112,6 +115,9 @@ def _chain_config(cfg: dict):
         lambdas=cfg.get("lambdas", [ens_mod.DEFAULT_LAMBDA] * n_succ),
         top_k=cfg.get("top_k", ens_mod.DEFAULT_TOP_K),
     )
+    width, max_steps = ds_full.tokens.shape[1], espec.models[0].max_steps
+    if width > max_steps:
+        raise ValueError(f"model max_steps {max_steps} is below the data's sequence width {width}")
     return ds_full, espec
 
 

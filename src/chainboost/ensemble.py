@@ -64,10 +64,6 @@ class EnsembleSpec:
             raise ValueError(f"top_k must be in [1, {v0}]")
 
     @property
-    def n_successors(self) -> int:
-        return len(self.models) - 1
-
-    @property
     def vocab(self) -> int:
         return self.models[0].vocab
 
@@ -134,10 +130,6 @@ class Ensemble:
         if len(self.models) != len(spec.models):
             raise ValueError("model count does not match spec")
 
-    @property
-    def n_successors(self) -> int:
-        return self.spec.n_successors
-
     def fusion_inputs(self, i: int, pred_states) -> Optional[dict]:
         """Fusion inputs of model i: its fusion layer l reads predecessor state l-1.
 
@@ -167,10 +159,11 @@ def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> 
 def load_manifest(path) -> tuple[Ensemble, dict]:
     """Load manifest + checkpoints into an Ensemble.
 
-    Rejects a document that is not a JSON object or lacks checkpoints,
-    lambdas or top_k, vocab mismatches, "fusion_enabled": false (fusion
-    cannot be switched off) and a fusion_period that disagrees with a
-    checkpoint.
+    Rejects a document that is not a JSON object, lacks checkpoints,
+    lambdas or top_k or holds a value of the wrong type in one of them,
+    "fusion_enabled": false (fusion cannot be switched off) and a
+    fusion_period that disagrees with a checkpoint; EnsembleSpec rejects
+    checkpoints that do not form a chain, such as mismatched vocabularies.
     """
     path = Path(path)
     doc = json.loads(path.read_text())
@@ -179,22 +172,23 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
     for key in ("checkpoints", "lambdas", "top_k"):
         if key not in doc:
             raise ValueError(f"manifest key {key!r} is missing")
+    ckpts, lambdas, top_k = doc["checkpoints"], doc["lambdas"], doc["top_k"]
+    if not (isinstance(ckpts, list) and all(isinstance(c, str) for c in ckpts)):
+        raise ValueError(f"manifest key 'checkpoints' must be a list of file names, got {ckpts!r}")
+    if not (isinstance(lambdas, list) and all(type(x) in (int, float) for x in lambdas)):
+        raise ValueError(f"manifest key 'lambdas' must be a list of numbers, got {lambdas!r}")
+    if type(top_k) is not int:
+        raise ValueError(f"manifest key 'top_k' must be an integer, got {top_k!r}")
     if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise ValueError("unsupported manifest format version")
     if doc.get("fusion_enabled", True) is not True:
         raise ValueError(f"manifest key fusion_enabled={doc['fusion_enabled']!r} is not supported")
     models = []
-    for ref in doc["checkpoints"]:
+    for ref in ckpts:
         ckpt = Path(ref)
         if not ckpt.is_absolute():
             ckpt = path.parent / ckpt
         models.append(TransformerModel.load(ckpt))
-    vocabs = {m.spec.vocab for m in models}
-    if len(vocabs) > 1:
-        raise ValueError(
-            f"checkpoint vocabularies differ ({sorted(vocabs)}); incompatible "
-            "tokenizations prevent layer-wise residual correction"
-        )
     for i, m in enumerate(models):
         if "fusion_period" in doc and m.spec.fusion_period != doc["fusion_period"]:
             raise ValueError(
@@ -203,7 +197,7 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
             )
     spec = EnsembleSpec(
         models=[m.spec for m in models],
-        lambdas=[float(x) for x in doc["lambdas"]],
-        top_k=int(doc["top_k"]),
+        lambdas=[float(x) for x in lambdas],
+        top_k=top_k,
     )
     return Ensemble(spec, models), doc

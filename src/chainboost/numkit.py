@@ -24,9 +24,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
     if z.ndim != 1:
         raise ShapeError(f"softmax expects a 1-D vector, got shape {z.shape}")
     check_finite(z, "softmax input")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax_rows(z)
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

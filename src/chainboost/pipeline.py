@@ -39,7 +39,7 @@ class TimingReport:
     def per_token_s(self) -> float:
         return self.wall_s / self.n_tokens if self.n_tokens else 0.0
 
-    def format(self, per_layer: bool = False) -> str:
+    def format(self) -> str:
         lines = [
             f"end_to_end_s        {self.wall_s:.6f}",
             f"per_token_latency_s {self.per_token_s:.6f}",
@@ -49,10 +49,6 @@ class TimingReport:
                 f"blocked_s           {self.blocked_s:.6f}",
                 f"state_passing_s     {self.transfer_s:.6f}",
             ]
-        if per_layer:
-            lines.append("model layer step start_us finish_us")
-            for m, l, t, a, b in sorted(self.events, key=lambda e: (e[2], e[0], e[1])):
-                lines.append(f"{m:5d} {l:5d} {t:4d} {a:8d} {b:9d}")
         return "\n".join(lines)
 
 

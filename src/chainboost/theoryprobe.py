@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numkit import ShapeError, softmax, softmax_jacobian
+from .numkit import ShapeError, check_finite, softmax, softmax_jacobian, softmax_rows
 from .training import (
+    DEFAULT_BETA,
     AlignmentEstimate,
     BoundViolatedError,
     descent_lr_bound,
@@ -30,6 +31,7 @@ from .training import (
 )
 
 DESCENT_ROUNDS = 12  # descent_probe's cap on L-hat fixed-point rounds
+ETA_SCALE = 0.9  # descent_probe steps at this fraction of eta*(alpha)
 
 
 def effective_contribution(z_prev_accum: np.ndarray, z_new: np.ndarray) -> np.ndarray:
@@ -147,6 +149,7 @@ def mse_sweep(
         )
     if zp.shape[0] == 0:
         raise ValueError("empty instance set")
+    check_finite(zn, "corr_logits")  # zp is checked by effective_contribution
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 for l in lambdas):
         raise ValueError("lambda grid must be positive")
@@ -154,7 +157,7 @@ def mse_sweep(
     n, v = zp.shape
     onehot = np.zeros((n, v))
     onehot[np.arange(n), gold] = 1.0
-    p0 = np.apply_along_axis(softmax, 1, zp)
+    p0 = softmax_rows(zp)
     mse_pred = float(np.mean(np.sum((p0 - onehot) ** 2, axis=1)))
     eg = np.array(
         [(onehot[i] - p0[i]) @ effective_contribution(zp[i], zn[i]) for i in range(n)]
@@ -163,7 +166,7 @@ def mse_sweep(
 
     mse_ens, linear = [], []
     for lam in lambdas:
-        ph = np.apply_along_axis(softmax, 1, zp + lam * zn)
+        ph = softmax_rows(zp + lam * zn)
         mse_ens.append(float(np.mean(np.sum((ph - onehot) ** 2, axis=1))))
         linear.append(-2.0 * lam * mean_eg)
     return MseSweepReport(
@@ -213,14 +216,11 @@ def descent_probe(
     gold: np.ndarray,
     alpha: float,
     steps: int,
-    beta: float = 0.1,
     err: Optional[np.ndarray] = None,
-    fusion_in=None,
-    scope: str = "full",
-    eta_scale: float = 0.9,
     seed: int = 0,
 ) -> DescentReport:
-    """Run full-batch steps at η = eta_scale x η*(α) and count CE increases.
+    """Run full-batch steps over every parameter at η = ETA_SCALE x η*(α),
+    β = DEFAULT_BETA, and count CE increases.
 
     Measures (ρ̂, Γ̂) from per-sample gradients. The smoothness constant L̂ is
     found by a fixed point: start from a local secant probe around θ0, run a
@@ -239,9 +239,9 @@ def descent_probe(
     gold = np.asarray(gold)
     if err is None:
         err = np.full_like(gold, -1)
-    keys = trainable_keys(model, scope)
+    keys = trainable_keys(model, "full")
     if ((err >= 0) & (gold >= 0)).any():
-        align = estimate_alignment(model, tokens, gold, err, keys, beta, fusion_in=fusion_in)
+        align = estimate_alignment(model, tokens, gold, err, keys, DEFAULT_BETA)
     else:
         # no predecessor errors: the suppression gradient vanishes identically
         align = AlignmentEstimate(rho=0.0, gamma=0.0, sample_count=0)
@@ -252,9 +252,9 @@ def descent_probe(
     def at(theta: np.ndarray):
         """(primary CE, composite flat grad, CE-only flat grad) at theta."""
         load_flat_params(model, keys, theta)
-        ce, _, grads = stage_batch_pass(model, tokens, gold, err, alpha, beta, fusion_in, keys=keys)
+        ce, _, grads = stage_batch_pass(model, tokens, gold, err, alpha, DEFAULT_BETA, keys=keys)
         g_comp = flatten_grads(grads, keys)
-        _, _, grads_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, beta, fusion_in, keys=keys)
+        _, _, grads_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, DEFAULT_BETA, keys=keys)
         return ce, g_comp, flatten_grads(grads_ce, keys)
 
     ce0, g0_comp, g0_ce = at(theta0)
@@ -294,7 +294,7 @@ def descent_probe(
     for _ in range(DESCENT_ROUNDS):  # fixed-point rounds; converges since eta shrinks
         l_hat = path_sec  # the L-hat behind this pilot, and so the one reported
         eta_star = descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
-        eta = eta_scale * eta_star
+        eta = ETA_SCALE * eta_star
         theta, g_comp, g_ce = theta0.copy(), g0_comp, g0_ce
         traj, violations, path_sec = [ce0], 0, 0.0
         for _ in range(steps):

@@ -25,7 +25,7 @@ weight can move by a rounding step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +41,8 @@ PROB_FLOOR = 1e-30
 
 DEFAULT_ALPHA = 0.90
 DEFAULT_BETA = 0.10
+
+ALIGNMENT_ROWS = 12  # rows each stage-2 alignment record is estimated on
 
 
 @dataclass
@@ -58,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0 or self.learning_rate <= 0:
             raise ValueError("alpha, beta, learning_rate must be positive")
+        if self.stage2_learning_rate is not None and self.stage2_learning_rate <= 0:
+            raise ValueError(f"stage2_learning_rate must be positive, got {self.stage2_learning_rate}")
         for name in ("epochs", "batch_size", "stage2_epochs"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -377,13 +381,11 @@ def train_model(
     beta: float,
     err: Optional[np.ndarray] = None,
     fusion_in: Optional[dict[int, np.ndarray]] = None,
-    epochs: Optional[int] = None,
-    learning_rate: Optional[float] = None,
     stage: str = "stage1",
     model_index: int = 0,
-    metrics: Optional[list] = None,
 ) -> list[dict]:
-    """SGD over one model; err/fusion_in come from a frozen predecessor."""
+    """SGD over one model for cfg.epochs epochs at cfg.learning_rate; returns
+    one record per epoch. err/fusion_in come from a frozen predecessor."""
     keys = trainable_keys(model, scope)
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
@@ -391,10 +393,8 @@ def train_model(
         raise ValueError("dataset is empty")
     if err is None:
         err = np.full_like(dataset.gold, -1)
-    metrics = metrics if metrics is not None else []
-    epochs = epochs if epochs is not None else cfg.epochs
-    lr = learning_rate if learning_rate is not None else cfg.learning_rate
-    for epoch in range(epochs):
+    metrics = []
+    for epoch in range(cfg.epochs):
         ce_sum, supp_sum, nb = 0.0, 0.0, 0
         for idx in _iter_batches(n, cfg.batch_size, rng):
             f_in = None
@@ -408,7 +408,7 @@ def train_model(
                 raise DivergenceError(
                     f"{stage} model {model_index} epoch {epoch}: loss is not finite"
                 )
-            sgd_step(model, grads, lr, keys)
+            sgd_step(model, grads, cfg.learning_rate, keys)
             ce_sum += ce
             supp_sum += supp
             nb += 1
@@ -432,10 +432,9 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
     predecessor, harvest its teacher-forced trace and error tokens, then train
     the successor on its own logits under the composite objective.
     """
-    metrics: list[dict] = []
     base = ensemble.models[0]
     scope0 = "adapters" if base.spec.adapter_rank > 0 else "full"
-    train_model(
+    metrics = train_model(
         base,
         dataset,
         cfg,
@@ -444,11 +443,14 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
         beta=cfg.beta,
         stage="stage1",
         model_index=0,
-        metrics=metrics,
     )
 
-    s2_epochs = cfg.stage2_epochs if cfg.stage2_epochs is not None else cfg.epochs
-    s2_lr = cfg.stage2_learning_rate if cfg.stage2_learning_rate is not None else cfg.learning_rate
+    s2_lr = cfg.stage2_learning_rate
+    cfg2 = replace(
+        cfg,
+        epochs=cfg.epochs if cfg.stage2_epochs is None else cfg.stage2_epochs,
+        learning_rate=cfg.learning_rate if s2_lr is None else s2_lr,
+    )
     for i in range(1, len(ensemble.models)):
         pred = ensemble.models[i - 1]
         succ = ensemble.models[i]
@@ -471,22 +473,19 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
         err = predecessor_errors(pred_logits, dataset.gold)
         fusion_in = ensemble.fusion_inputs(i, pred_states)
         scope_i = "adapters" if succ.spec.adapter_rank > 0 else "full"
-        train_model(
+        metrics += train_model(
             succ,
             dataset,
-            cfg,
+            cfg2,
             scope=scope_i,
             alpha=cfg.alpha,
             beta=cfg.beta,
             err=err,
             fusion_in=fusion_in,
-            epochs=s2_epochs,
-            learning_rate=s2_lr,
             stage="stage2",
             model_index=i,
-            metrics=metrics,
         )
-        _append_alignment(metrics, succ, dataset, err, cfg, scope_i, i, fusion_in=fusion_in)
+        metrics += _alignment_record(succ, dataset, err, cfg, scope_i, i, fusion_in)
     return metrics
 
 
@@ -548,10 +547,12 @@ def predecessor_errors(pred_logits: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return np.where((gold >= 0) & (pred != gold), pred, -1)
 
 
-def _append_alignment(metrics, model, dataset, err, cfg, scope, model_index, cap: int = 12, fusion_in=None):
-    active_rows = np.where((err >= 0).any(axis=1))[0][:cap]
+def _alignment_record(model, dataset, err, cfg, scope, model_index, fusion_in) -> list[dict]:
+    """A trained successor's stage-2 alignment record, in a list; [] when no
+    row has an error token."""
+    active_rows = np.where((err >= 0).any(axis=1))[0][:ALIGNMENT_ROWS]
     if active_rows.size == 0:
-        return
+        return []
     keys = trainable_keys(model, scope)
     f_in = {l: fusion_in[l][active_rows] for l in fusion_in} if fusion_in else None
     est = estimate_alignment(
@@ -572,4 +573,4 @@ def _append_alignment(metrics, model, dataset, err, cfg, scope, model_index, cap
     }
     if cfg.alpha > est.rho * est.gamma:
         rec["eta_bound_unit_smoothness"] = descent_lr_bound(cfg.alpha, est.rho, est.gamma, 1.0)
-    metrics.append(rec)
+    return [rec]

@@ -151,15 +151,19 @@ class TestTrainConfig:
         (lambda d, tmp: d.update(seeds=[]), "seeds must be a nonempty list of integers, got []"),
         (lambda d, tmp: d.update(seeds=[1, "2"]), "seeds must be a nonempty list of integers"),
         (lambda d, tmp: d.update(seeds=3), "seeds must be a nonempty list of integers, got 3"),
+        (lambda d, tmp: d.update(seeds=[1, -1]), "seeds must be nonnegative, got [1, -1]"),
         (lambda d, tmp: d.update(model=5), "the 'model' section must be an object, got 5"),
         (lambda d, tmp: d.update(task="modsum"), "the 'task' section must be an object"),
         (lambda d, tmp: d.update(train=[1]), "the 'train' section must be an object"),
         (lambda d, tmp: d.update(holdout_fraction=1.5), "holdout_fraction must be a number in (0, 1), got 1.5"),
         (lambda d, tmp: d.update(holdout_fraction=0), "holdout_fraction must be a number in (0, 1), got 0"),
         (lambda d, tmp: d.update(holdout_fraction=0.999), "holdout_fraction 0.999 leaves no training sample of 240"),
+        (lambda d, tmp: d["model"].update(max_steps=8),
+         "model max_steps 8 is below the data's sequence width 9"),
     ], ids=["task_kind", "no_data", "missing_dataset", "model_heads", "lambdas", "seeds_empty",
-            "seeds_not_ints", "seeds_not_a_list", "model_not_object", "task_not_object",
-            "train_not_object", "holdout_above_1", "holdout_0", "holdout_leaves_no_sample"])
+            "seeds_not_ints", "seeds_not_a_list", "seeds_negative", "model_not_object",
+            "task_not_object", "train_not_object", "holdout_above_1", "holdout_0",
+            "holdout_leaves_no_sample", "max_steps_below_width"])
     def test_bad_config_exits_2(self, tmp_path, edit, message, capsys):
         doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
         edit(doc, tmp_path)
@@ -170,12 +174,23 @@ class TestTrainConfig:
         assert err.startswith("bad config: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "examples_config.json"
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                                  "--seeds", "2", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "bad config: seeds must be nonnegative, got [2, -1]\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("train, message", [
         ({"epochs": -1, "stage2_epochs": 0}, "epochs must be at least 1, got -1"),
         ({"epochs": 0}, "epochs must be at least 1, got 0"),
         ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
         ({"stage2_epochs": 0}, "stage2_epochs must be at least 1, got 0"),
-    ], ids=["no_step", "epochs_0", "batch_size_0", "stage2_epochs_0"])
+        ({"stage2_learning_rate": 0}, "stage2_learning_rate must be positive, got 0"),
+        ({"stage2_learning_rate": -0.1}, "stage2_learning_rate must be positive, got -0.1"),
+    ], ids=["no_step", "epochs_0", "batch_size_0", "stage2_epochs_0", "stage2_lr_0",
+            "stage2_lr_negative"])
     def test_train_count_below_one_exits_2(self, tmp_path, train, message, capsys):
         doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
         doc["train"].update(train)
@@ -345,6 +360,26 @@ class TestInfer:
         _, prompts = trained_run
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            [command, "--manifest", str(bad), "--prompts", str(prompts)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"manifest {bad} does not load: {problem}\n"
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("lambdas", 0.3, "manifest key 'lambdas' must be a list of numbers, got 0.3"),
+        ("top_k", None, "manifest key 'top_k' must be an integer, got None"),
+        ("top_k", [2], "manifest key 'top_k' must be an integer, got [2]"),
+        ("checkpoints", 5, "manifest key 'checkpoints' must be a list of file names, got 5"),
+    ], ids=["lambdas_number", "top_k_null", "top_k_list", "checkpoints_number"])
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_manifest_value_of_wrong_type_exits_1(self, trained_run, tmp_path, command, key,
+                                                   value, problem, capsys):
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({**doc, key: value}))
         code, out, err = run_cli(
             [command, "--manifest", str(bad), "--prompts", str(prompts)], capsys
         )

@@ -623,6 +623,22 @@ class TestTrainChain:
         with pytest.raises(ValueError, match=r"'l1\.w1' of model 1"):
             train_chain(ens, self._dataset(), cfg)
 
+    def test_fresh_successor_keeps_its_own_weights(self):
+        ds = self._dataset()
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=0,
+                          stage2_epochs=2, successor_init="fresh")
+        succ_spec = dataclasses.replace(SMALL, adapter_rank=4, seed=100)
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        train_chain(ens, ds, cfg)
+        # adapter-only stage 2 leaves the successor's own initial weights be
+        init = TransformerModel(succ_spec)
+        base, succ = ens.models
+        keys = trainable_keys(succ, "full")
+        for k in keys:
+            assert np.array_equal(succ.params[k], init.params[k]), k
+        assert not np.array_equal(flatten_params(succ, keys), flatten_params(base, keys))
+        assert any(v.any() for k, v in succ.params.items() if k.endswith(".B"))
+
     def test_single_model_chain_matches_train_model(self):
         ds = self._dataset()
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=0)
