@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,8 +59,13 @@ class EnsembleSpec:
             self.lambdas = [DEFAULT_LAMBDA] * n
         if len(self.lambdas) != n:
             raise ValueError(f"need {n} lambdas (one per successor), got {len(self.lambdas)}")
+        for i, lam in enumerate(self.lambdas):
+            if not math.isfinite(lam):
+                raise ValueError(f"lambdas[{i}] must be finite, got {lam}")
         if any(lam <= 0 for lam in self.lambdas):
             raise ValueError("lambdas must be positive")
+        if isinstance(self.top_k, bool) or not isinstance(self.top_k, int):
+            raise ValueError(f"top_k must be an integer, got {self.top_k!r}")
         if not (1 <= self.top_k <= v0):
             raise ValueError(f"top_k must be in [1, {v0}]")
 
@@ -140,6 +146,12 @@ class Ensemble:
         if i == 0:
             return None
         return {l: pred_states[l - 1] for l in self.spec.models[i].fusion_layers()}
+
+    def last_state_read(self, i: int) -> bool:
+        """Whether model i's last state h_L is a fusion input: only when its
+        successor fuses at layer L + 1, deeper than model i itself."""
+        models = self.spec.models
+        return i + 1 < len(models) and models[i].n_layers + 1 in models[i + 1].fusion_layers()
 
 
 def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> None:

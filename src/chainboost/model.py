@@ -3,9 +3,10 @@
 The block structure follows a post-norm layout: the attention input is either
 the previous layer's state or, at fusion layers, LayerNorm(h_own + h_pred)
 with unit gain and zero bias; Q/K/V are all projected from that (possibly
-fused) stream, a residual + LayerNorm follows, then a GELU MLP with its own
-residual + LayerNorm. Layers are 1-indexed so layer l fuses iff
-l % fusion_period == 0; the embedding output counts as "layer 0".
+fused) stream, in one matmul with [wq | wk | wv], a residual + LayerNorm
+follows, then a GELU MLP with its own residual + LayerNorm. Layers are
+1-indexed so layer l fuses iff l % fusion_period == 0; the embedding output
+counts as "layer 0".
 
 One layer body (transformer_layer, over a parameter view) serves every path.
 One walk, forward_pass, wraps it in embedding and unembedding over a model's
@@ -19,7 +20,9 @@ one-token call over a KvCache). Only forward_train keeps each layer's
 activations; the other calls return the layer states alone. The sequential
 chain decoder runs the walk over views it builds once per request; the
 layer-synchronous one calls the layer body with k models' weights stacked
-along the batch axis.
+along the batch axis. A decode step whose logits nobody reads stops at the
+last layer's keys and values (cache_kv): both decoders take it on every
+prompt token but the last.
 
 Ownership rule: a kernel writes only arrays it allocated. LayerNorm forward
 and backward, GELU and its gradient, softmax_rows, attention and its
@@ -52,6 +55,8 @@ _GELU_A = 0.044715
 # a layer's parameters, by the short name a parameter view uses
 LAYER_KEYS = ("wq", "wk", "wv", "wo", "ln_attn_g", "ln_attn_b",
               "w1", "b1", "w2", "b2", "ln_mlp_g", "ln_mlp_b")
+# the view's separate projections: backward reads them, the forward reads wqkv
+SPLIT_QKV = ("wq", "wk", "wv")
 
 
 class ContractError(RuntimeError):
@@ -71,11 +76,11 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab", "max_steps", "fusion_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
         if self.adapter_rank < 0:
             raise ValueError("adapter_rank must be nonnegative")
 
@@ -84,27 +89,27 @@ class ModelSpec:
 
 
 class KvCache:
-    """Per-layer keys/values of the steps decoded so far.
+    """Per-layer keys and values of the steps decoded so far.
 
-    keys[i] and values[i] hold layer i+1's post-fusion projections split by
-    head, (B, n_heads, steps, head_dim), or None before the first step.
+    kv[i] holds layer i+1's post-fusion key and value projections split by
+    head in one array, (2, B, n_heads, steps, head_dim), keys at [0] and
+    values at [1], or None before the first step; a step extends it with
+    one concatenation.
     """
 
     def __init__(self, n_layers: int):
-        self.keys: list[Optional[np.ndarray]] = [None] * n_layers
-        self.values: list[Optional[np.ndarray]] = [None] * n_layers
+        self.kv: list[Optional[np.ndarray]] = [None] * n_layers
 
     @property
     def step_count(self) -> int:
-        return 0 if self.keys[0] is None else self.keys[0].shape[2]
+        return 0 if self.kv[0] is None else self.kv[0].shape[3]
 
-    def extend(self, layer: int, kh: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append (B, heads, T, dh) keys/values to a layer; return all of that layer's."""
-        if self.keys[layer] is not None:
-            kh = np.concatenate((self.keys[layer], kh), axis=2)
-            vh = np.concatenate((self.values[layer], vh), axis=2)
-        self.keys[layer], self.values[layer] = kh, vh
-        return kh, vh
+    def extend(self, layer: int, kv: np.ndarray) -> np.ndarray:
+        """Append (2, B, heads, T, dh) keys and values to a layer; return all of that layer's."""
+        if self.kv[layer] is not None:
+            kv = np.concatenate((self.kv[layer], kv), axis=3)
+        self.kv[layer] = kv
+        return kv
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -203,12 +208,15 @@ class TransformerModel:
 
     def layer_params(self, l: int) -> dict[str, np.ndarray]:
         """Layer l's parameter view: its l{l}.* arrays by short name, with wq
-        and wv merged with their factors as w + A @ B on a rank > 0 model."""
+        and wv merged with their factors as w + A @ B on a rank > 0 model,
+        plus wqkv = [wq | wk | wv] (d_model, 3 d_model), the one projection
+        the forward reads; backward reads wq, wk and wv."""
         p = f"l{l}."
         view = {name: self.params[p + name] for name in LAYER_KEYS}
         if self.spec.adapter_rank > 0:
             for name in ("wq", "wv"):
                 view[name] = view[name] + self.params[p + name + ".A"] @ self.params[p + name + ".B"]
+        view["wqkv"] = np.concatenate([view[name] for name in SPLIT_QKV], axis=1)
         return view
 
     def param_views(self) -> list[dict[str, np.ndarray]]:
@@ -448,7 +456,8 @@ def fuse_states(h: np.ndarray, pred: np.ndarray):
 def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
                  fusion_in: Optional[dict] = None,
                  cache: Optional[KvCache] = None,
-                 keep_acts: bool = False) -> tuple[np.ndarray, dict]:
+                 keep_acts: bool = False,
+                 stop_at_cache: bool = False) -> tuple[Optional[np.ndarray], dict]:
     """One model's walk over a (B, T) token batch, unchecked: embedding, then
     transformer_layer per layer, then unembedding, over views as built by
     TransformerModel.param_views.
@@ -461,6 +470,11 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     acts["layers"] hold each layer's activations for backward(); without
     it the list stays empty and a layer's intermediates are freed as soon
     as the next layer starts.
+
+    stop_at_cache is for a decode step whose logits and last state nobody
+    reads: the last layer only projects its keys and values into the cache
+    (cache_kv), and the pass returns (None, acts) with acts["states"] ending
+    at h_{L-1}. The cache then holds the bits a full step leaves in it.
     """
     T = tokens.shape[1]
     t0 = 0 if cache is None else cache.step_count
@@ -472,6 +486,9 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     for l in range(1, spec.n_layers + 1):
         fused = fusion_in is not None and l % spec.fusion_period == 0
         ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
+        if stop_at_cache and l == spec.n_layers:
+            cache_kv(views[l], ht, cache, l, spec.n_heads)
+            return None, acts
         h, a = transformer_layer(views[l], ht, cache, l, spec.n_heads, mask)
         acts["states"].append(h)
         if keep_acts:
@@ -495,14 +512,9 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
     """
     B, T, d = ht.shape
     dh = d // n_heads
-    q = ht @ p["wq"]
-    k = ht @ p["wk"]
-    v = ht @ p["wv"]
-    qh = q.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    kh = k.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    vh = v.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    if cache is not None:
-        kh, vh = cache.extend(layer - 1, kh, vh)
+    qkv = _qkv_heads(p, ht, n_heads)
+    qh = qkv[0]
+    kh, vh = qkv[1:] if cache is None else cache.extend(layer - 1, qkv[1:])
     oh, attn = _attention(qh, kh, vh, 1.0 / math.sqrt(dh), mask)
     o = oh.transpose(0, 2, 1, 3).reshape(B, T, d)
     hhat = o @ p["wo"]
@@ -519,6 +531,20 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
     acts = dict(p=p, ht=ht, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
                 ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m)
     return h, acts
+
+
+def cache_kv(p: dict, ht: np.ndarray, cache: KvCache, layer: int, n_heads: int) -> None:
+    """Extend the cache at index layer-1 with the keys and values of attention
+    input ht, from the projection transformer_layer makes, and do nothing
+    else of the layer: its attention, MLP and LayerNorms are skipped."""
+    cache.extend(layer - 1, _qkv_heads(p, ht, n_heads)[1:])
+
+
+def _qkv_heads(p: dict, ht: np.ndarray, n_heads: int) -> np.ndarray:
+    """Q, K and V of attention input ht (B, T, d) from the one matmul
+    ht @ p["wqkv"], split by head: (3, B, n_heads, T, head_dim) views."""
+    B, T, d = ht.shape
+    return (ht @ p["wqkv"]).reshape(B, T, 3, n_heads, d // n_heads).transpose(2, 0, 3, 1, 4)
 
 
 def _attention(qh, kh, vh, scale: float, mask: Optional[np.ndarray] = None):

@@ -7,7 +7,9 @@ is layer-synchronous: successor fusion layer l reads predecessor state l-1,
 the depth of its own input, so one call of the shared layer body runs layer
 l of all k models, their weights stacked along the batch axis. A step costs
 n_layers layer calls whatever k is: GPipe's schedule (Huang et al.,
-arXiv:1811.06965) with models in place of devices.
+arXiv:1811.06965) with models in place of devices. Both stop every prompt
+step but the last at the last layer's keys and values: nobody reads its
+logits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import KvCache, forward_pass, fuse_states, transformer_layer
+from .model import SPLIT_QKV, KvCache, cache_kv, forward_pass, fuse_states, transformer_layer
 
 
 @dataclass
@@ -73,14 +75,17 @@ def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
 def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
     """The greedy loop both decoders run; returns (tokens, per-step fused logits).
 
-    step(token) advances the whole chain one step on token and returns that
-    step's fused logits. The prompt is fed first; then the argmax (lowest
-    index on ties) is emitted and fed back until EOS (= V-1) or max_tokens
-    emissions. The emitted EOS is included in the output.
+    step(token, emit) advances the whole chain one step on token. emit says
+    whether a token is chosen from this step's fused logits: then step
+    returns them, and otherwise it may return None. Only the last prompt
+    step and the steps on fed-back tokens emit. The prompt is fed first;
+    then the argmax (lowest index on ties) is emitted and fed back until EOS
+    (= V-1) or max_tokens emissions. The emitted EOS is included in the
+    output.
     """
     eos = ensemble.spec.vocab - 1
-    for token in prompt:
-        fused = step(int(token))
+    for i, token in enumerate(prompt):
+        fused = step(int(token), i == len(prompt) - 1)
     out: list[int] = []
     fused_hist: list[np.ndarray] = []
     while True:
@@ -89,30 +94,37 @@ def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
         fused_hist.append(fused)
         if nxt == eos or len(out) >= max_tokens:
             return out, np.array(fused_hist)
-        fused = step(nxt)
+        fused = step(nxt, True)
 
 
 def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     """Reference greedy decoder; returns (tokens, per-step fused logits).
 
     Every call builds each model's param_views() afresh (training updates
-    adapters in place). Per step each model runs forward_pass to completion
-    in chain order over its own KvCache, and successor fusion layers read the
-    predecessor's states for the same step.
+    adapters in place). Per step each model runs forward_pass in chain order
+    over its own KvCache, and successor fusion layers read the
+    predecessor's states for the same step. On a step that emits nothing,
+    a model whose last state no successor reads stops at its last layer's
+    keys and values (forward_pass's stop_at_cache), and fuse_logits is not
+    called; a model whose successor fuses its last state runs in full.
     """
     check_prompt(ensemble, prompt, max_tokens)
     models = ensemble.models
     views = [m.param_views() for m in models]
     caches = [KvCache(m.spec.n_layers) for m in models]
+    last_read = [ensemble.last_state_read(i) for i in range(len(models))]
 
-    def step_chain(token: int) -> np.ndarray:
+    def step_chain(token: int, emit: bool) -> Optional[np.ndarray]:
         tokens = np.array([[token]])
         zs, states = [], None
         for i, m in enumerate(models):
-            z, acts = forward_pass(m.spec, views[i], tokens, ensemble.fusion_inputs(i, states), caches[i])
-            zs.append(z[0, 0])
+            z, acts = forward_pass(m.spec, views[i], tokens, ensemble.fusion_inputs(i, states),
+                                   caches[i], stop_at_cache=not (emit or last_read[i]))
+            zs.append(z)
             states = acts["states"]
-        return fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)
+        if not emit:
+            return None
+        return fuse_logits([z[0, 0] for z in zs], ensemble.spec.lambdas, ensemble.spec.top_k)
 
     return _greedy(ensemble, prompt, max_tokens, step_chain)
 
@@ -125,8 +137,9 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 def _stack_weights(models) -> list[dict]:
     """The chain's param_views() stacked along a leading model axis: [0] holds
-    the embeddings and unembedding, [l] layer l's adapter-merged view."""
-    return [{name: _stack([v[name] for v in per]) for name in per[0]}
+    the embeddings and unembedding, [l] the entries of layer l's
+    adapter-merged view that transformer_layer reads (wqkv, not wq, wk, wv)."""
+    return [{name: _stack([v[name] for v in per]) for name in per[0] if name not in SPLIT_QKV}
             for per in zip(*(m.param_views() for m in models))]
 
 
@@ -136,10 +149,13 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
     Every call stacks the weights afresh (training updates adapters in
     place). Per step an embedding lookup feeds one transformer_layer call
     per depth over a B = k KvCache; at fusion layers rows 1..k-1 take
-    LN(h[1:] + h[:-1]) and the base row passes through. Chains whose models
-    differ in depth, widths, heads or fusion period run decode_sequential.
-    report.events holds (model, layer, step, start_us, finish_us), one per
-    model for each stacked layer call.
+    LN(h[1:] + h[:-1]) and the base row passes through. A step that emits
+    nothing makes n_layers - 1 such calls and then only cache_kv at the
+    last layer, with no unembedding or fuse_logits: in a stackable chain no
+    fusion layer reads a last state. Chains whose models differ in depth,
+    widths, heads or fusion period run decode_sequential. report.events
+    holds (model, layer, step, start_us, finish_us), one per model for each
+    layer of each step.
 
     workers is kept only for chainbench/workloads.py, and a benchmark change
     removes it: below 1 it raises ValueError; any other value has no effect.
@@ -162,7 +178,7 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
     def now_us() -> int:
         return int((time.perf_counter() - t_origin) * 1e6)
 
-    def step_chain(token: int) -> np.ndarray:
+    def step_chain(token: int, emit: bool) -> Optional[np.ndarray]:
         t = cache.step_count
         h = weights[0]["tok_emb"][:, token : token + 1] + weights[0]["pos_emb"][:, t : t + 1]
         for l in range(1, spec.n_layers + 1):
@@ -171,8 +187,13 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
             if k > 1 and l % spec.fusion_period == 0:
                 ht = h.copy()
                 ht[1:] = fuse_states(h[1:], h[:-1])[0]
-            h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None)
+            if emit or l < spec.n_layers:
+                h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None)
+            else:
+                cache_kv(weights[l], ht, cache, l, spec.n_heads)
             calls.append((l, t, start, now_us()))
+        if not emit:
+            return None
         z = h @ weights[0]["unemb"]
         return fuse_logits(z[:, 0], ensemble.spec.lambdas, ensemble.spec.top_k)
 

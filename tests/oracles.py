@@ -67,10 +67,11 @@ def forward_teacher(
 
 def step_fold(ens: Ensemble, prompt, max_tokens: int):
     """The greedy decode as a fold of forward_step over the chain: the
-    sequential decoder's oracle."""
+    sequential decoder's oracle. Every step runs every model in full, the
+    steps that emit nothing included."""
     caches = [KvCache(m.spec.n_layers) for m in ens.models]
 
-    def step(token):
+    def step(token, emit):
         zs, states = [], None
         for i, m in enumerate(ens.models):
             z, states, _ = m.forward_step(token, caches[i], ens.fusion_inputs(i, states))

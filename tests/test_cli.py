@@ -160,10 +160,15 @@ class TestTrainConfig:
         (lambda d, tmp: d.update(holdout_fraction=0.999), "holdout_fraction 0.999 leaves no training sample of 240"),
         (lambda d, tmp: d["model"].update(max_steps=8),
          "model max_steps 8 is below the data's sequence width 9"),
+        (lambda d, tmp: d.update(top_k=2.5), "top_k must be an integer, got 2.5"),
+        (lambda d, tmp: d.update(top_k=True), "top_k must be an integer, got True"),
+        (lambda d, tmp: d.update(lambdas=[float("nan")]), "lambdas[0] must be finite, got nan"),
+        (lambda d, tmp: d["model"].update(n_heads=0), "n_heads must be positive"),
     ], ids=["task_kind", "no_data", "missing_dataset", "model_heads", "lambdas", "seeds_empty",
             "seeds_not_ints", "seeds_not_a_list", "seeds_negative", "model_not_object",
             "task_not_object", "train_not_object", "holdout_above_1", "holdout_0",
-            "holdout_leaves_no_sample", "max_steps_below_width"])
+            "holdout_leaves_no_sample", "max_steps_below_width", "top_k_float", "top_k_bool",
+            "lambda_nan", "model_heads_0"])
     def test_bad_config_exits_2(self, tmp_path, edit, message, capsys):
         doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
         edit(doc, tmp_path)
@@ -385,6 +390,17 @@ class TestInfer:
         )
         assert code == 1 and out == ""
         assert err == f"manifest {bad} does not load: {problem}\n"
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_manifest_lambda_not_finite_exits_1(self, trained_run, tmp_path, lam, capsys):
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({**doc, "lambdas": [lam]}))  # json writes NaN / Infinity
+        code, out, err = run_cli(["infer", "--manifest", str(bad), "--prompts", str(prompts)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"manifest {bad} does not load: lambdas[0] must be finite, got {lam}\n"
 
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run

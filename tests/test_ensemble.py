@@ -40,6 +40,16 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(models=[MS], lambdas=[], top_k=MS.vocab + 1)
 
+    @pytest.mark.parametrize("top_k", [2.5, 2.0, True, "2"])
+    def test_top_k_must_be_an_int(self, top_k):
+        with pytest.raises(ValueError, match=r"top_k must be an integer, got "):
+            EnsembleSpec(models=[MS, MS], lambdas=[0.3], top_k=top_k)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_lambdas_must_be_finite(self, lam):
+        with pytest.raises(ValueError, match=rf"lambdas\[1\] must be finite, got {lam}"):
+            EnsembleSpec(models=[MS, MS, MS], lambdas=[0.3, lam], top_k=2)
+
     def test_d_model_mismatch_rejected(self):
         other = dataclasses.replace(MS, d_model=8)
         with pytest.raises(ValueError, match=r"model 1: d_model 8"):

@@ -151,6 +151,7 @@ def layer_weights(name, rng):
     k = lead[:1]
     ff = 2 * d
     p = {w: rng.standard_normal(k + (d, d)) / math.sqrt(d) for w in ("wq", "wk", "wv", "wo")}
+    p["wqkv"] = np.concatenate((p["wq"], p["wk"], p["wv"]), axis=-1)
     p.update(w1=rng.standard_normal(k + (d, ff)) / math.sqrt(d),
              w2=rng.standard_normal(k + (ff, d)) / math.sqrt(ff))
     for name_, n in (("ln_attn_g", d), ("ln_attn_b", d), ("b1", ff), ("b2", d),

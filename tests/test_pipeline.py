@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chainboost import model, pipeline
-from chainboost.ensemble import Ensemble, EnsembleSpec
+from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
 from chainboost.model import ModelSpec
 from chainboost.pipeline import decode_pipelined, decode_sequential
 from chainboost.training import sgd_step
@@ -121,7 +121,8 @@ class TestLayerSynchronous:
         prompt = [1, 2, 3]
         toks, _, report = decode_pipelined(ens, prompt, max_tokens=5)
         steps = len(prompt) + len(toks) - 1
-        assert shapes == [(k, 1, TINY.d_model)] * (deep.n_layers * steps)
+        # each prompt step but the last stops at its last layer's keys and values
+        assert shapes == [(k, 1, TINY.d_model)] * (deep.n_layers * steps - (len(prompt) - 1))
         assert len(report.events) == k * deep.n_layers * steps
 
     def test_adapted_chain_bit_identical(self):
@@ -205,6 +206,48 @@ class TestSequential:
         assert len(toks) > 1  # several steps ran on one set of views
         assert sorted(built) == sorted((id(m), l) for m in ens.models
                                        for l in range(1, TINY.n_layers + 1))
+
+
+class TestPromptStop:
+    """Prompt steps whose logits nobody reads stop at the last layer's K/V."""
+
+    def test_successor_fusing_the_last_state_keeps_it(self):
+        # fusion layer 3 of the 3-layer successor reads the 2-layer base's last
+        # state, so the base runs its last layer in full on every step
+        succ = dataclasses.replace(TINY, n_layers=3, fusion_period=3, adapter_rank=4, seed=1)
+        ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
+        assert ens.last_state_read(0) and not ens.last_state_read(1)
+        rng = np.random.default_rng(0)
+        for v in ens.models[1].params.values():
+            v += rng.normal(0.0, 0.1, v.shape)  # a successor that moves the fused logits
+        max_tokens = 4
+        for n in (1, 3, TINY.max_steps - max_tokens):
+            prompt = rng.integers(0, TINY.vocab - 1, size=n).tolist()
+            toks_f, logits_f = step_fold(ens, prompt, max_tokens)
+            for decode in (decode_sequential, decode_pipelined):
+                toks, logits = decode(ens, prompt, max_tokens)[:2]
+                assert toks == toks_f
+                assert np.array_equal(logits, logits_f)
+
+    @pytest.mark.parametrize("deep_successor", [False, True])
+    def test_fuse_logits_once_per_emitted_token(self, deep_successor, monkeypatch):
+        if deep_successor:
+            succ = dataclasses.replace(TINY, n_layers=3, fusion_period=3, seed=1)
+            ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
+        else:
+            ens = make_chain(2, seed=8)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return fuse_logits(*args)
+
+        monkeypatch.setattr(pipeline, "fuse_logits", counting)
+        for decode in (decode_sequential, decode_pipelined):
+            for prompt in ([1], [1, 2, 3, 4, 5]):
+                calls.clear()
+                toks = decode(ens, prompt, 6)[0]
+                assert len(calls) == len(toks)
 
 
 class TestWavefront:
