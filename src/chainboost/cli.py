@@ -17,7 +17,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -49,28 +48,31 @@ _MODEL_DEFAULTS = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, max_steps=32,
                        fusion_period=2, adapter_rank=4)
 
 
-def _config_problem(cfg, seeds) -> Optional[str]:
-    """A message naming the first part of a train config that cmd_train
-    cannot use as given, or None: a section that is not an object, a key it
-    would ignore, seeds that are not a nonempty list of nonnegative integers,
+def _check_config(cfg, seeds) -> None:
+    """Raise ValueError naming the first part of a train config that no spec
+    checks and cmd_train cannot use as given: a section that is not an
+    object, a key it would ignore, seeds that are not a nonempty list of
+    nonnegative integers, an n_successors that is not a nonnegative integer,
     or a holdout_fraction outside (0, 1)."""
     if not isinstance(cfg, dict):
-        return "a config must be a JSON object"
+        raise ValueError("a config must be a JSON object")
     for section in ("model", "task", "train"):
         if not isinstance(cfg.get(section, {}), dict):
-            return f"the {section!r} section must be an object, got {cfg[section]!r}"
+            raise ValueError(f"the {section!r} section must be an object, got {cfg[section]!r}")
     for section, known in _CONFIG_KEYS.items():
         keys = cfg if section == "top-level" else cfg.get(section, {})
         for key in sorted(set(keys) - known):
-            return f"unknown {section} key {key!r}"
+            raise ValueError(f"unknown {section} key {key!r}")
     if not (isinstance(seeds, list) and seeds and all(type(sd) is int for sd in seeds)):
-        return f"seeds must be a nonempty list of integers, got {seeds!r}"
+        raise ValueError(f"seeds must be a nonempty list of integers, got {seeds!r}")
     if min(seeds) < 0:  # model seeds are 100 * seed + i; numpy takes none below 0
-        return f"seeds must be nonnegative, got {seeds!r}"
+        raise ValueError(f"seeds must be nonnegative, got {seeds!r}")
+    n_succ = cfg.get("n_successors", 1)
+    if type(n_succ) is not int or n_succ < 0:
+        raise ValueError(f"n_successors must be a nonnegative integer, got {n_succ!r}")
     holdout = cfg.get("holdout_fraction", 0.25)
     if type(holdout) not in (int, float) or not 0 < holdout < 1:
-        return f"holdout_fraction must be a number in (0, 1), got {holdout!r}"
-    return None
+        raise ValueError(f"holdout_fraction must be a number in (0, 1), got {holdout!r}")
 
 
 def cmd_gen(args) -> int:
@@ -80,7 +82,7 @@ def cmd_gen(args) -> int:
             vocab=args.vocab,
             length=args.length,
             n_samples=args.n_samples,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             modulus=args.modulus,
         )
     except ValueError as exc:
@@ -124,24 +126,15 @@ def _chain_config(cfg: dict):
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     seeds = args.seeds or (cfg.get("seeds", DEFAULT_SEEDS) if isinstance(cfg, dict) else None)
-    problem = _config_problem(cfg, seeds)
-    if problem:
-        print(f"bad config: {problem}", file=sys.stderr)
-        return 2
-    try:  # an unknown key, or a seed (set per run from seeds), is a TypeError naming it
+    try:  # an unknown train key, or a seed (set per run from seeds), is a TypeError naming it
+        _check_config(cfg, seeds)
         train_base = TrainConfig(**cfg.get("train", {}), seed=seeds[0])
-    except (TypeError, ValueError) as exc:
-        print(f"bad train config: {exc}", file=sys.stderr)
-        return 2
-    try:
         ds_full, espec_base = _chain_config(cfg)
+        holdout = cfg.get("holdout_fraction", 0.25)
+        if len(ds_full.split(holdout)[0]) == 0:  # split sizes do not depend on the seed
+            raise ValueError(f"holdout_fraction {holdout} leaves no training sample of {len(ds_full)}")
     except (OSError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
-        return 2
-    holdout = cfg.get("holdout_fraction", 0.25)
-    if len(ds_full.split(holdout)[0]) == 0:  # split sizes do not depend on the seed
-        print(f"bad config: holdout_fraction {holdout} leaves no training sample "
-              f"of {len(ds_full)}", file=sys.stderr)
         return 2
     out_dir = Path(args.out or cfg.get("out", "runs"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -457,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--kind", choices=tasks.TASK_KINDS, required=True)
     p.add_argument("--vocab", type=int, default=32)

@@ -22,7 +22,9 @@ DEFAULT_TOP_K = 2
 
 @dataclass
 class EnsembleSpec:
-    """Ordered chain of model specs plus the logits-fusion knobs."""
+    """Ordered chain of model specs plus the logits-fusion knobs: lambdas is
+    a list of one finite positive weight per successor (DEFAULT_LAMBDA is
+    the usual choice; a one-model chain takes []), top_k an int in [1, vocab]."""
 
     models: list[ModelSpec]
     lambdas: list[float] = field(default_factory=list)
@@ -55,19 +57,13 @@ class EnsembleSpec:
                     f"n_layers {pred.n_layers}"
                 )
         n = len(self.models) - 1
-        if not self.lambdas:
-            self.lambdas = [DEFAULT_LAMBDA] * n
-        if len(self.lambdas) != n:
-            raise ValueError(f"need {n} lambdas (one per successor), got {len(self.lambdas)}")
+        if not isinstance(self.lambdas, list) or len(self.lambdas) != n:
+            raise ValueError(f"need a list of {n} lambdas (one per successor), got {self.lambdas!r}")
         for i, lam in enumerate(self.lambdas):
-            if not math.isfinite(lam):
-                raise ValueError(f"lambdas[{i}] must be finite, got {lam}")
-        if any(lam <= 0 for lam in self.lambdas):
-            raise ValueError("lambdas must be positive")
-        if isinstance(self.top_k, bool) or not isinstance(self.top_k, int):
-            raise ValueError(f"top_k must be an integer, got {self.top_k!r}")
-        if not (1 <= self.top_k <= v0):
-            raise ValueError(f"top_k must be in [1, {v0}]")
+            if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not 0 < lam < math.inf:
+                raise ValueError(f"lambdas[{i}] must be a finite positive number, got {lam!r}")
+        if type(self.top_k) is not int or not 1 <= self.top_k <= v0:
+            raise ValueError(f"top_k must be an integer in [1, {v0}], got {self.top_k!r}")
 
     @property
     def vocab(self) -> int:
@@ -159,7 +155,7 @@ def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> 
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "checkpoints": list(checkpoint_paths),
-        "lambdas": list(spec.lambdas),
+        "lambdas": spec.lambdas,
         "top_k": spec.top_k,
     }
     periods = {ms.fusion_period for ms in spec.models}
@@ -172,10 +168,12 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
     """Load manifest + checkpoints into an Ensemble.
 
     Rejects a document that is not a JSON object, lacks checkpoints,
-    lambdas or top_k or holds a value of the wrong type in one of them,
-    "fusion_enabled": false (fusion cannot be switched off) and a
-    fusion_period that disagrees with a checkpoint; EnsembleSpec rejects
-    checkpoints that do not form a chain, such as mismatched vocabularies.
+    lambdas or top_k, has checkpoints that are not a list of file names, a
+    format_version other than the int 1, "fusion_enabled": false (fusion
+    cannot be switched off) or a fusion_period that disagrees with a
+    checkpoint. lambdas and top_k pass to EnsembleSpec as the document holds
+    them, so it rejects their values, and checkpoints that do not form a
+    chain, such as mismatched vocabularies.
     """
     path = Path(path)
     doc = json.loads(path.read_text())
@@ -184,15 +182,12 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
     for key in ("checkpoints", "lambdas", "top_k"):
         if key not in doc:
             raise ValueError(f"manifest key {key!r} is missing")
-    ckpts, lambdas, top_k = doc["checkpoints"], doc["lambdas"], doc["top_k"]
+    ckpts = doc["checkpoints"]
     if not (isinstance(ckpts, list) and all(isinstance(c, str) for c in ckpts)):
         raise ValueError(f"manifest key 'checkpoints' must be a list of file names, got {ckpts!r}")
-    if not (isinstance(lambdas, list) and all(type(x) in (int, float) for x in lambdas)):
-        raise ValueError(f"manifest key 'lambdas' must be a list of numbers, got {lambdas!r}")
-    if type(top_k) is not int:
-        raise ValueError(f"manifest key 'top_k' must be an integer, got {top_k!r}")
-    if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
-        raise ValueError("unsupported manifest format version")
+    version = doc.get("format_version")
+    if type(version) is not int or version != MANIFEST_FORMAT_VERSION:
+        raise ValueError(f"unsupported manifest format version {version!r}")
     if doc.get("fusion_enabled", True) is not True:
         raise ValueError(f"manifest key fusion_enabled={doc['fusion_enabled']!r} is not supported")
     models = []
@@ -207,9 +202,5 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
                 f"manifest fusion_period {doc['fusion_period']} disagrees with checkpoint {i} "
                 f"({doc['checkpoints'][i]}), whose fusion_period is {m.spec.fusion_period}"
             )
-    spec = EnsembleSpec(
-        models=[m.spec for m in models],
-        lambdas=[float(x) for x in lambdas],
-        top_k=top_k,
-    )
+    spec = EnsembleSpec([m.spec for m in models], doc["lambdas"], doc["top_k"])
     return Ensemble(spec, models), doc

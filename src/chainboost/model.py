@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,13 +76,12 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab", "max_steps", "fusion_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value, least = getattr(self, f.name), 0 if f.name in ("adapter_rank", "seed") else 1
+            if type(value) is not int or value < least:
+                raise ValueError(f"{f.name} must be an integer >= {least}, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.adapter_rank < 0:
-            raise ValueError("adapter_rank must be nonnegative")
 
     def fusion_layers(self) -> list[int]:
         return [l for l in range(1, self.n_layers + 1) if l % self.fusion_period == 0]
@@ -123,24 +122,19 @@ def gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
-    """Tanh GELU; t, when given, is gelu_tanh(x) computed beforehand. Builds
-    0.5 x (1 + t) in its result, with 1 + t the one temporary; x and t are
-    only read."""
-    if t is None:
-        t = gelu_tanh(x)
+def gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Tanh GELU, where t is gelu_tanh(x). Builds 0.5 x (1 + t) in its
+    result, with 1 + t the one temporary; x and t are only read."""
     g = x * 0.5
     g *= t + 1.0
     return g
 
 
-def gelu_grad(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
-    """d gelu / dx; t, when given, is the forward pass's gelu_tanh(x).
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu / dx, where t is the forward pass's gelu_tanh(x).
 
     0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2), term by term in that
     order, in the two arrays this call allocates; x and t are only read."""
-    if t is None:
-        t = gelu_tanh(x)
     g = t * t
     np.subtract(1.0, g, out=g)
     dx = x * 0.5
@@ -193,13 +187,11 @@ class TransformerModel:
         if s.adapter_rank > 0:
             self.init_adapters(rng)
 
-    def init_adapters(self, rng: Optional[np.random.Generator] = None) -> None:
+    def init_adapters(self, rng: np.random.Generator) -> None:
         """Set the rank-r factors of wq and wv of every layer in params, as
         l{l}.wq.A (d_model, r), l{l}.wq.B (r, d_model) and the same for wv
         (A gaussian, B zero, so a fresh adapter changes nothing)."""
         s = self.spec
-        if rng is None:
-            rng = np.random.default_rng(s.seed + 1)
         r, d = s.adapter_rank, s.d_model
         for l in range(1, s.n_layers + 1):
             for target in ("wq", "wv"):
@@ -407,8 +399,9 @@ class TransformerModel:
         that shape, under the name save gives it."""
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
-            if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
+            version = header["format_version"]
+            if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format version {version!r}")
             if header["dtype"] != "float64":
                 raise ValueError(f"unsupported checkpoint dtype {header['dtype']!r} (only float64)")
             model = TransformerModel(ModelSpec(**header["spec"]))

@@ -31,6 +31,11 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}")
+        for name in ("vocab", "length", "n_samples", "seed", "modulus"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.vocab < 6:
             raise ValueError("vocab must be >= 6 (3 reserved ids + data tokens)")
         if self.length < 2 or self.n_samples < 1:

@@ -10,7 +10,6 @@ constants.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,13 +119,6 @@ class MseSweepReport:
         for lam, d, p in zip(self.lambdas, self.delta_mse, self.linear_pred):
             lines.append(f"{lam:<10.4g} {d:+.6e} {p:+.6e} {d - p:+.6e}")
         return "\n".join(lines)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "delta_mse", "linear_pred", "residual"])
-            for lam, d, p in zip(self.lambdas, self.delta_mse, self.linear_pred):
-                w.writerow([lam, d, p, d - p])
 
 
 def mse_sweep(

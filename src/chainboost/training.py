@@ -25,6 +25,7 @@ weight can move by a rounding step.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -47,6 +48,11 @@ ALIGNMENT_ROWS = 12  # rows each stage-2 alignment record is estimated on
 
 @dataclass
 class TrainConfig:
+    """One run's training settings, checked when built: alpha, beta and the
+    learning rates are finite positive numbers, epochs, batch_size and
+    stage2_epochs ints >= 1 and seed an int >= 0. A stage2_ field left None
+    takes its stage-1 value."""
+
     alpha: float = DEFAULT_ALPHA
     beta: float = DEFAULT_BETA
     learning_rate: float = 0.1
@@ -58,14 +64,18 @@ class TrainConfig:
     successor_init: str = "base_copy"  # or "fresh"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0 or self.learning_rate <= 0:
-            raise ValueError("alpha, beta, learning_rate must be positive")
-        if self.stage2_learning_rate is not None and self.stage2_learning_rate <= 0:
-            raise ValueError(f"stage2_learning_rate must be positive, got {self.stage2_learning_rate}")
-        for name in ("epochs", "batch_size", "stage2_epochs"):
+        for name in ("alpha", "beta", "learning_rate", "stage2_learning_rate"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if value is None and name.startswith("stage2_"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        for name in ("epochs", "batch_size", "stage2_epochs", "seed"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if value is None and name.startswith("stage2_"):
+                continue
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.successor_init not in ("base_copy", "fresh"):
             raise ValueError(
                 f"successor_init must be 'base_copy' or 'fresh', got {self.successor_init!r}"

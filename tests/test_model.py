@@ -1,5 +1,6 @@
 """Tests for the toy decoder-only transformer."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,22 @@ def small_model(rank=0, seed=7):
     import dataclasses
 
     return TransformerModel(dataclasses.replace(SMALL, adapter_rank=rank, seed=seed))
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("value", [2.5, True, "4", None, -1])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelSpec)])
+    def test_every_field_is_a_bounded_int(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= [01], got {value!r}"):
+            dataclasses.replace(SMALL, **{field: value})
+
+    def test_zero_only_for_adapter_rank_and_seed(self):
+        for f in dataclasses.fields(ModelSpec):
+            if f.name in ("adapter_rank", "seed"):
+                dataclasses.replace(SMALL, **{f.name: 0})
+            else:  # n_heads 0 is refused before d_model % n_heads
+                with pytest.raises(ValueError, match=f"{f.name} must be an integer >= 1, got 0"):
+                    dataclasses.replace(SMALL, **{f.name: 0})
 
 
 class TestForwardStep:
@@ -319,11 +336,12 @@ class TestCheckpoint:
         import json
         data = dict(np.load(p, allow_pickle=False))
         header = json.loads(bytes(data["header"]).decode())
-        header["format_version"] = 999
-        data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        np.savez(p, **data)
-        with pytest.raises(ValueError):
-            TransformerModel.load(p)
+        for version in (999, True):  # True == 1, but it is not the int 1
+            header["format_version"] = version
+            data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+            np.savez(p, **data)
+            with pytest.raises(ValueError, match=f"unsupported checkpoint format version {version}"):
+                TransformerModel.load(p)
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -399,23 +417,18 @@ def _gelu_pow_reference(x):
 class TestGelu:
     X = np.random.default_rng(21).normal(0.0, 2.0, size=(4, 9, 32))
 
-    def test_cached_tanh_is_bit_identical(self):
-        t = gelu_tanh(self.X)
-        assert np.array_equal(gelu(self.X, t), gelu(self.X))
-        assert np.array_equal(gelu_grad(self.X, t), gelu_grad(self.X))
-
     def test_matches_pow_formula(self):
         ref = _gelu_pow_reference(self.X)
         # relative to the largest output: where x is very negative, 1 + tanh
         # cancels and an ulp in the cube shows up as a larger elementwise ratio
-        rel = np.abs(gelu(self.X) - ref).max() / np.abs(ref).max()
+        rel = np.abs(gelu(self.X, gelu_tanh(self.X)) - ref).max() / np.abs(ref).max()
         assert rel <= 1e-15
 
     def test_grad_matches_central_difference(self):
         x = np.linspace(-6.0, 6.0, 241)
         eps = 1e-6
-        fd = (gelu(x + eps) - gelu(x - eps)) / (2 * eps)
-        np.testing.assert_allclose(gelu_grad(x), fd, rtol=0, atol=1e-8)
+        fd = (gelu(x + eps, gelu_tanh(x + eps)) - gelu(x - eps, gelu_tanh(x - eps))) / (2 * eps)
+        np.testing.assert_allclose(gelu_grad(x, gelu_tanh(x)), fd, rtol=0, atol=1e-8)
 
 
 class TestBlasShapedGradients:

@@ -56,6 +56,17 @@ class TestGenerate:
         with pytest.raises(ValueError):
             TaskSpec("sort", vocab=16, length=4, n_samples=5)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("vocab", 16.0, "vocab must be an integer, got 16.0"),
+        ("length", True, "length must be an integer, got True"),
+        ("n_samples", "8", "n_samples must be an integer, got '8'"),
+        ("modulus", None, "modulus must be an integer, got None"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+    ])
+    def test_int_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TaskSpec("modsum", **{field: value})
+
 
 class TestDataset:
     def test_split_disjoint_and_complete(self):

@@ -602,12 +602,20 @@ class TestTrainChain:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("stage2_epochs", 0),
+        ("epochs", 2.5), ("batch_size", True), ("epochs", None), ("seed", -1),
     ])
     def test_rejects_counts_below_one(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= [01], got {value}"):
             TrainConfig(**{field: value})
         TrainConfig(**{field: 1})
         TrainConfig(stage2_epochs=None)
+
+    @pytest.mark.parametrize("value", [0, -0.1, float("nan"), float("inf"), True, "0.1"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "learning_rate", "stage2_learning_rate"])
+    def test_rates_are_finite_positive_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite positive number, got "):
+            TrainConfig(**{field: value})
+        TrainConfig(**{field: 1})
 
     def test_rejects_unknown_successor_init(self):
         with pytest.raises(ValueError, match="successor_init"):
@@ -618,7 +626,7 @@ class TestTrainChain:
         import dataclasses
 
         succ_spec = dataclasses.replace(SMALL, d_ff=24, adapter_rank=4, seed=100)
-        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
         cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=8, stage2_epochs=1)
         with pytest.raises(ValueError, match=r"'l1\.w1' of model 1"):
             train_chain(ens, self._dataset(), cfg)
@@ -628,7 +636,7 @@ class TestTrainChain:
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=0,
                           stage2_epochs=2, successor_init="fresh")
         succ_spec = dataclasses.replace(SMALL, adapter_rank=4, seed=100)
-        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
         train_chain(ens, ds, cfg)
         # adapter-only stage 2 leaves the successor's own initial weights be
         init = TransformerModel(succ_spec)
@@ -658,7 +666,7 @@ class TestTrainChain:
         import dataclasses
 
         succ_spec = dataclasses.replace(SMALL, adapter_rank=4, seed=100)
-        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
         train_chain(ens, ds, cfg)
         solo = TransformerModel(SMALL)
         train_model(solo, ds, cfg, scope="full", alpha=1.0, beta=cfg.beta)
@@ -675,7 +683,7 @@ class TestTrainChain:
         import dataclasses
 
         succ_spec = dataclasses.replace(SMALL, adapter_rank=4, seed=100)
-        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
         metrics = train_chain(ens, ds, cfg)
         stages = {m["stage"] for m in metrics}
         assert "stage1" in stages and "stage2" in stages
@@ -697,7 +705,7 @@ class TestTrainChain:
 
         def run():
             succ_spec = dataclasses.replace(SMALL, adapter_rank=8, seed=100)
-            ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+            ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
             return train_chain(ens, ds, cfg), ens.models
 
         orig = training.stage_batch_pass
@@ -730,7 +738,7 @@ class TestTrainChain:
         import dataclasses
 
         succ_spec = dataclasses.replace(SMALL, adapter_rank=4, seed=100)
-        ens = Ensemble(EnsembleSpec([SMALL, succ_spec]))
+        ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
         train_chain(ens, ds, cfg)
         keys = trainable_keys(ens.models[0], "full")
         succ = ens.models[1]
