@@ -43,9 +43,6 @@ _CONFIG_KEYS = {
     "model": {f.name for f in dataclasses.fields(ModelSpec)} - {"seed"},
     "task": {f.name for f in dataclasses.fields(tasks.TaskSpec)},
 }
-# cmd_train's model defaults; the vocab comes from the data, the seed per run
-_MODEL_DEFAULTS = dict(n_layers=2, d_model=32, n_heads=2, d_ff=64, max_steps=32,
-                       fusion_period=2, adapter_rank=4)
 
 
 def _check_config(cfg, seeds) -> None:
@@ -107,13 +104,12 @@ def _chain_config(cfg: dict):
     else:
         raise ValueError("a config needs a 'task' or a 'dataset'")
     vocab = int(cfg.get("task", {}).get("vocab", ds_full.tokens.max() + 1))
-    mdl = {**_MODEL_DEFAULTS, "vocab": vocab, **cfg.get("model", {})}
-    if mdl["vocab"] != vocab:
-        raise ValueError(f"model vocab {mdl['vocab']} differs from the data vocab {vocab}")
+    mspec = ModelSpec(**{"vocab": vocab, **cfg.get("model", {})})  # ModelSpec fills the rest
+    if mspec.vocab != vocab:
+        raise ValueError(f"model vocab {mspec.vocab} differs from the data vocab {vocab}")
     n_succ = cfg.get("n_successors", 1)
     espec = ens_mod.EnsembleSpec(
-        models=[ModelSpec(**{**mdl, "adapter_rank": mdl["adapter_rank"] if i else 0})
-                for i in range(n_succ + 1)],
+        models=[dataclasses.replace(mspec, adapter_rank=0)] + [mspec] * n_succ,
         lambdas=cfg.get("lambdas", [ens_mod.DEFAULT_LAMBDA] * n_succ),
         top_k=cfg.get("top_k", ens_mod.DEFAULT_TOP_K),
     )

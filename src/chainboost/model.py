@@ -3,10 +3,11 @@
 The block structure follows a post-norm layout: the attention input is either
 the previous layer's state or, at fusion layers, LayerNorm(h_own + h_pred)
 with unit gain and zero bias; Q/K/V are all projected from that (possibly
-fused) stream, in one matmul with [wq | wk | wv], a residual + LayerNorm
-follows, then a GELU MLP with its own residual + LayerNorm. Layers are
-1-indexed so layer l fuses iff l % fusion_period == 0; the embedding output
-counts as "layer 0".
+fused) stream, in one matmul with wqkv = [wq | wk | wv], the one Q/K/V
+weight a layer's parameter view holds (backward reads its three column
+blocks); a residual + LayerNorm follows, then a GELU MLP with its own
+residual + LayerNorm. Layers are 1-indexed so layer l fuses iff
+l % fusion_period == 0; the embedding output counts as "layer 0".
 
 One layer body (transformer_layer, over a parameter view) serves every path.
 One walk, forward_pass, wraps it in embedding and unembedding over a model's
@@ -52,11 +53,8 @@ LN_EPS = 1e-5
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
-# a layer's parameters, by the short name a parameter view uses
-LAYER_KEYS = ("wq", "wk", "wv", "wo", "ln_attn_g", "ln_attn_b",
-              "w1", "b1", "w2", "b2", "ln_mlp_g", "ln_mlp_b")
-# the view's separate projections: backward reads them, the forward reads wqkv
-SPLIT_QKV = ("wq", "wk", "wv")
+# a layer's parameters a view holds as they are; wq, wk and wv go into its wqkv
+LAYER_KEYS = ("wo", "ln_attn_g", "ln_attn_b", "w1", "b1", "w2", "b2", "ln_mlp_g", "ln_mlp_b")
 
 
 class ContractError(RuntimeError):
@@ -65,12 +63,12 @@ class ContractError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    n_layers: int = 4
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
+    n_layers: int = 2
+    d_model: int = 32
+    n_heads: int = 2
+    d_ff: int = 64
     vocab: int = 64
-    max_steps: int = 64
+    max_steps: int = 32
     fusion_period: int = 2
     adapter_rank: int = 4
     seed: int = 0
@@ -199,16 +197,17 @@ class TransformerModel:
                 self.params[f"l{l}.{target}.B"] = np.zeros((r, d))
 
     def layer_params(self, l: int) -> dict[str, np.ndarray]:
-        """Layer l's parameter view: its l{l}.* arrays by short name, with wq
-        and wv merged with their factors as w + A @ B on a rank > 0 model,
-        plus wqkv = [wq | wk | wv] (d_model, 3 d_model), the one projection
-        the forward reads; backward reads wq, wk and wv."""
+        """Layer l's parameter view: its l{l}.* arrays by short name, except
+        wq, wk and wv, which it holds only as the one projection wqkv = [wq |
+        wk | wv] (d_model, 3 d_model). On a rank > 0 model the q and v blocks
+        are merged with their factors as w + A @ B before the concatenation."""
         p = f"l{l}."
         view = {name: self.params[p + name] for name in LAYER_KEYS}
+        qkv = {name: self.params[p + name] for name in ("wq", "wk", "wv")}
         if self.spec.adapter_rank > 0:
             for name in ("wq", "wv"):
-                view[name] = view[name] + self.params[p + name + ".A"] @ self.params[p + name + ".B"]
-        view["wqkv"] = np.concatenate([view[name] for name in SPLIT_QKV], axis=1)
+                qkv[name] = qkv[name] + self.params[p + name + ".A"] @ self.params[p + name + ".B"]
+        view["wqkv"] = np.concatenate(list(qkv.values()), axis=1)
         return view
 
     def param_views(self) -> list[dict[str, np.ndarray]]:
@@ -278,10 +277,11 @@ class TransformerModel:
         or w.r.t. every array in params when keys is None.
 
         dlogits is dL/dz of shape (B, T, V). Each layer's weights are read
-        from the view its forward used (acts["layers"][l - 1]["p"]), so wq and
-        wv are the adapter-merged ones; their factors get gradients under
-        their params keys, like 'l1.wq.A'. No gradient flows into fusion
-        inputs (they come from a frozen predecessor).
+        from the view its forward used (acts["layers"][l - 1]["p"]): wq, wk
+        and wv are the three column blocks of its wqkv, by basic slicing, so
+        wq and wv are the adapter-merged ones; their factors get gradients
+        under their params keys, like 'l1.wq.A'. No gradient flows into
+        fusion inputs (they come from a frozen predecessor).
 
         With keys, the dict holds exactly those keys, each array_equal to
         what the full call returns, and the work of every other gradient is
@@ -357,9 +357,11 @@ class TransformerModel:
                     put(key + ".B", lambda: self.params[key + ".A"].T @ dw)
             if l == 1 and not below:
                 break
-            dht = dq @ w["wq"].T
-            dht += dk @ w["wk"].T
-            dht += dv @ w["wv"].T
+            # one product per block: dqkv @ wqkv.T would sum in another order
+            wqkv, d = w["wqkv"], s.d_model
+            dht = dq @ wqkv[:, :d].T
+            dht += dk @ wqkv[:, d : 2 * d].T
+            dht += dv @ wqkv[:, 2 * d :].T
             dht += dr1
             # fusion norm (unit gain): gradient flows only into h_own
             dh_ = _ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
@@ -396,15 +398,21 @@ class TransformerModel:
     @staticmethod
     def load(path) -> "TransformerModel":
         """Read a checkpoint; every array must be one its spec declares, with
-        that shape, under the name save gives it."""
+        that shape, under the name save gives it. Any fault, in the header or
+        an array, raises ValueError naming the checkpoint."""
         with np.load(path) as data:
-            header = json.loads(bytes(data["header"]).decode())
-            version = header["format_version"]
-            if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint format version {version!r}")
-            if header["dtype"] != "float64":
-                raise ValueError(f"unsupported checkpoint dtype {header['dtype']!r} (only float64)")
-            model = TransformerModel(ModelSpec(**header["spec"]))
+            try:  # a missing array or header key is a KeyError, bad JSON a ValueError
+                header = json.loads(bytes(data["header"]).decode())
+                version, dtype, spec = (header[key] for key in ("format_version", "dtype", "spec"))
+                if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+                    raise ValueError(f"unsupported checkpoint format version {version!r}")
+                if dtype != "float64":
+                    raise ValueError(f"unsupported checkpoint dtype {dtype!r} (only float64)")
+                if not isinstance(spec, dict) or set(spec) != {f.name for f in fields(ModelSpec)}:
+                    raise ValueError(f"header spec {spec!r} does not name each ModelSpec field once")
+                model = TransformerModel(ModelSpec(**spec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"checkpoint {path}: bad header: {exc!r}") from None
             want = {_archive_name(k): v for k, v in model.params.items()}
             for key in sorted(want.keys() | set(data.files) - {"header"}):
                 if key not in want:

@@ -21,15 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import SPLIT_QKV, KvCache, cache_kv, forward_pass, fuse_states, transformer_layer
+from .model import KvCache, cache_kv, forward_pass, fuse_states, transformer_layer
 
 
 @dataclass
 class TimingReport:
     """Wall-clock accounting for one decode. Nothing waits, so blocked_s
-    stays 0; transfer_s is the time spent stacking the weights. A report
-    without events stacked nothing (a sequential decode, or a pipelined one
-    that fell back to it), so format() prints only its wall-time lines."""
+    stays 0 and format() omits it; transfer_s is the time spent stacking the
+    weights. A report without events stacked nothing (a sequential or a
+    fallen-back pipelined decode), so format() prints only its wall times."""
 
     events: list = field(default_factory=list)  # (model, layer, step, start_us, finish_us)
     wall_s: float = 0.0
@@ -47,10 +47,7 @@ class TimingReport:
             f"per_token_latency_s {self.per_token_s:.6f}",
         ]
         if self.events:
-            lines += [
-                f"blocked_s           {self.blocked_s:.6f}",
-                f"state_passing_s     {self.transfer_s:.6f}",
-            ]
+            lines.append(f"state_passing_s     {self.transfer_s:.6f}")
         return "\n".join(lines)
 
 
@@ -137,9 +134,9 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 def _stack_weights(models) -> list[dict]:
     """The chain's param_views() stacked along a leading model axis: [0] holds
-    the embeddings and unembedding, [l] the entries of layer l's
-    adapter-merged view that transformer_layer reads (wqkv, not wq, wk, wv)."""
-    return [{name: _stack([v[name] for v in per]) for name in per[0] if name not in SPLIT_QKV}
+    the embeddings and unembedding, [l] every entry of layer l's
+    adapter-merged view, Q/K/V as the one wqkv."""
+    return [{name: _stack([v[name] for v in per]) for name in per[0]}
             for per in zip(*(m.param_views() for m in models))]
 
 

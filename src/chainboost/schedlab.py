@@ -34,13 +34,6 @@ class SchedProblem:
             raise ValueError("overhead must be nonnegative")
 
 
-def antidiagonal_width(k: int, l: int, s: int) -> int:
-    """Number of grid tasks (m, i) with m + i == s; s ranges over [2, k + l]."""
-    if not (2 <= s <= k + l):
-        raise ValueError(f"s must be in [2, {k + l}], got {s}")
-    return min(k, s - 1) - max(1, s - l) + 1
-
-
 def t_sequential(n_successors: int, L: int, c: Num) -> Fraction:
     """Naive chain latency: every model runs all layers before the next starts."""
     if n_successors < 0 or L < 1 or c <= 0:

@@ -139,30 +139,6 @@ def generate(task: TaskSpec) -> Dataset:
     return Dataset(tokens, gold)
 
 
-def derive_gold(task: TaskSpec, tokens: np.ndarray) -> np.ndarray:
-    """Re-derive labels from a token sequence; the generator's independent check."""
-    tokens = list(int(t) for t in tokens)
-    T = len(tokens)
-    gold = [NO_LABEL] * T
-    if task.kind in ("copy", "reverse"):
-        m = task.length
-        payload = tokens[:m]
-        answer = payload if task.kind == "copy" else payload[::-1]
-        for j, a in enumerate(answer):
-            gold[m + j] = a
-        gold[m + len(answer)] = task.eos
-    elif task.kind == "modsum":
-        for t in range(1, task.length - 1):
-            gold[t] = (tokens[t] + tokens[t - 1]) % task.modulus
-        gold[task.length - 1] = task.eos
-    else:
-        marker_pos = tokens.index(task.marker)
-        needle = tokens[marker_pos + 1]
-        gold[T - 3] = needle
-        gold[T - 2] = task.eos
-    return np.array(gold, dtype=np.int64)
-
-
 def save_dataset(path, ds: Dataset) -> None:
     with open(path, "w") as f:
         for i in range(len(ds)):

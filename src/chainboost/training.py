@@ -6,8 +6,8 @@ active only at positions where the frozen predecessor predicted wrongly.
 Gradients are taken in logit space (alpha (p - y*) plus
 beta sigma(-u) (y_err - y*)) and pushed through the model's backward pass.
 One core, _objective, computes both from probabilities: training runs it
-through batch_loss_and_grad, and the scalar API the gradient checks use is
-its one-position view.
+through batch_loss_and_grad, and the scalar API the gradient checks use
+(total_loss, and loss_logit_grad, its one-position view) runs it too.
 
 Every teacher-forced pass that has gold labels (stage_batch_pass, the
 alignment estimate, chain_eval) runs only the batch's live width: columns
@@ -146,27 +146,12 @@ def _objective(
     return ce.reshape(gold.shape), supp.reshape(gold.shape), d
 
 
-def _at(p: np.ndarray, gold: int, err: Optional[int], alpha: float = 1.0, beta: float = 1.0):
-    """The objective at one position: (CE, suppression, dlogits (V,))."""
-    e = -1 if err is None else err
-    ce, supp, d = _objective(np.asarray(p)[None], np.array([gold]), np.array([e]), alpha, beta)
-    return float(ce[0]), float(supp[0]), d[0]
-
-
-def suppression_loss(p: np.ndarray, gold: int, err: Optional[int], beta: float) -> float:
-    """-log sigma(beta (log p[gold] - log p[err])), or 0 when err is absent."""
-    return _at(p, gold, err, beta=beta)[1]
-
-
-def cross_entropy(p: np.ndarray, gold: int) -> float:
-    return _at(p, gold, None)[0]
-
-
 def loss_logit_grad(
     p: np.ndarray, gold: int, err: Optional[int], alpha: float, beta: float
 ) -> np.ndarray:
     """Gradient of (suppression + alpha * CE) w.r.t. the logits at one step."""
-    return _at(p, gold, err, alpha, beta)[2]
+    e = -1 if err is None else err
+    return _objective(np.asarray(p)[None], np.array([gold]), np.array([e]), alpha, beta)[2][0]
 
 
 def total_loss(
@@ -374,11 +359,14 @@ def descent_lr_bound(alpha: float, rho: float, gamma: float, l_smooth: float) ->
 
 def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
-    if batch_size >= n:
-        yield perm
-        return
     for i in range(0, n, batch_size):
         yield perm[i : i + batch_size]
+
+
+def _trained_keys(model: TransformerModel) -> list[str]:
+    """The keys the chain trainer trains: the adapter factors of a model
+    that has them, otherwise every parameter."""
+    return trainable_keys(model, "adapters" if model.spec.adapter_rank > 0 else "full")
 
 
 def train_model(
@@ -386,17 +374,17 @@ def train_model(
     dataset: Dataset,
     cfg: TrainConfig,
     *,
-    scope: str,
-    alpha: float,
-    beta: float,
     err: Optional[np.ndarray] = None,
     fusion_in: Optional[dict[int, np.ndarray]] = None,
     stage: str = "stage1",
     model_index: int = 0,
 ) -> list[dict]:
-    """SGD over one model for cfg.epochs epochs at cfg.learning_rate; returns
-    one record per epoch. err/fusion_in come from a frozen predecessor."""
-    keys = trainable_keys(model, scope)
+    """SGD over one model's _trained_keys for cfg.epochs epochs at
+    cfg.learning_rate; returns one record per epoch. err/fusion_in come from
+    a frozen predecessor. Without err the objective is plain CE (alpha 1),
+    with it the composite one at cfg.alpha; beta is cfg.beta."""
+    keys = _trained_keys(model)
+    alpha = 1.0 if err is None else cfg.alpha
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
     if n == 0:
@@ -411,7 +399,7 @@ def train_model(
             if fusion_in is not None:
                 f_in = {l: fusion_in[l][idx] for l in fusion_in}
             ce, supp, grads = stage_batch_pass(
-                model, dataset.tokens[idx], dataset.gold[idx], err[idx], alpha, beta, f_in,
+                model, dataset.tokens[idx], dataset.gold[idx], err[idx], alpha, cfg.beta, f_in,
                 keys=keys,
             )
             if not np.isfinite(ce) or not np.isfinite(supp):
@@ -442,18 +430,7 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
     predecessor, harvest its teacher-forced trace and error tokens, then train
     the successor on its own logits under the composite objective.
     """
-    base = ensemble.models[0]
-    scope0 = "adapters" if base.spec.adapter_rank > 0 else "full"
-    metrics = train_model(
-        base,
-        dataset,
-        cfg,
-        scope=scope0,
-        alpha=1.0,
-        beta=cfg.beta,
-        stage="stage1",
-        model_index=0,
-    )
+    metrics = train_model(ensemble.models[0], dataset, cfg)
 
     s2_lr = cfg.stage2_learning_rate
     cfg2 = replace(
@@ -482,20 +459,9 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
         pred_logits, pred_states = pred_forward_chain(ensemble, i - 1, dataset.tokens)
         err = predecessor_errors(pred_logits, dataset.gold)
         fusion_in = ensemble.fusion_inputs(i, pred_states)
-        scope_i = "adapters" if succ.spec.adapter_rank > 0 else "full"
-        metrics += train_model(
-            succ,
-            dataset,
-            cfg2,
-            scope=scope_i,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            err=err,
-            fusion_in=fusion_in,
-            stage="stage2",
-            model_index=i,
-        )
-        metrics += _alignment_record(succ, dataset, err, cfg, scope_i, i, fusion_in)
+        metrics += train_model(succ, dataset, cfg2, err=err, fusion_in=fusion_in,
+                               stage="stage2", model_index=i)
+        metrics += _alignment_record(succ, dataset, err, cfg, i, fusion_in)
     return metrics
 
 
@@ -557,20 +523,19 @@ def predecessor_errors(pred_logits: np.ndarray, gold: np.ndarray) -> np.ndarray:
     return np.where((gold >= 0) & (pred != gold), pred, -1)
 
 
-def _alignment_record(model, dataset, err, cfg, scope, model_index, fusion_in) -> list[dict]:
-    """A trained successor's stage-2 alignment record, in a list; [] when no
-    row has an error token."""
+def _alignment_record(model, dataset, err, cfg, model_index, fusion_in) -> list[dict]:
+    """A trained successor's stage-2 alignment record over its _trained_keys,
+    in a list; [] when no row has an error token."""
     active_rows = np.where((err >= 0).any(axis=1))[0][:ALIGNMENT_ROWS]
     if active_rows.size == 0:
         return []
-    keys = trainable_keys(model, scope)
     f_in = {l: fusion_in[l][active_rows] for l in fusion_in} if fusion_in else None
     est = estimate_alignment(
         model,
         dataset.tokens[active_rows],
         dataset.gold[active_rows],
         err[active_rows],
-        keys,
+        _trained_keys(model),
         cfg.beta,
         fusion_in=f_in,
     )

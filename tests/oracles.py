@@ -7,7 +7,10 @@ every activation, a gradient by central differences, the alignment estimate
 as a loop of one-row passes, a training batch pass and chain_eval over
 every column, the dead ones past the last labelled column included, and the
 layer kernels as out-of-place expressions, one fresh array per step, which
-the in-place kernels must match bit for bit.
+the in-place kernels must match bit for bit. Last come the references only
+the tests call: a task's labels re-derived from its tokens, the wavefront
+grid's anti-diagonal widths, and cross-entropy and the suppression loss as
+plain formulas over probabilities.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from chainboost import pipeline
 from chainboost.ensemble import Ensemble, fuse_logits
 from chainboost.model import _GELU_A, _GELU_C, LN_EPS, KvCache, TransformerModel
+from chainboost.tasks import NO_LABEL, TaskSpec
 from chainboost.training import (
     AlignmentEstimate,
     batch_loss_and_grad,
@@ -245,8 +249,17 @@ def transformer_layer(p, ht, n_heads, mask):
 
 def backward(model: TransformerModel, dlogits, acts, per_sample=False):
     """TransformerModel.backward with every key, its gradient steps out of
-    place over the oracle kernels above."""
+    place over the oracle kernels above, and its layer weights taken from
+    model.params, wq and wv merged with their factors here, not from the
+    forward's parameter view."""
     s = model.spec
+    params = model.params
+
+    def weight(key):
+        """A layer weight as the forward ran it: w + A @ B where it has factors."""
+        w = params[key]
+        return w + params[key + ".A"] @ params[key + ".B"] if key + ".A" in params else w
+
     B, T, _ = dlogits.shape
     nh, dh = s.n_heads, s.d_model // s.n_heads
     scale = 1.0 / np.sqrt(dh)
@@ -261,10 +274,11 @@ def backward(model: TransformerModel, dlogits, acts, per_sample=False):
         return x.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
 
     grads = {"unemb": wgrad(acts["states"][-1], dlogits)}
-    dh_ = dlogits @ model.params["unemb"].T
+    dh_ = dlogits @ params["unemb"].T
     for l in range(s.n_layers, 0, -1):
         p, a = f"l{l}.", acts["layers"][l - 1]
-        w = a["p"]
+        w = {name: weight(p + name) for name in ("wq", "wk", "wv", "wo", "w1", "w2",
+                                                 "ln_attn_g", "ln_mlp_g")}
         grads[p + "ln_mlp_g"] = (dh_ * a["ln_mlp"][0]).sum(axis=rows)
         grads[p + "ln_mlp_b"] = dh_.sum(axis=rows)
         dr2 = ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"])
@@ -283,15 +297,62 @@ def backward(model: TransformerModel, dlogits, acts, per_sample=False):
         for name, dy in (("wq", dq), ("wk", dk), ("wv", dv)):
             key = p + name
             grads[key] = dw = wgrad(a["ht"], dy)
-            if key + ".A" in model.params:
-                grads[key + ".A"] = dw @ model.params[key + ".B"].T
-                grads[key + ".B"] = model.params[key + ".A"].T @ dw
+            if key + ".A" in params:
+                grads[key + ".A"] = dw @ params[key + ".B"].T
+                grads[key + ".B"] = params[key + ".A"].T @ dw
         dht = dr1 + (dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T)
         dh_ = ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
     lead = (B,) if per_sample else ()
-    dtok = np.zeros(lead + model.params["tok_emb"].shape)
+    dtok = np.zeros(lead + params["tok_emb"].shape)
     np.add.at(dtok, (np.arange(B)[:, None], acts["tokens"]) if per_sample else acts["tokens"], dh_)
-    dpos = np.zeros(lead + model.params["pos_emb"].shape)
+    dpos = np.zeros(lead + params["pos_emb"].shape)
     dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
     grads["tok_emb"], grads["pos_emb"] = dtok, dpos
     return grads
+
+
+# -- references only the tests call
+
+
+def derive_gold(task: TaskSpec, tokens: np.ndarray) -> np.ndarray:
+    """Re-derive labels from a token sequence; the generator's independent check."""
+    tokens = list(int(t) for t in tokens)
+    T = len(tokens)
+    gold = [NO_LABEL] * T
+    if task.kind in ("copy", "reverse"):
+        m = task.length
+        payload = tokens[:m]
+        answer = payload if task.kind == "copy" else payload[::-1]
+        for j, a in enumerate(answer):
+            gold[m + j] = a
+        gold[m + len(answer)] = task.eos
+    elif task.kind == "modsum":
+        for t in range(1, task.length - 1):
+            gold[t] = (tokens[t] + tokens[t - 1]) % task.modulus
+        gold[task.length - 1] = task.eos
+    else:
+        marker_pos = tokens.index(task.marker)
+        needle = tokens[marker_pos + 1]
+        gold[T - 3] = needle
+        gold[T - 2] = task.eos
+    return np.array(gold, dtype=np.int64)
+
+
+def antidiagonal_width(k: int, l: int, s: int) -> int:
+    """Number of grid tasks (m, i) with m + i == s; s ranges over [2, k + l]."""
+    if not (2 <= s <= k + l):
+        raise ValueError(f"s must be in [2, {k + l}], got {s}")
+    return min(k, s - 1) - max(1, s - l) + 1
+
+
+def cross_entropy(p, gold: int) -> float:
+    """-log p[gold] for probabilities p."""
+    return -math.log(p[gold])
+
+
+def suppression_loss(p, gold: int, err: Optional[int], beta: float) -> float:
+    """-log sigma(beta (log p[gold] - log p[err])) for probabilities p, or 0
+    when err is None."""
+    if err is None:
+        return 0.0
+    return float(np.logaddexp(0.0, -beta * (math.log(p[gold]) - math.log(p[err]))))

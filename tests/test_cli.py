@@ -77,7 +77,8 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_gold_rederivable(self, tmp_path, capsys):
-        from chainboost.tasks import TaskSpec, derive_gold, load_dataset
+        from chainboost.tasks import TaskSpec, load_dataset
+        from oracles import derive_gold
 
         p = tmp_path / "ds.jsonl"
         code, _, _ = run_cli(
@@ -280,6 +281,51 @@ class TestMutationSweep:
         assert bad == []
         assert loaded == [("fusion_enabled", True)]
 
+    def test_checkpoint_header_loads_or_names_the_file(self, trained_run, tmp_path, capsys):
+        # each header key and each spec field deleted or set to one of the
+        # first ten sweep values, plus an extra spec field, a header that is
+        # not JSON and a checkpoint without a header array
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        with np.load(manifest.parent / doc["checkpoints"][1]) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(bytes(arrays.pop("header")).decode())
+        ckpt, path = tmp_path / "model1.npz", tmp_path / "manifest.json"
+        doc["checkpoints"] = [str(manifest.parent / doc["checkpoints"][0]), str(ckpt)]
+        path.write_text(json.dumps(doc))
+
+        def mutated(section, key, value):
+            case = json.loads(json.dumps(header))
+            part = case if section is None else case[section]
+            if value == "deleted":
+                del part[key]
+            else:
+                part[key] = value
+            return json.dumps(case).encode()
+
+        values = ["deleted", *SWEEP_VALUES[:10]]
+        cases = [((section, key, value), mutated(section, key, value))
+                 for section, keys in ((None, header), ("spec", header["spec"]))
+                 for key in keys for value in values]
+        cases += [(("spec", "extra", 1), mutated("spec", "extra", 1)),
+                  ("not JSON", b"{"), ("no header array", None)]
+        assert len(cases) == 146
+        loaded, bad = [], []
+        for label, raw in cases:
+            extra = {} if raw is None else {"header": np.frombuffer(raw, dtype=np.uint8)}
+            with open(ckpt, "wb") as fh:
+                np.savez(fh, **arrays, **extra)
+            code, err = run_caught(["infer", "--manifest", str(path), "--prompts", str(prompts),
+                                    "--max-tokens", "4"], capsys)
+            if code == 0:
+                loaded.append(label)
+            elif not (code == 1 and err.startswith(f"manifest {path} does not load: checkpoint {ckpt}: ")
+                      and err.count("\n") == 1):
+                bad.append((label, code, err))
+        assert bad == []
+        # load never reads "adapters", and seed 0 is a valid seed
+        assert loaded == [(None, "adapters", value) for value in values] + [("spec", "seed", 0)]
+
 
 class TestInfer:
     def test_sequential_and_pipelined_agree(self, trained_run, capsys):
@@ -305,8 +351,9 @@ class TestInfer:
              "--mode", "pipelined", "--max-tokens", "4"],
             capsys,
         )
-        for field in ("end_to_end_s", "per_token_latency_s", "blocked_s", "state_passing_s"):
+        for field in ("end_to_end_s", "per_token_latency_s", "state_passing_s"):
             assert field in out
+        assert "blocked_s" not in out  # always 0, so not printed
 
     def test_sequential_timing_block(self, trained_run, capsys):
         manifest, prompts = trained_run

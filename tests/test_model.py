@@ -140,22 +140,34 @@ class TestForwardTeacher:
         assert np.array_equal(t1.logits, t2.logits)
 
 
+def qkv_blocks(m, l):
+    """The wq, wk and wv column blocks of layer l's view wqkv, by name."""
+    d, wqkv = m.spec.d_model, m.layer_params(l)["wqkv"]
+    return {name: wqkv[:, i * d : (i + 1) * d] for i, name in enumerate(("wq", "wk", "wv"))}
+
+
 class TestAdapters:
     def test_rank_zero_identity(self):
         m = small_model()
-        assert m.layer_params(1)["wq"] is m.params["l1.wq"]
+        for name, block in qkv_blocks(m, 1).items():
+            assert np.array_equal(block, m.params["l1." + name]), name
 
     def test_zero_b_identity(self):
         m = small_model(rank=2)
         assert not m.params["l1.wq.B"].any() and m.params["l1.wq.A"].any()
-        assert np.array_equal(m.layer_params(1)["wq"], m.params["l1.wq"])
+        for name, block in qkv_blocks(m, 1).items():
+            assert np.array_equal(block, m.params["l1." + name]), name
 
     def test_matches_dense_product(self):
         m = small_model(rank=2)
         rng = np.random.default_rng(2)
         a, b = m.params["l2.wv.A"], m.params["l2.wv.B"]
         a[...], b[...] = rng.normal(size=a.shape), rng.normal(size=b.shape)
-        assert np.array_equal(m.layer_params(2)["wv"], m.params["l2.wv"] + a @ b)
+        blocks = qkv_blocks(m, 2)
+        assert np.array_equal(blocks["wv"], m.params["l2.wv"] + a @ b)
+        # wq's B is still zero, and wk carries no factors
+        assert np.array_equal(blocks["wq"], m.params["l2.wq"])
+        assert np.array_equal(blocks["wk"], m.params["l2.wk"])
 
     def test_fresh_adapter_is_noop_in_forward(self):
         # B starts at zero, so an adapted model forward equals the base model

@@ -177,6 +177,14 @@ class TestLayerSynchronous:
         ]
 
 
+def test_stacked_weights_hold_exactly_the_view_keys():
+    ens = adapted_chain(seed=4)
+    views = ens.models[0].param_views()
+    assert [set(w) for w in pipeline._stack_weights(ens.models)] == [set(v) for v in views]
+    for v in views[1:]:  # Q/K/V only as the one wqkv
+        assert "wqkv" in v and not {"wq", "wk", "wv"} & set(v)
+
+
 class TestSequential:
     @pytest.mark.parametrize("base", [
         TINY,
@@ -273,8 +281,10 @@ class TestWavefront:
         assert report.n_tokens == len(toks)
         assert report.wall_s > 0
         assert report.blocked_s >= 0 and report.transfer_s >= 0
-        text = report.format()
-        assert "per_token_latency_s" in text and "state_passing_s" in text
+        # blocked_s is always 0, so format() does not print it
+        assert [l.split()[0] for l in report.format().splitlines()] == [
+            "end_to_end_s", "per_token_latency_s", "state_passing_s"
+        ]
 
     def test_liveness(self):
         ens = make_chain(2, seed=5)

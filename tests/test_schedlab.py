@@ -6,7 +6,6 @@ import pytest
 
 from chainboost.schedlab import (
     SchedProblem,
-    antidiagonal_width,
     format_table,
     simulate_schedule,
     speedup_table,
@@ -14,6 +13,7 @@ from chainboost.schedlab import (
     t_sequential,
     table_to_csv,
 )
+from oracles import antidiagonal_width
 
 
 class TestAntidiagonalWidth:

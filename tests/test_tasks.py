@@ -7,11 +7,11 @@ from chainboost.tasks import (
     NO_LABEL,
     Dataset,
     TaskSpec,
-    derive_gold,
     generate,
     load_dataset,
     save_dataset,
 )
+from oracles import derive_gold
 
 
 class TestGenerate:

@@ -18,7 +18,6 @@ from chainboost.training import (
     batch_loss_and_grad,
     chain_eval,
     chain_logits,
-    cross_entropy,
     descent_lr_bound,
     estimate_alignment,
     flatten_params,
@@ -27,7 +26,6 @@ from chainboost.training import (
     pred_forward_chain,
     predecessor_errors,
     sgd_step,
-    suppression_loss,
     total_loss,
     train_chain,
     train_model,
@@ -36,10 +34,12 @@ from chainboost.training import (
 from oracles import (
     chain_eval_full,
     chain_walk_train,
+    cross_entropy,
     estimate_alignment_loop,
     finite_diff_grad,
     forward_teacher,
     stage_batch_pass_full,
+    suppression_loss,
 )
 
 SMALL = ModelSpec(
@@ -48,26 +48,33 @@ SMALL = ModelSpec(
 )
 
 
+def suppression_term(p, gold, err, beta):
+    """The package's suppression loss at one position: total_loss at alpha 0
+    over the logits log p, whose softmax is p."""
+    return total_loss(np.log(p)[None], [gold], ErrorTokenTrace([err]), 0.0, beta)
+
+
 class TestSuppressionLoss:
     def test_absent_error_token_is_zero(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert suppression_loss(p, 0, None, beta=0.1) == 0.0
+        assert suppression_term(p, 0, None, beta=0.1) == 0.0
 
     def test_equal_probabilities_give_log_two(self):
         # log p[gold] == log p[err] => u = 0 => -log sigma(0) = log 2
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        assert suppression_loss(p, 1, 3, beta=0.1) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert suppression_term(p, 1, 3, beta=0.1) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_oracle_value(self):
         p = np.array([0.7, 0.2, 0.1])
         beta = 0.5
         u = beta * (np.log(0.7) - np.log(0.1))
         want = -np.log(1.0 / (1.0 + np.exp(-u)))
+        assert suppression_term(p, 0, 2, beta) == pytest.approx(want, rel=1e-12)
         assert suppression_loss(p, 0, 2, beta) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_err_equal_gold(self):
         with pytest.raises(ValueError):
-            suppression_loss(np.array([0.5, 0.5]), 1, 1, 0.1)
+            loss_logit_grad(np.array([0.5, 0.5]), 1, 1, 0.9, 0.1)
         gold = np.array([[0, 1, -1]])
         # err at an unlabeled position is ignored; an active one equal to gold is not
         batch_loss_and_grad(np.zeros((1, 3, 4)), gold, np.array([[2, -1, 0]]), 0.9, 0.1)
@@ -76,8 +83,8 @@ class TestSuppressionLoss:
 
     def test_monotone_in_gold_probability(self):
         # when the gold token is already far ahead the penalty shrinks
-        low = suppression_loss(np.array([0.4, 0.3, 0.3]), 0, 1, 0.3)
-        high = suppression_loss(np.array([0.8, 0.1, 0.1]), 0, 1, 0.3)
+        low = suppression_term(np.array([0.4, 0.3, 0.3]), 0, 1, 0.3)
+        high = suppression_term(np.array([0.8, 0.1, 0.1]), 0, 1, 0.3)
         assert high < low
 
 
@@ -592,7 +599,7 @@ class TestLiveWidth:
         ds = _modsum(40)
         widths = _record_widths(monkeypatch)
         cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, seed=0)
-        train_model(TransformerModel(BASE32), ds, cfg, scope="full", alpha=1.0, beta=0.1)
+        train_model(TransformerModel(BASE32), ds, cfg)
         assert widths == [ds.tokens.shape[1] - 1] * 3
 
 
@@ -653,7 +660,7 @@ class TestTrainChain:
         ens = Ensemble(EnsembleSpec([SMALL]))
         train_chain(ens, ds, cfg)
         solo = TransformerModel(SMALL)
-        train_model(solo, ds, cfg, scope="full", alpha=1.0, beta=cfg.beta)
+        train_model(solo, ds, cfg)
         for k in solo.params:
             assert np.array_equal(solo.params[k], ens.models[0].params[k])
 
@@ -669,7 +676,7 @@ class TestTrainChain:
         ens = Ensemble(EnsembleSpec([SMALL, succ_spec], [0.3]))
         train_chain(ens, ds, cfg)
         solo = TransformerModel(SMALL)
-        train_model(solo, ds, cfg, scope="full", alpha=1.0, beta=cfg.beta)
+        train_model(solo, ds, cfg)
         # the base must come out of the full two-stage run bit-identical to a
         # stage-1-only run: stage 2 never touches it
         for k in solo.params:
@@ -728,6 +735,25 @@ class TestTrainChain:
             assert list(a.params) == list(b.params)
             for k in a.params:
                 assert np.array_equal(a.params[k], b.params[k]), k
+
+    def test_train_model_works_out_keys_alpha_and_beta(self, monkeypatch):
+        # a model's adapter factors when it has them, else every parameter;
+        # alpha 1 (plain CE) without err and cfg.alpha with it; beta cfg.beta
+        ds = self._dataset()
+        cfg = TrainConfig(alpha=0.8, beta=0.2, learning_rate=0.05, epochs=1, batch_size=8)
+        orig, seen = training.stage_batch_pass, set()
+
+        def spy(model, tokens, gold, err, alpha, beta, fusion_in, keys):
+            seen.add((tuple(keys), alpha, beta))
+            return orig(model, tokens, gold, err, alpha, beta, fusion_in, keys=keys)
+
+        monkeypatch.setattr(training, "stage_batch_pass", spy)
+        plain = TransformerModel(SMALL)
+        adapted = TransformerModel(dataclasses.replace(SMALL, adapter_rank=4))
+        train_model(plain, ds, cfg)
+        train_model(adapted, ds, cfg, err=np.full_like(ds.gold, -1))
+        assert seen == {(tuple(trainable_keys(plain, "full")), 1.0, 0.2),
+                        (tuple(trainable_keys(adapted, "adapters")), 0.8, 0.2)}
 
     def test_successor_diverges_from_base_on_error_positions(self):
         ds = self._dataset()
