@@ -124,13 +124,21 @@ def fuse_logits(z_list: Sequence[np.ndarray], lambdas: Sequence[float], k: int) 
 
 
 class Ensemble:
-    """Concrete chain: spec plus instantiated models."""
+    """Concrete chain: spec plus instantiated models, fresh ones from the
+    spec when models is None, else one per spec.models entry with that spec."""
 
     def __init__(self, spec: EnsembleSpec, models: Optional[list[TransformerModel]] = None):
         self.spec = spec
-        self.models = models or [TransformerModel(ms) for ms in spec.models]
-        if len(self.models) != len(spec.models):
-            raise ValueError("model count does not match spec")
+        if models is None:
+            models = [TransformerModel(ms) for ms in spec.models]
+        if len(models) != len(spec.models):
+            raise ValueError(f"{len(models)} models given for a spec of {len(spec.models)}")
+        for i, (m, ms) in enumerate(zip(models, spec.models)):
+            if m.spec != ms:
+                raise ValueError(f"model {i}'s spec differs from spec.models[{i}]")
+        self.models = models
+        # pipeline's stacked weights, with the (model, version) pairs they were stacked from
+        self._stacked: Optional[tuple[tuple, list[dict]]] = None
 
     def fusion_inputs(self, i: int, pred_states) -> Optional[dict]:
         """Fusion inputs of model i: its fusion layer l reads predecessor state l-1.

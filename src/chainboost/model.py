@@ -18,22 +18,25 @@ takes every gradient, or only those of the keys a trainer asks for and none
 of the work of the rest), for the
 teacher-forced chain walk and for KV-cache decoding (forward_step, the
 one-token call over a KvCache). Only forward_train keeps each layer's
-activations; the other calls return the layer states alone. The sequential
-chain decoder runs the walk over views it builds once per request; the
-layer-synchronous one calls the layer body with k models' weights stacked
+activations; the other calls return the layer states alone. A model builds
+its param_views() once per parameter version, and every pass until the next
+write shares them: the sequential chain decoder runs the walk over them, and
+the layer-synchronous one calls the layer body with k models' views stacked
 along the batch axis. A decode step whose logits nobody reads stops at the
 last layer's keys and values (cache_kv): both decoders take it on every
 prompt token but the last.
 
-Ownership rule: a kernel writes only arrays it allocated. LayerNorm forward
-and backward, GELU and its gradient, softmax_rows, attention and its
-backward, and the residual and bias adds of transformer_layer and backward
-allocate an array only for a value they keep or return and run every other
-elementwise step in place on it; their inputs and the activations
-forward_train saves are only read. Each in-place step is the IEEE operation
-the plain expression ran, at most with the operands of one + or * swapped,
-so the results are bit for bit those of the out-of-place expressions that
-tests/oracles.py keeps.
+Ownership rule: TransformerModel.write is the one writer of the parameters
+and moves the model's version on; params, its arrays and the cached views
+are read-only, so a stray write raises instead of leaving a cache stale. A
+kernel writes only arrays it allocated. LayerNorm forward and backward, GELU
+and its gradient, softmax_rows, attention and its backward, and the residual
+and bias adds of transformer_layer and backward allocate an array only for a
+value they keep or return and run every other elementwise step in place on
+it; their inputs and the activations forward_train saves are only read. Each
+in-place step is the IEEE operation the plain expression ran, at most with
+the operands of one + or * swapped, so the results are bit for bit those of
+the out-of-place expressions that tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -149,12 +153,40 @@ def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class TransformerModel:
-    """Decoder-only transformer over a dict of named numpy parameters."""
+    """Decoder-only transformer over a read-only mapping of named numpy parameters."""
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.params: dict[str, np.ndarray] = {}
+        self.version = 0
+        self._store: dict[str, np.ndarray] = {}  # the writable arrays; only write() writes them
+        self._views: Optional[list] = None  # param_views() of this version, built on first use
         self._init_params()
+
+    @property
+    def params(self) -> Mapping[str, np.ndarray]:
+        """Every parameter by key, as read-only views of the arrays write() updates."""
+        return self._params
+
+    def write(self, items: Iterable[tuple[str, np.ndarray]], lr: Optional[float] = None) -> None:
+        """The one writer of params: for each (key, value), arr[...] = value,
+        or arr -= lr * value when lr is given, in place, then version moves
+        on (also when a value is refused part-way) and the views of the old
+        version are dropped. A value whose shape is not its array's raises
+        ValueError; an unknown key, KeyError."""
+        try:
+            for key, value in items:
+                arr = self._store[key]
+                if value.shape != arr.shape:
+                    raise ValueError(f"value shape {value.shape} does not match {key} {arr.shape}")
+                if lr is None:
+                    arr[...] = value
+                else:
+                    arr -= lr * value
+        finally:
+            self.version += 1
+            # dropped now, not at the next build: kept through a training step,
+            # stale views made a train_modsum train_chain take 8x the page faults
+            self._views = None
 
     # -- construction -----------------------------------------------------
 
@@ -163,44 +195,55 @@ class TransformerModel:
         rng = np.random.default_rng(s.seed)
         d, ff = s.d_model, s.d_ff
         std = 0.5 / np.sqrt(d)
+        store = self._store
 
         def rnd(*shape, scale=std):
             return rng.standard_normal(shape) * scale
 
-        self.params["tok_emb"] = rnd(s.vocab, d, scale=0.1)
-        self.params["pos_emb"] = rnd(s.max_steps, d, scale=0.1)
+        store["tok_emb"] = rnd(s.vocab, d, scale=0.1)
+        store["pos_emb"] = rnd(s.max_steps, d, scale=0.1)
         for l in range(1, s.n_layers + 1):
             p = f"l{l}."
             for w in ("wq", "wk", "wv", "wo"):
-                self.params[p + w] = rnd(d, d)
-            self.params[p + "ln_attn_g"] = np.ones(d)
-            self.params[p + "ln_attn_b"] = np.zeros(d)
-            self.params[p + "w1"] = rnd(d, ff)
-            self.params[p + "b1"] = np.zeros(ff)
-            self.params[p + "w2"] = rnd(ff, d)
-            self.params[p + "b2"] = np.zeros(d)
-            self.params[p + "ln_mlp_g"] = np.ones(d)
-            self.params[p + "ln_mlp_b"] = np.zeros(d)
-        self.params["unemb"] = rnd(d, s.vocab, scale=0.1)
-        if s.adapter_rank > 0:
+                store[p + w] = rnd(d, d)
+            store[p + "ln_attn_g"] = np.ones(d)
+            store[p + "ln_attn_b"] = np.zeros(d)
+            store[p + "w1"] = rnd(d, ff)
+            store[p + "b1"] = np.zeros(ff)
+            store[p + "w2"] = rnd(ff, d)
+            store[p + "b2"] = np.zeros(d)
+            store[p + "ln_mlp_g"] = np.ones(d)
+            store[p + "ln_mlp_b"] = np.zeros(d)
+        store["unemb"] = rnd(d, s.vocab, scale=0.1)
+        r = s.adapter_rank
+        if r > 0:  # zero factors, which init_adapters sets through write()
+            store.update((f"l{l}.{t}.{f}", np.zeros((d, r) if f == "A" else (r, d)))
+                         for l in range(1, s.n_layers + 1) for t in ("wq", "wv") for f in "AB")
+        self._params = MappingProxyType({key: _read_only(arr) for key, arr in store.items()})
+        if r > 0:
             self.init_adapters(rng)
 
     def init_adapters(self, rng: np.random.Generator) -> None:
-        """Set the rank-r factors of wq and wv of every layer in params, as
+        """Set the rank-r factors of wq and wv of every layer through write(),
         l{l}.wq.A (d_model, r), l{l}.wq.B (r, d_model) and the same for wv
         (A gaussian, B zero, so a fresh adapter changes nothing)."""
         s = self.spec
         r, d = s.adapter_rank, s.d_model
-        for l in range(1, s.n_layers + 1):
-            for target in ("wq", "wv"):
-                self.params[f"l{l}.{target}.A"] = rng.standard_normal((d, r)) * 0.01
-                self.params[f"l{l}.{target}.B"] = np.zeros((r, d))
+
+        def factors():
+            for l in range(1, s.n_layers + 1):
+                for target in ("wq", "wv"):
+                    yield f"l{l}.{target}.A", rng.standard_normal((d, r)) * 0.01
+                    yield f"l{l}.{target}.B", np.zeros((r, d))
+
+        self.write(factors())
 
     def layer_params(self, l: int) -> dict[str, np.ndarray]:
         """Layer l's parameter view: its l{l}.* arrays by short name, except
         wq, wk and wv, which it holds only as the one projection wqkv = [wq |
-        wk | wv] (d_model, 3 d_model). On a rank > 0 model the q and v blocks
-        are merged with their factors as w + A @ B before the concatenation."""
+        wk | wv] (d_model, 3 d_model), read-only like the rest. On a rank > 0
+        model the q and v blocks are merged with their factors as w + A @ B
+        before the concatenation."""
         p = f"l{l}."
         view = {name: self.params[p + name] for name in LAYER_KEYS}
         qkv = {name: self.params[p + name] for name in ("wq", "wk", "wv")}
@@ -208,14 +251,17 @@ class TransformerModel:
             for name in ("wq", "wv"):
                 qkv[name] = qkv[name] + self.params[p + name + ".A"] @ self.params[p + name + ".B"]
         view["wqkv"] = np.concatenate(list(qkv.values()), axis=1)
+        view["wqkv"].flags.writeable = False
         return view
 
     def param_views(self) -> list[dict[str, np.ndarray]]:
         """The views one pass reads: [0] holds tok_emb, pos_emb and unemb, [l]
-        is layer_params(l). Build them per call, not once per model: sgd_step
-        updates the adapter factors in place."""
-        emb = {name: self.params[name] for name in ("tok_emb", "pos_emb", "unemb")}
-        return [emb] + [self.layer_params(l) for l in range(1, self.spec.n_layers + 1)]
+        is layer_params(l). Built once per version and shared by every pass
+        until the next write(); callers only read them."""
+        if self._views is None:
+            emb = {name: self.params[name] for name in ("tok_emb", "pos_emb", "unemb")}
+            self._views = [emb] + [self.layer_params(l) for l in range(1, self.spec.n_layers + 1)]
+        return self._views
 
     # -- the transformer pass ---------------------------------------------
 
@@ -388,7 +434,7 @@ class TransformerModel:
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "spec": asdict(self.spec),
             "dtype": "float64",
-            "adapters": sorted(k[:-2] for k in self.params if k.endswith(".A")),
+            "adapters": _factor_bases(self.params),
         }
         arrays = {_archive_name(k): v for k, v in self.params.items()}
         arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
@@ -398,12 +444,14 @@ class TransformerModel:
     @staticmethod
     def load(path) -> "TransformerModel":
         """Read a checkpoint; every array must be one its spec declares, with
-        that shape, under the name save gives it. Any fault, in the header or
-        an array, raises ValueError naming the checkpoint."""
+        that shape, under the name save gives it, and the header's adapters
+        what save writes. Any fault, in the header or an array, raises
+        ValueError naming the checkpoint."""
         with np.load(path) as data:
             try:  # a missing array or header key is a KeyError, bad JSON a ValueError
                 header = json.loads(bytes(data["header"]).decode())
-                version, dtype, spec = (header[key] for key in ("format_version", "dtype", "spec"))
+                version, dtype, spec, adapters = (
+                    header[key] for key in ("format_version", "dtype", "spec", "adapters"))
                 if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
                     raise ValueError(f"unsupported checkpoint format version {version!r}")
                 if dtype != "float64":
@@ -411,22 +459,39 @@ class TransformerModel:
                 if not isinstance(spec, dict) or set(spec) != {f.name for f in fields(ModelSpec)}:
                     raise ValueError(f"header spec {spec!r} does not name each ModelSpec field once")
                 model = TransformerModel(ModelSpec(**spec))
+                bases = _factor_bases(model.params)
+                if adapters != bases:
+                    raise ValueError(f"header adapters {adapters!r} are not the spec's {bases!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"checkpoint {path}: bad header: {exc!r}") from None
-            want = {_archive_name(k): v for k, v in model.params.items()}
-            for key in sorted(want.keys() | set(data.files) - {"header"}):
-                if key not in want:
-                    raise ValueError(f"checkpoint {path}: array {key!r} is not in its spec")
-                if key not in data.files:
-                    raise ValueError(f"checkpoint {path}: array {key!r} is missing")
-                arr = data[key]
-                if arr.shape != want[key].shape:
+            names = {_archive_name(k): k for k in model.params}
+            arrays = {}
+            for name in sorted(names.keys() | set(data.files) - {"header"}):
+                if name not in names:
+                    raise ValueError(f"checkpoint {path}: array {name!r} is not in its spec")
+                if name not in data.files:
+                    raise ValueError(f"checkpoint {path}: array {name!r} is missing")
+                arr, want = data[name], model.params[names[name]].shape
+                if arr.shape != want:
                     raise ValueError(
-                        f"checkpoint {path}: array {key!r} has shape {arr.shape}, "
-                        f"its spec needs {want[key].shape}"
+                        f"checkpoint {path}: array {name!r} has shape {arr.shape}, "
+                        f"its spec needs {want}"
                     )
-                want[key][...] = arr  # want holds the new model's own arrays
+                arrays[names[name]] = arr
+        model.write(arrays.items())
         return model
+
+
+def _factor_bases(params) -> list[str]:
+    """A checkpoint header's adapters: the sorted keys of factored weights, like l1.wq."""
+    return sorted(k[:-2] for k in params if k.endswith(".A"))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of arr that refuses writes; arr itself stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def is_factor(key: str) -> bool:

@@ -2,14 +2,15 @@
 
 Two decoders run one greedy loop and give bit-identical tokens and fused
 logits. decode_sequential, the reference, runs each model's forward_pass in
-chain order over parameter views built once per request. decode_pipelined
-is layer-synchronous: successor fusion layer l reads predecessor state l-1,
-the depth of its own input, so one call of the shared layer body runs layer
-l of all k models, their weights stacked along the batch axis. A step costs
-n_layers layer calls whatever k is: GPipe's schedule (Huang et al.,
-arXiv:1811.06965) with models in place of devices. Both stop every prompt
-step but the last at the last layer's keys and values: nobody reads its
-logits.
+chain order over its param_views(), which the model builds once per
+parameter version. decode_pipelined is layer-synchronous: successor fusion
+layer l reads predecessor state l-1, the depth of its own input, so one call
+of the shared layer body runs layer l of all k models, their weights stacked
+along the batch axis (and kept on the Ensemble until a model is replaced or
+written). A step costs n_layers layer calls whatever k is: GPipe's schedule
+(Huang et al., arXiv:1811.06965) with models in place of devices. Both stop
+every prompt step but the last at the last layer's keys and values: nobody
+reads its logits.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .model import KvCache, cache_kv, forward_pass, fuse_states, transformer_lay
 @dataclass
 class TimingReport:
     """Wall-clock accounting for one decode. Nothing waits, so blocked_s
-    stays 0 and format() omits it; transfer_s is the time spent stacking the
-    weights. A report without events stacked nothing (a sequential or a
-    fallen-back pipelined decode), so format() prints only its wall times."""
+    stays 0 and format() omits it; transfer_s is the time spent getting the
+    stacked weights: stacking them when the chain's parameters changed since
+    the last request, else only looking them up. A report without events
+    stacked nothing (a sequential or a fallen-back pipelined decode), so
+    format() prints only its wall times."""
 
     events: list = field(default_factory=list)  # (model, layer, step, start_us, finish_us)
     wall_s: float = 0.0
@@ -97,13 +100,14 @@ def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
 def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     """Reference greedy decoder; returns (tokens, per-step fused logits).
 
-    Every call builds each model's param_views() afresh (training updates
-    adapters in place). Per step each model runs forward_pass in chain order
-    over its own KvCache, and successor fusion layers read the
-    predecessor's states for the same step. On a step that emits nothing,
-    a model whose last state no successor reads stops at its last layer's
-    keys and values (forward_pass's stop_at_cache), and fuse_logits is not
-    called; a model whose successor fuses its last state runs in full.
+    Each model's param_views() are built once per parameter version, so
+    requests between two writes share them. Per step each model runs
+    forward_pass in chain order over its own KvCache, and successor fusion
+    layers read the predecessor's states for the same step. On a step that
+    emits nothing, a model whose last state no successor reads stops at its
+    last layer's keys and values (forward_pass's stop_at_cache), and
+    fuse_logits is not called; a model whose successor fuses its last state
+    runs in full.
     """
     check_prompt(ensemble, prompt, max_tokens)
     models = ensemble.models
@@ -127,8 +131,10 @@ def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-model arrays along a leading model axis; vectors become (k, 1, n)."""
+    """Per-model arrays along a leading model axis, read-only; vectors
+    become (k, 1, n)."""
     out = np.array(arrays)  # np.stack's result at a third of its overhead
+    out.flags.writeable = False
     return out[:, None] if out.ndim == 2 else out
 
 
@@ -140,11 +146,22 @@ def _stack_weights(models) -> list[dict]:
             for per in zip(*(m.param_views() for m in models))]
 
 
+def _chain_weights(ensemble: Ensemble) -> list[dict]:
+    """_stack_weights of the ensemble's models, kept on the ensemble and
+    rebuilt only when a model was replaced or written: the key holds each
+    model, compared by identity, with its version."""
+    key = tuple((m, m.version) for m in ensemble.models)
+    if ensemble._stacked is None or ensemble._stacked[0] != key:
+        ensemble._stacked = (key, _stack_weights(ensemble.models))
+    return ensemble._stacked[1]
+
+
 def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optional[int] = None):
     """Layer-synchronous greedy decode; returns (tokens, fused logits, timing).
 
-    Every call stacks the weights afresh (training updates adapters in
-    place). Per step an embedding lookup feeds one transformer_layer call
+    The stacked weights are built once per set of model versions and kept on
+    the ensemble (_chain_weights), so a request after no write only looks
+    them up. Per step an embedding lookup feeds one transformer_layer call
     per depth over a B = k KvCache; at fusion layers rows 1..k-1 take
     LN(h[1:] + h[:-1]) and the base row passes through. A step that emits
     nothing makes n_layers - 1 such calls and then only cache_kv at the
@@ -166,7 +183,7 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
         out, fused_hist = decode_sequential(ensemble, prompt, max_tokens)
         return out, fused_hist, TimingReport(wall_s=time.perf_counter() - t_origin, n_tokens=len(out))
 
-    weights = _stack_weights(ensemble.models)
+    weights = _chain_weights(ensemble)
     transfer_s = time.perf_counter() - t_origin
     k, spec = len(specs), specs[0]
     cache = KvCache(spec.n_layers)

@@ -204,16 +204,13 @@ def trainable_keys(model: TransformerModel, scope: str) -> list[str]:
 
 
 def sgd_step(model: TransformerModel, grads: dict, lr: float, keys: Sequence[str]) -> None:
-    """In-place params -= lr * grads, restricted to the given keys; a key
-    with no gradient raises KeyError rather than going untrained."""
+    """params -= lr * grads, restricted to the given keys, in place through
+    model.write; a key with no gradient raises KeyError, before anything is
+    written, rather than going untrained."""
     for key in keys:
-        g = grads.get(key)
-        if g is None:
+        if key not in grads:
             raise KeyError(f"no gradient for {key!r} to step")
-        arr = model.params[key]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {key} {arr.shape}")
-        arr -= lr * g
+    model.write(((key, grads[key]) for key in keys), lr)
 
 
 def flatten_grads(grads: dict, keys: Sequence[str]) -> np.ndarray:
@@ -225,17 +222,21 @@ def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
 
 
 def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.ndarray) -> None:
-    """Inverse of flatten_params: write theta's slices into the params in place.
-    Raises ValueError, before writing anything, unless theta has exactly as
-    many entries as the keys' arrays together."""
-    need = sum(model.params[key].size for key in keys)
+    """Inverse of flatten_params: write theta's slices into the params through
+    model.write. Raises ValueError, before writing anything, unless theta has
+    exactly as many entries as the keys' arrays together."""
+    arrays = [model.params[key] for key in keys]
+    need = sum(arr.size for arr in arrays)
     if theta.size != need:
         raise ValueError(f"theta has {theta.size} entries, the keys' arrays hold {need}")
-    off = 0
-    for key in keys:
-        arr = model.params[key]
-        arr[...] = theta[off : off + arr.size].reshape(arr.shape)
-        off += arr.size
+
+    def slices():
+        off = 0
+        for key, arr in zip(keys, arrays):
+            yield key, theta[off : off + arr.size].reshape(arr.shape)
+            off += arr.size
+
+    model.write(slices())
 
 
 # -- forward/backward wrappers --------------------------------------------
@@ -453,7 +454,7 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
                         f"base_copy: param {k!r} of model {i} has shape {v.shape}, "
                         f"the base's is {'missing' if src is None else src.shape}"
                     )
-            succ.params = {k: donor.params[k].copy() for k in base_keys}
+            succ.write((k, donor.params[k]) for k in base_keys)
             if succ.spec.adapter_rank > 0:
                 succ.init_adapters(np.random.default_rng(succ.spec.seed + 1))
         pred_logits, pred_states = pred_forward_chain(ensemble, i - 1, dataset.tokens)

@@ -22,7 +22,9 @@ What is hashed:
 - tokens and per-step fused logits from decode_sequential and
   decode_pipelined on decode_chain3-shaped (3 models, 3-token prompts, up to
   12 new tokens) and decode_long1-shaped (one model, 8-token prompts, 110
-  new tokens) requests.
+  new tokens) requests, and (decode.update.*) on the chain3 requests again
+  after new successor factors were written, so that a view or stacked
+  weights kept from the first requests would show.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -60,7 +63,7 @@ TINY = ModelSpec(
 
 def _feed(h, value) -> None:
     """Feed a value's structure and exact bits into the hash h."""
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         h.update(b"{")
         for key in sorted(value):
             _feed(h, key)
@@ -134,7 +137,8 @@ def probe_hashes():
 
 
 def decode_hashes():
-    """Both decoders over a few requests of each decode workload's shape."""
+    """Both decoders over a few requests of each decode workload's shape, then
+    over the chain3 requests after a write to the successors' factors."""
     chain3 = Ensemble(EnsembleSpec(
         [dataclasses.replace(BASE32, adapter_rank=0 if i == 0 else 8, seed=i) for i in range(3)],
         lambdas=[0.3, 0.3], top_k=2))
@@ -142,15 +146,24 @@ def decode_hashes():
     rng = np.random.default_rng(7)
     # nonzero adapter factors, so the successors' merged weights differ from their bases
     for m in chain3.models[1:]:
-        for key in m.params:
-            if key.endswith(".B"):
-                m.params[key][...] = rng.standard_normal(m.params[key].shape) * 0.05
+        m.write((key, rng.standard_normal(v.shape) * 0.05)
+                for key, v in m.params.items() if key.endswith(".B"))
+    requests = {}
     for name, ens, prompt_len, max_new in (("chain3", chain3, 3, 12), ("long1", long1, 8, 110)):
         prompts = [rng.integers(0, ens.spec.vocab - 1, size=prompt_len).tolist() for _ in range(4)]
+        requests[name] = prompts
         seq = [decode_sequential(ens, p, max_new) for p in prompts]
         pipe = [decode_pipelined(ens, p, max_new)[:2] for p in prompts]
         yield f"decode.{name}.sequential", digest(seq)
         yield f"decode.{name}.pipelined", digest(pipe)
+    update_rng = np.random.default_rng(8)
+    for m in chain3.models[1:]:
+        m.write((key, update_rng.standard_normal(v.shape) * 0.05)
+                for key, v in m.params.items() if key.endswith(".B"))
+    yield "decode.update.sequential", digest([decode_sequential(chain3, p, 12)
+                                              for p in requests["chain3"]])
+    yield "decode.update.pipelined", digest([decode_pipelined(chain3, p, 12)[:2]
+                                             for p in requests["chain3"]])
 
 
 def main() -> None:

@@ -67,6 +67,19 @@ class TestEnsembleSpec:
             EnsembleSpec(models=[MS, shallow, MS], lambdas=[0.3, 0.3], top_k=2)
 
 
+class TestEnsembleModels:
+    def test_empty_model_list_refused(self):
+        spec = EnsembleSpec(models=[MS], lambdas=[], top_k=2)
+        with pytest.raises(ValueError, match="0 models given for a spec of 1"):
+            Ensemble(spec, [])
+
+    def test_model_with_another_spec_refused(self):
+        other = dataclasses.replace(MS, seed=4)
+        spec = EnsembleSpec(models=[MS, MS], lambdas=[0.3], top_k=2)
+        with pytest.raises(ValueError, match=r"model 1's spec differs from spec.models\[1\]"):
+            Ensemble(spec, [TransformerModel(MS), TransformerModel(other)])
+
+
 class TestErrorTokens:
     """predecessor_errors: the predecessor's argmax where it misses gold, else -1."""
 

@@ -191,9 +191,8 @@ def model_case(rank, B):
     is dead."""
     model = TransformerModel(dataclasses.replace(BASE, adapter_rank=rank))
     rng = np.random.default_rng(7)
-    for key, v in model.params.items():
-        if key.endswith(".B"):
-            v[...] = 0.1 * rng.standard_normal(v.shape)
+    model.write((key, 0.1 * rng.standard_normal(v.shape))
+                for key, v in model.params.items() if key.endswith(".B"))
     tokens = rng.integers(0, 16, (B, 8))
     fusion_in = {l: rng.standard_normal((B, 8, 32)) for l in (1, 2)}
     dlogits = rng.standard_normal((B, 8, 16)) / B
@@ -253,9 +252,9 @@ def test_training_pass_leaves_inputs_and_activations_alone(rank, per_sample):
     """forward_train then backward: every input, parameter and saved
     activation is unchanged after the backward."""
     model, tokens, fusion_in, dlogits = model_case(rank, 32)
-    inputs = copy.deepcopy((tokens, fusion_in, dlogits, model.params))
+    inputs = copy.deepcopy((tokens, fusion_in, dlogits, dict(model.params)))
     _, acts = model.forward_train(tokens, fusion_in)
     saved = copy.deepcopy(acts)
     model.backward(dlogits, acts, per_sample=per_sample)
     assert_same_tree(acts, saved, "acts")
-    assert_same_tree((tokens, fusion_in, dlogits, model.params), inputs, "inputs")
+    assert_same_tree((tokens, fusion_in, dlogits, dict(model.params)), inputs, "inputs")

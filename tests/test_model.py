@@ -162,7 +162,7 @@ class TestAdapters:
         m = small_model(rank=2)
         rng = np.random.default_rng(2)
         a, b = m.params["l2.wv.A"], m.params["l2.wv.B"]
-        a[...], b[...] = rng.normal(size=a.shape), rng.normal(size=b.shape)
+        m.write([("l2.wv.A", rng.normal(size=a.shape)), ("l2.wv.B", rng.normal(size=b.shape))])
         blocks = qkv_blocks(m, 2)
         assert np.array_equal(blocks["wv"], m.params["l2.wv"] + a @ b)
         # wq's B is still zero, and wk carries no factors
@@ -176,6 +176,40 @@ class TestAdapters:
         t0 = forward_teacher(m0, [3, 1, 4])
         t1 = forward_teacher(m1, [3, 1, 4])
         assert np.array_equal(t0.logits, t1.logits)
+
+
+class TestWriter:
+    """params and the cached views are read-only; write() is the one writer."""
+
+    def test_params_refuse_writes(self):
+        m = small_model(rank=2)
+        with pytest.raises(ValueError, match="read-only"):
+            m.params["l1.wq"][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.params["l1.wq.B"] += 1.0
+        with pytest.raises(TypeError):
+            m.params["l1.wq"] = np.zeros_like(m.params["l1.wq"])
+        with pytest.raises(AttributeError):
+            m.params = {}
+
+    def test_cached_views_refuse_writes(self):
+        views = small_model(rank=2).param_views()
+        with pytest.raises(ValueError, match="read-only"):
+            views[0]["tok_emb"][0, 0] = 1.0
+        for view in views[1:]:
+            for name, arr in view.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+
+    def test_write_checks_shapes_and_moves_the_version_on(self):
+        m = small_model()
+        version, before = m.version, m.params["unemb"].copy()
+        with pytest.raises(ValueError, match="does not match unemb"):
+            m.write([("unemb", np.zeros(3))])
+        with pytest.raises(KeyError):
+            m.write([("l9.wq", np.zeros(3))])
+        assert m.version == version + 2
+        assert np.array_equal(m.params["unemb"], before)
 
 
 class TestBackward:
@@ -210,13 +244,19 @@ class TestBackward:
         else:
             idx = [(0, 0), (target.shape[0] - 1, target.shape[-1] - 1)]
         eps = 1e-5
+
+        def put(ij, value):
+            w = target.copy()
+            w[ij] = value
+            m.write([(name, w)])
+
         for ij in idx:
             orig = target[ij]
-            target[ij] = orig + eps
+            put(ij, orig + eps)
             lp = loss()
-            target[ij] = orig - eps
+            put(ij, orig - eps)
             lm = loss()
-            target[ij] = orig
+            put(ij, orig)
             fd = (lp - lm) / (2 * eps)
             assert abs(g[ij] - fd) <= tol * max(1.0, abs(fd)), (name, ij, g[ij], fd)
 
@@ -250,9 +290,7 @@ def keyed_case(rank, fusion_period, fused):
     spec = dataclasses.replace(SMALL, adapter_rank=rank, fusion_period=fusion_period, seed=13)
     m = TransformerModel(spec)
     rng = np.random.default_rng(8)
-    for k, v in m.params.items():
-        if k.endswith(".B"):
-            v[...] = rng.normal(0, 0.1, v.shape)
+    m.write((k, rng.normal(0, 0.1, v.shape)) for k, v in m.params.items() if k.endswith(".B"))
     tokens = rng.integers(0, spec.vocab, (3, 5))
     fusion_in = None
     if fused:
@@ -311,9 +349,7 @@ class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         m = small_model(rank=4)
         rng = np.random.default_rng(5)
-        for k, v in m.params.items():
-            if k.endswith(".B"):
-                v[...] = rng.normal(0, 0.1, v.shape)
+        m.write((k, rng.normal(0, 0.1, v.shape)) for k, v in m.params.items() if k.endswith(".B"))
         p = tmp_path / "ck.npz"
         m.save(p)
         m2 = TransformerModel.load(p)
@@ -399,9 +435,8 @@ class TestForwardTrain:
         # a fused model with nonzero adapters, reading another model's states
         fused = small_model(rank=3, seed=8)
         rng = np.random.default_rng(9)
-        for k, v in fused.params.items():
-            if k.endswith(".B"):
-                v[...] = rng.normal(0, 0.2, v.shape)
+        fused.write((k, rng.normal(0, 0.2, v.shape))
+                    for k, v in fused.params.items() if k.endswith(".B"))
         _, acts = small_model(seed=10).forward_train(toks)
         fusion = {l: acts["states"][l - 1] for l in SMALL.fusion_layers()}
         for m, fusion_in in ((plain, None), (fused, fusion)):

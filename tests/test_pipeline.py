@@ -7,11 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from chainboost import model, pipeline
+from chainboost import model, pipeline, training
 from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
-from chainboost.model import ModelSpec
+from chainboost.model import ModelSpec, TransformerModel
 from chainboost.pipeline import decode_pipelined, decode_sequential
-from chainboost.training import sgd_step
+from chainboost.tasks import TaskSpec, generate
+from chainboost.training import TrainConfig, flatten_params, load_flat_params, sgd_step
 from oracles import step_fold
 
 TINY = ModelSpec(
@@ -32,9 +33,7 @@ def adapted_chain(seed: int = 3, base: ModelSpec = TINY) -> Ensemble:
     ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.3], top_k=2))
     rng = np.random.default_rng(seed)
     for m in ens.models[1:]:
-        for k, v in m.params.items():
-            if k.endswith(".B"):
-                v[...] = rng.normal(0.0, 0.5, v.shape)
+        m.write((k, rng.normal(0.0, 0.5, v.shape)) for k, v in m.params.items() if k.endswith(".B"))
     return ens
 
 
@@ -134,19 +133,36 @@ class TestLayerSynchronous:
             assert toks_s == toks_p
             assert np.array_equal(logits_s, logits_p)
 
-    def test_no_stale_snapshot_after_adapter_update(self):
-        ens = adapted_chain(seed=5)
-        _, before_s = decode_sequential(ens, [1, 2], max_tokens=4)
-        _, before_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
-        grads = {"l2.wv.B": np.full((4, TINY.d_model), 0.5)}
-        sgd_step(ens.models[2], grads, 1.0, ["l2.wv.B"])  # in place, as training does
-        toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=4)
-        toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
-        assert toks_s == toks_p
-        assert np.array_equal(logits_s, logits_p)
-        assert np.array_equal(logits_s, step_fold(ens, [1, 2], 4)[1])
-        assert not np.array_equal(before_s[0], logits_s[0])
-        assert not np.array_equal(before_p[0], logits_p[0])
+    def test_no_stale_snapshot_after_adapter_update(self, monkeypatch):
+        key = "l2.wv.B"
+
+        def sgd(ens):
+            grads = {key: np.full((4, TINY.d_model), 0.5)}
+            sgd_step(ens.models[2], grads, 1.0, [key])  # in place, as training does
+
+        def flat(ens):
+            load_flat_params(ens.models[2], [key], flatten_params(ens.models[2], [key]) - 0.5)
+
+        def write(ens):
+            ens.models[2].write([(key, ens.models[2].params[key] - 0.5)])
+
+        def base_copy(ens):  # train_chain untrained: only base_copy and init_adapters write
+            monkeypatch.setattr(training, "train_model", lambda *args, **kwargs: [])
+            data = generate(TaskSpec("copy", vocab=12, length=3, n_samples=8, seed=1))
+            training.train_chain(ens, data, TrainConfig())
+
+        for update in (sgd, flat, write, base_copy):
+            ens = adapted_chain(seed=5)
+            _, before_s = decode_sequential(ens, [1, 2], max_tokens=4)
+            _, before_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+            update(ens)
+            toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=4)
+            toks_p, logits_p, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+            assert toks_s == toks_p
+            assert np.array_equal(logits_s, logits_p)
+            assert np.array_equal(logits_s, step_fold(ens, [1, 2], 4)[1])
+            assert not np.array_equal(before_s[0], logits_s[0])
+            assert not np.array_equal(before_p[0], logits_p[0])
 
     def test_workers_has_no_effect(self):
         ens = make_chain(2, seed=6)
@@ -156,6 +172,35 @@ class TestLayerSynchronous:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 decode_pipelined(ens, [1, 2], max_tokens=4, workers=bad)
+
+    def test_replacing_a_model_restacks(self, monkeypatch):
+        ens = adapted_chain(seed=5)
+        stacked = []
+        stack_weights = pipeline._stack_weights
+        monkeypatch.setattr(pipeline, "_stack_weights",
+                            lambda models: stacked.append(1) or stack_weights(models))
+        _, before, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+        decode_pipelined(ens, [3], max_tokens=4)
+        assert len(stacked) == 1  # one stack for two requests at one version
+        old = ens.models[2]
+        new = TransformerModel(old.spec)  # same spec, other B, same version
+        rng = np.random.default_rng(11)
+        new.write((k, rng.normal(0.0, 0.5, v.shape)) for k, v in new.params.items() if k.endswith(".B"))
+        assert new.version == old.version
+        ens.models[2] = new
+        toks, logits, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
+        assert len(stacked) == 2
+        toks_f, logits_f = step_fold(ens, [1, 2], 4)
+        assert toks == toks_f and np.array_equal(logits, logits_f)
+        assert not np.array_equal(before[0], logits[0])
+
+    def test_stacked_weights_refuse_writes(self):
+        ens = adapted_chain(seed=5)
+        decode_pipelined(ens, [1, 2], max_tokens=4)
+        for view in pipeline._chain_weights(ens):
+            for name, arr in view.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
 
     def test_report_nothing_waits(self):
         toks, _, report = decode_pipelined(make_chain(2, seed=7), [1, 2], max_tokens=4)
@@ -200,7 +245,7 @@ class TestSequential:
             assert toks == toks_f
             assert np.array_equal(logits, logits_f)
 
-    def test_views_built_once_per_call(self, monkeypatch):
+    def test_views_built_once_per_version(self, monkeypatch):
         ens = adapted_chain(seed=6)
         built = []
         layer_params = model.TransformerModel.layer_params
@@ -210,10 +255,16 @@ class TestSequential:
             return layer_params(self, l)
 
         monkeypatch.setattr(model.TransformerModel, "layer_params", counting)
+        once = sorted((id(m), l) for m in ens.models for l in range(1, TINY.n_layers + 1))
         toks, _ = decode_sequential(ens, [1, 2, 3], max_tokens=6)
         assert len(toks) > 1  # several steps ran on one set of views
-        assert sorted(built) == sorted((id(m), l) for m in ens.models
-                                       for l in range(1, TINY.n_layers + 1))
+        decode_sequential(ens, [4, 5], max_tokens=6)
+        decode_pipelined(ens, [6], max_tokens=6)
+        assert sorted(built) == once  # three requests at one version
+        succ = ens.models[1]
+        succ.write([("l1.wq.B", succ.params["l1.wq.B"] + 0.1)])
+        decode_sequential(ens, [1, 2, 3], max_tokens=6)
+        assert sorted(built) == sorted(once + [(id(succ), l) for l in range(1, TINY.n_layers + 1)])
 
 
 class TestPromptStop:
@@ -226,8 +277,8 @@ class TestPromptStop:
         ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
         assert ens.last_state_read(0) and not ens.last_state_read(1)
         rng = np.random.default_rng(0)
-        for v in ens.models[1].params.values():
-            v += rng.normal(0.0, 0.1, v.shape)  # a successor that moves the fused logits
+        succ_model = ens.models[1]  # a successor that moves the fused logits
+        succ_model.write((k, v + rng.normal(0.0, 0.1, v.shape)) for k, v in succ_model.params.items())
         max_tokens = 4
         for n in (1, 3, TINY.max_steps - max_tokens):
             prompt = rng.integers(0, TINY.vocab - 1, size=n).tolist()

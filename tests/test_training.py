@@ -301,9 +301,8 @@ def _alignment_case(name):
         err = np.full_like(gold, -1)
         err[:, 0] = [5, 0, 7]
     model = TransformerModel(spec)
-    for key in model.params:
-        if key.endswith(".B"):
-            model.params[key][...] = rng.normal(0.0, 0.1, model.params[key].shape)
+    model.write((key, rng.normal(0.0, 0.1, v.shape))
+                for key, v in model.params.items() if key.endswith(".B"))
     scope = "adapters" if name == "rank3_adapters" else "full"
     return model, tokens, gold, err, trainable_keys(model, scope), fusion_in
 
@@ -377,9 +376,7 @@ class TestChainWalk:
         ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3, 0.2], top_k=2))
         rng = np.random.default_rng(1)
         for m in ens.models:
-            for k, v in m.params.items():
-                if k.endswith(".B"):
-                    v[...] = rng.normal(0.0, 0.05, v.shape)
+            m.write((k, rng.normal(0.0, 0.05, v.shape)) for k, v in m.params.items() if k.endswith(".B"))
         return ens
 
     def test_chain_logits_equal_pred_forward_chain(self):
@@ -421,9 +418,7 @@ def _rank8_chain(k: int, seed: int = 0) -> Ensemble:
     ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3] * (k - 1), top_k=2))
     rng = np.random.default_rng(seed)
     for m in ens.models[1:]:
-        for key, v in m.params.items():
-            if key.endswith(".B"):
-                v[...] = rng.normal(0.0, 0.1, v.shape)
+        m.write((key, rng.normal(0.0, 0.1, v.shape)) for key, v in m.params.items() if key.endswith(".B"))
     return ens
 
 
