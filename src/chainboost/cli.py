@@ -31,9 +31,13 @@ from .training import TrainConfig, chain_eval, loss_logit_grad, total_loss, trai
 DEFAULT_SEEDS = [1, 2, 3]
 
 
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_config(path):
+    """A train config file's JSON. A file that cannot be read raises OSError,
+    one that is not JSON ValueError, each naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{path} is not a JSON file: {exc}") from None
 
 
 # the keys cmd_train reads, by config section; the model seed is set per run
@@ -87,7 +91,11 @@ def cmd_gen(args) -> int:
         return 2
     ds = tasks.generate(spec)
     out = args.out or f"{args.kind}.jsonl"
-    tasks.save_dataset(out, ds)
+    try:
+        tasks.save_dataset(out, ds)
+    except OSError as exc:  # a missing directory, a directory as the file, no permission
+        print(f"cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {ds.tokens.shape[0]} samples to {out}")
     return 0
 
@@ -120,9 +128,9 @@ def _chain_config(cfg: dict):
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    seeds = args.seeds or (cfg.get("seeds", DEFAULT_SEEDS) if isinstance(cfg, dict) else None)
     try:  # an unknown train key, or a seed (set per run from seeds), is a TypeError naming it
+        cfg = _load_config(args.config)
+        seeds = args.seeds or (cfg.get("seeds", DEFAULT_SEEDS) if isinstance(cfg, dict) else None)
         _check_config(cfg, seeds)
         train_base = TrainConfig(**cfg.get("train", {}), seed=seeds[0])
         ds_full, espec_base = _chain_config(cfg)

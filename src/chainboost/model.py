@@ -36,7 +36,10 @@ value they keep or return and run every other elementwise step in place on
 it; their inputs and the activations forward_train saves are only read. Each
 in-place step is the IEEE operation the plain expression ran, at most with
 the operands of one + or * swapped, so the results are bit for bit those of
-the out-of-place expressions that tests/oracles.py keeps.
+the out-of-place expressions that tests/oracles.py keeps. LayerNorm forward
+on an input that holds one row (a decode step of one model) runs its row's
+statistics on Python floats: the same IEEE operations in the same order, so
+also bit for bit, with fewer numpy calls.
 """
 
 from __future__ import annotations
@@ -161,6 +164,19 @@ class TransformerModel:
         self._store: dict[str, np.ndarray] = {}  # the writable arrays; only write() writes them
         self._views: Optional[list] = None  # param_views() of this version, built on first use
         self._init_params()
+
+    def __getstate__(self) -> dict:
+        """What copy and pickle keep: the spec, the writable arrays and the version."""
+        return {"spec": self.spec, "store": self._store, "version": self.version}
+
+    def __setstate__(self, state: dict) -> None:
+        """A model over its own copies of state's arrays, with no views built
+        yet, so that a write through a copy (copy.copy included, which hands
+        over the original's store) never reaches the original."""
+        self.spec, self.version = state["spec"], state["version"]
+        self._store = {key: np.array(arr) for key, arr in state["store"].items()}
+        self._views = None
+        self._params = MappingProxyType({key: _read_only(arr) for key, arr in self._store.items()})
 
     @property
     def params(self) -> Mapping[str, np.ndarray]:
@@ -641,17 +657,28 @@ def _attention_backward(doh, qh, kh, vh, attn, scale: float):
 
 def _ln_forward(x: np.ndarray, gain, bias):
     """LayerNorm over the last axis; returns (gain * xhat + bias, (xhat, inv))
-    with inv = 1 / sqrt(var + eps). Of the full-size arrays it allocates the
-    centred copy, which becomes the saved xhat, and the output, which first
-    holds the squares; x is only read. The per-row values stay out of place:
-    on a one-row decode step, in-place steps on a (1, 1, 1) array cost more
-    than they save."""
+    with inv = 1 / sqrt(var + eps), a (..., 1) array. Of the full-size arrays
+    it allocates the centred copy, which becomes the saved xhat, and the
+    output, which first holds the squares; x is only read.
+
+    The per-row values stay out of place. An input that holds one row (every
+    decode step of one model) takes its row's sum and sum of squares as
+    Python floats and runs the mean, the variance, the sqrt and the
+    reciprocal on them: the same IEEE operations in the same order as the
+    array path, so the same bits, at about half the numpy calls."""
     # np.add.reduce(...) / d is what ndarray.mean computes, minus its Python wrapper
     d = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    y = xc * xc
-    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + LN_EPS)
-    xc *= inv
+    if x.size == d:
+        xc = x - float(np.add.reduce(x, axis=None)) / d
+        y = xc * xc
+        inv = 1.0 / math.sqrt(float(np.add.reduce(y, axis=None)) / d + LN_EPS)
+        xc *= inv
+        inv = np.array(inv, ndmin=x.ndim)
+    else:
+        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+        y = xc * xc
+        inv = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + LN_EPS)
+        xc *= inv
     np.multiply(gain, xc, out=y)
     y += bias
     return y, (xc, inv)

@@ -22,9 +22,12 @@ What is hashed:
 - tokens and per-step fused logits from decode_sequential and
   decode_pipelined on decode_chain3-shaped (3 models, 3-token prompts, up to
   12 new tokens) and decode_long1-shaped (one model, 8-token prompts, 110
-  new tokens) requests, and (decode.update.*) on the chain3 requests again
-  after new successor factors were written, so that a view or stacked
-  weights kept from the first requests would show.
+  new tokens) requests, on chain2d24 requests (2 models of d_model 24,
+  where LayerNorm's / d rounds, so the one-row steps of decode_sequential
+  are checked against the stacked rows of decode_pipelined beyond
+  d_model 32), and (decode.update.*) on the chain3 requests again after new
+  successor factors were written, so that a view or stacked weights kept
+  from the first requests would show.
 """
 
 from __future__ import annotations
@@ -137,12 +140,17 @@ def probe_hashes():
 
 
 def decode_hashes():
-    """Both decoders over a few requests of each decode workload's shape, then
-    over the chain3 requests after a write to the successors' factors."""
+    """Both decoders over a few requests of each decode workload's shape and
+    of chain2d24, then over the chain3 requests after a write to the
+    successors' factors."""
     chain3 = Ensemble(EnsembleSpec(
         [dataclasses.replace(BASE32, adapter_rank=0 if i == 0 else 8, seed=i) for i in range(3)],
         lambdas=[0.3, 0.3], top_k=2))
     long1 = Ensemble(EnsembleSpec([dataclasses.replace(BASE32, max_steps=128)], lambdas=[], top_k=2))
+    chain2d24 = Ensemble(EnsembleSpec(
+        [dataclasses.replace(BASE32, d_model=24, d_ff=48, adapter_rank=0 if i == 0 else 8, seed=i)
+         for i in range(2)],
+        lambdas=[0.3], top_k=2))
     rng = np.random.default_rng(7)
     # nonzero adapter factors, so the successors' merged weights differ from their bases
     for m in chain3.models[1:]:
@@ -156,6 +164,14 @@ def decode_hashes():
         pipe = [decode_pipelined(ens, p, max_new)[:2] for p in prompts]
         yield f"decode.{name}.sequential", digest(seq)
         yield f"decode.{name}.pipelined", digest(pipe)
+    d24_rng = np.random.default_rng(9)
+    for m in chain2d24.models[1:]:
+        m.write((key, d24_rng.standard_normal(v.shape) * 0.05)
+                for key, v in m.params.items() if key.endswith(".B"))
+    prompts = [d24_rng.integers(0, chain2d24.spec.vocab - 1, size=3).tolist() for _ in range(4)]
+    yield "decode.chain2d24.sequential", digest([decode_sequential(chain2d24, p, 12) for p in prompts])
+    yield "decode.chain2d24.pipelined", digest([decode_pipelined(chain2d24, p, 12)[:2]
+                                                for p in prompts])
     update_rng = np.random.default_rng(8)
     for m in chain3.models[1:]:
         m.write((key, update_rng.standard_normal(v.shape) * 0.05)

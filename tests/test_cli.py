@@ -105,6 +105,13 @@ class TestGen:
         assert code == 2 and out == "" and not out_path.exists()
         assert err.startswith(f"bad task: {message}") and err.count("\n") == 1
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "absent" / "ds.jsonl"
+        code, out, err = run_cli(["gen", "--kind", "copy", "--out", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"cannot write {out_path}: No such file or directory\n"
+        assert not out_path.parent.exists()
+
 
 class TestTrainArtifacts:
     def test_manifest_roundtrip(self, trained_run):
@@ -123,6 +130,21 @@ class TestTrainArtifacts:
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        (b"{not json", "is not a JSON file: "),
+        (b"\xff\xfe{}", "is not a JSON file: "),
+    ], ids=["missing_file", "not_json", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, content, message, capsys):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("bad config: ") and err.count("\n") == 1
+        assert message in err and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["learning_rte", "precision", "seed"])
     def test_unknown_train_key_exits_2(self, tmp_path, key, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,9 @@ Each kernel in chainboost.model and chainboost.numkit works in place on its
 own temporaries. It must equal the out-of-place oracle in tests/oracles.py
 bit for bit, signed zeros included, and leave every input unchanged. The
 shapes are those of training (32, 8, d), evaluation (100, 8, d), a decode
-step (1, 1, d) and the stacked decoder (k, 1, d) with per-model gains.
+step (1, 1, d) and the stacked decoder (k, 1, d) with per-model gains. A
+one-row LayerNorm input takes its statistics as Python floats, and each row
+of a k-row call must be what that row alone gives.
 """
 
 import copy
@@ -86,6 +88,27 @@ def test_layer_norm_matches_oracle(name, unit):
     assert not np.signbit(saved[0].reshape(-1, x.shape[-1])[0]).any()  # xc was +0.0
     dy = rows_at_their_mean(rng.standard_normal(x.shape))
     assert same_bits(M._ln_backward(dy, saved, gain), oracles.ln_backward(dy, saved_ref, gain))
+
+
+@pytest.mark.parametrize("d", [8, 24, 32, 100, 130])
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("per_row", [False, True], ids=["gain", "per_row_gain"])
+def test_one_row_layer_norm_is_its_row_of_k(d, k, per_row):
+    """A one-row input (a decode step) takes its statistics as Python floats,
+    a k-row one (the stacked decoder) as arrays: row i alone gives row i of
+    the k-row call, bit for bit, in y, xhat and inv."""
+    rng = np.random.default_rng(100 * d + k)
+    x = rng.standard_normal((k, 1, d)) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    x[-1] += 1e6  # a large offset
+    x[0] = 3.0  # a constant row: its xhat is +0.0
+    lead = (k, 1) if per_row else ()
+    gain = 1.0 + 0.3 * rng.standard_normal(lead + (d,))
+    bias = 0.1 * rng.standard_normal(lead + (d,))
+    y, (xhat, inv) = M._ln_forward(x, gain, bias)
+    for i in range(k):
+        row = slice(i, i + 1)
+        g, b = (gain[row], bias[row]) if per_row else (gain, bias)
+        assert_same_tree(M._ln_forward(x[row], g, b), (y[row], (xhat[row], inv[row])), f"row {i}")
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -208,6 +231,17 @@ def test_backward_matches_oracle(rank, B, per_sample):
     _, acts = model.forward_train(tokens, fusion_in)
     got = model.backward(dlogits, acts, per_sample=per_sample)
     assert_same_tree(got, oracles.backward(model, dlogits, acts, per_sample))
+
+
+@pytest.mark.parametrize("rank", [0, 3])
+@pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
+def test_one_token_backward_matches_oracle(rank, per_sample):
+    """B = 1, T = 1: every LayerNorm of forward_train takes the one-row path,
+    and backward from what it saved is the oracle's."""
+    model, tokens, fusion_in, dlogits = model_case(rank, 1)
+    _, acts = model.forward_train(tokens[:, :1], {l: f[:, :1] for l, f in fusion_in.items()})
+    got = model.backward(dlogits[:, :1], acts, per_sample=per_sample)
+    assert_same_tree(got, oracles.backward(model, dlogits[:, :1], acts, per_sample))
 
 
 def kernel_calls(rng):

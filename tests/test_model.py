@@ -1,6 +1,8 @@
 """Tests for the toy decoder-only transformer."""
 
+import copy
 import dataclasses
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,19 @@ def small_model(rank=0, seed=7):
     import dataclasses
 
     return TransformerModel(dataclasses.replace(SMALL, adapter_rank=rank, seed=seed))
+
+
+def greedy_logits(model, prompt=(3, 1, 4), steps=6):
+    """The logits of a greedy one-token decode: the prompt's last step and
+    each step after it."""
+    cache = KvCache(model.spec.n_layers)
+    for t in prompt:
+        z, _, _ = model.forward_step(t, cache)
+    out = [z]
+    for _ in range(steps):
+        z, _, _ = model.forward_step(int(np.argmax(z)), cache)
+        out.append(z)
+    return np.array(out)
 
 
 class TestModelSpec:
@@ -210,6 +225,23 @@ class TestWriter:
             m.write([("l9.wq", np.zeros(3))])
         assert m.version == version + 2
         assert np.array_equal(m.params["unemb"], before)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_decode_alike_and_own_their_arrays(self, duplicate):
+        m = small_model(rank=2)
+        rng = np.random.default_rng(3)
+        m.write((k, 0.1 * rng.standard_normal(v.shape)) for k, v in m.params.items() if k.endswith(".B"))
+        before = greedy_logits(m)  # with m's views built and cached
+        c = duplicate(m)
+        assert c.version == m.version and c.spec == m.spec
+        assert greedy_logits(c).tobytes() == before.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            c.params["l1.wq"][0, 0] = 1.0
+        c.write((k, v + 0.5) for k, v in c.params.items())
+        assert not np.array_equal(greedy_logits(c), before)
+        assert greedy_logits(m).tobytes() == before.tobytes()
 
 
 class TestBackward:
