@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -158,18 +159,37 @@ class Ensemble:
         return i + 1 < len(models) and models[i].n_layers + 1 in models[i + 1].fusion_layers()
 
 
+def params_sha256(model: TransformerModel) -> str:
+    """sha256 over a model's parameter arrays, in params order."""
+    h = hashlib.sha256()
+    for arr in model.params.values():
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _checkpoint_path(manifest: Path, ref: str) -> Path:
+    """A manifest's checkpoint reference; a relative one resolves against
+    the manifest's directory."""
+    ckpt = Path(ref)
+    return ckpt if ckpt.is_absolute() else manifest.parent / ckpt
+
+
 def save_manifest(path, checkpoint_paths: Sequence[str], spec: EnsembleSpec) -> None:
-    """Human-readable ensemble manifest referencing the checkpoint files."""
+    """Human-readable ensemble manifest referencing the checkpoint files,
+    with the params_sha256 of each checkpoint as it reads back from disk."""
+    path = Path(path)
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "checkpoints": list(checkpoint_paths),
+        "checkpoint_sha256": [params_sha256(TransformerModel.load(_checkpoint_path(path, ref)))
+                              for ref in checkpoint_paths],
         "lambdas": spec.lambdas,
         "top_k": spec.top_k,
     }
     periods = {ms.fusion_period for ms in spec.models}
     if len(periods) == 1:
         doc["fusion_period"] = periods.pop()
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_manifest(path) -> tuple[Ensemble, dict]:
@@ -178,10 +198,13 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
     Rejects a document that is not a JSON object, lacks checkpoints,
     lambdas or top_k, has checkpoints that are not a list of file names, a
     format_version other than the int 1, "fusion_enabled": false (fusion
-    cannot be switched off) or a fusion_period that disagrees with a
-    checkpoint. lambdas and top_k pass to EnsembleSpec as the document holds
-    them, so it rejects their values, and checkpoints that do not form a
-    chain, such as mismatched vocabularies.
+    cannot be switched off), a checkpoint_sha256 that is not one string per
+    checkpoint, a checkpoint whose params_sha256 is not the one recorded
+    there (a manifest without the key, as written before it existed, checks
+    none) or a fusion_period that disagrees with a checkpoint. lambdas and
+    top_k pass to EnsembleSpec as the document holds them, so it rejects
+    their values, and checkpoints that do not form a chain, such as
+    mismatched vocabularies.
     """
     path = Path(path)
     doc = json.loads(path.read_text())
@@ -198,12 +221,19 @@ def load_manifest(path) -> tuple[Ensemble, dict]:
         raise ValueError(f"unsupported manifest format version {version!r}")
     if doc.get("fusion_enabled", True) is not True:
         raise ValueError(f"manifest key fusion_enabled={doc['fusion_enabled']!r} is not supported")
+    digests = doc.get("checkpoint_sha256")
+    if "checkpoint_sha256" in doc and not (
+            isinstance(digests, list) and len(digests) == len(ckpts)
+            and all(isinstance(d, str) for d in digests)):
+        raise ValueError(f"manifest key 'checkpoint_sha256' must be a list of one digest "
+                         f"per checkpoint, got {digests!r}")
     models = []
-    for ref in ckpts:
-        ckpt = Path(ref)
-        if not ckpt.is_absolute():
-            ckpt = path.parent / ckpt
+    for i, ref in enumerate(ckpts):
+        ckpt = _checkpoint_path(path, ref)
         models.append(TransformerModel.load(ckpt))
+        if digests is not None and (found := params_sha256(models[-1])) != digests[i]:
+            raise ValueError(f"checkpoint {ckpt}: parameter sha256 {found} is not the "
+                             f"manifest's {digests[i]}")
     for i, m in enumerate(models):
         if "fusion_period" in doc and m.spec.fusion_period != doc["fusion_period"]:
             raise ValueError(

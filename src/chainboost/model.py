@@ -24,7 +24,9 @@ write shares them: the sequential chain decoder runs the walk over them, and
 the layer-synchronous one calls the layer body with k models' views stacked
 along the batch axis. A decode step whose logits nobody reads stops at the
 last layer's keys and values (cache_kv): both decoders take it on every
-prompt token but the last.
+prompt token but the last. A KvCache writes each step's keys and values
+in place into one buffer per layer, which grows by doubling; attention
+reads a view of the filled steps, and a view handed out never changes.
 
 Ownership rule: TransformerModel.write is the one writer of the parameters
 and moves the model's version on; params, its arrays and the cached views
@@ -57,6 +59,9 @@ from .numkit import layer_norm  # noqa: F401 - chainbench/tracer.py patches mode
 
 CHECKPOINT_FORMAT_VERSION = 1
 LN_EPS = 1e-5
+# steps of room in a layer's first KvCache buffer, as in PagedAttention's
+# 16-token blocks: a short request never grows its buffers
+KV_FIRST_ROOM = 16
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -96,13 +101,20 @@ class KvCache:
     """Per-layer keys and values of the steps decoded so far.
 
     kv[i] holds layer i+1's post-fusion key and value projections split by
-    head in one array, (2, B, n_heads, steps, head_dim), keys at [0] and
-    values at [1], or None before the first step; a step extends it with
-    one concatenation.
+    head, (2, B, n_heads, steps, head_dim), keys at [0] and values at [1],
+    or None before the first step. It is a view of the filled steps of the
+    layer's buffer, whose step axis has room for more: the first holds
+    KV_FIRST_ROOM steps (or every step of the first extend, if more), a step
+    writes its keys and values in place after the last one, and a step that
+    does not fit moves the layer to a buffer of twice the room (or of every
+    step, if that is more), copying the old steps once. A view handed out
+    never changes: later steps write only past its end, and growth writes
+    to a new buffer.
     """
 
     def __init__(self, n_layers: int):
         self.kv: list[Optional[np.ndarray]] = [None] * n_layers
+        self._bufs: list[Optional[np.ndarray]] = [None] * n_layers
 
     @property
     def step_count(self) -> int:
@@ -110,10 +122,18 @@ class KvCache:
 
     def extend(self, layer: int, kv: np.ndarray) -> np.ndarray:
         """Append (2, B, heads, T, dh) keys and values to a layer; return all of that layer's."""
-        if self.kv[layer] is not None:
-            kv = np.concatenate((self.kv[layer], kv), axis=3)
-        self.kv[layer] = kv
-        return kv
+        old, buf = self.kv[layer], self._bufs[layer]
+        t0 = 0 if old is None else old.shape[3]
+        t1 = t0 + kv.shape[3]
+        if buf is None or t1 > buf.shape[3]:
+            room = max(t1, KV_FIRST_ROOM if buf is None else 2 * buf.shape[3])
+            buf = np.empty(kv.shape[:3] + (room,) + kv.shape[4:], dtype=kv.dtype)
+            if old is not None:
+                buf[:, :, :, :t0] = old
+            self._bufs[layer] = buf
+        buf[:, :, :, t0:t1] = kv
+        self.kv[layer] = buf[:, :, :, :t1]
+        return self.kv[layer]
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:

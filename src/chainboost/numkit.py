@@ -30,11 +30,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax over the last axis of an n-D array, shifted,
     exponentiated and normalised in the one array it allocates; z is only
-    read."""
+    read. The max and the sum call the ufunc reductions that z.max and
+    e.sum would run, so their bits are the same."""
     z = np.asarray(z, dtype=np.float64)
-    e = z - z.max(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

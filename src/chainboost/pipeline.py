@@ -89,7 +89,7 @@ def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
     out: list[int] = []
     fused_hist: list[np.ndarray] = []
     while True:
-        nxt = int(np.argmax(fused))
+        nxt = int(fused.argmax())
         out.append(nxt)
         fused_hist.append(fused)
         if nxt == eos or len(out) >= max_tokens:
@@ -187,16 +187,13 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
     transfer_s = time.perf_counter() - t_origin
     k, spec = len(specs), specs[0]
     cache = KvCache(spec.n_layers)
-    calls: list[tuple] = []  # (layer, step, start_us, finish_us) of each stacked call
-
-    def now_us() -> int:
-        return int((time.perf_counter() - t_origin) * 1e6)
+    calls: list[tuple] = []  # (layer, step, start, finish) of each stacked call, perf_counter s
 
     def step_chain(token: int, emit: bool) -> Optional[np.ndarray]:
         t = cache.step_count
         h = weights[0]["tok_emb"][:, token : token + 1] + weights[0]["pos_emb"][:, t : t + 1]
         for l in range(1, spec.n_layers + 1):
-            start = now_us()
+            start = time.perf_counter()
             ht = h
             if k > 1 and l % spec.fusion_period == 0:
                 ht = h.copy()
@@ -205,13 +202,14 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
                 h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None)
             else:
                 cache_kv(weights[l], ht, cache, l, spec.n_heads)
-            calls.append((l, t, start, now_us()))
+            calls.append((l, t, start, time.perf_counter()))
         if not emit:
             return None
         z = h @ weights[0]["unemb"]
         return fuse_logits(z[:, 0], ensemble.spec.lambdas, ensemble.spec.top_k)
 
     out, fused_hist = _greedy(ensemble, prompt, max_tokens, step_chain)
-    events = [(m, l, t, a, b) for l, t, a, b in calls for m in range(k)]
+    stamps = [(l, t, int((a - t_origin) * 1e6), int((b - t_origin) * 1e6)) for l, t, a, b in calls]
+    events = [(m, *call) for call in stamps for m in range(k)]
     wall_s = time.perf_counter() - t_origin
     return out, fused_hist, TimingReport(events, wall_s, transfer_s=transfer_s, n_tokens=len(out))

@@ -27,7 +27,10 @@ What is hashed:
   are checked against the stacked rows of decode_pipelined beyond
   d_model 32), and (decode.update.*) on the chain3 requests again after new
   successor factors were written, so that a view or stacked weights kept
-  from the first requests would show.
+  from the first requests would show;
+- (decode.fill.*) both decoders on requests of prompt + max_tokens ==
+  max_steps = 33 over a 3-model chain whose EOS logit never wins, so that
+  every request runs to the last step its KV caches can hold.
 """
 
 from __future__ import annotations
@@ -180,6 +183,25 @@ def decode_hashes():
                                               for p in requests["chain3"]])
     yield "decode.update.pipelined", digest([decode_pipelined(chain3, p, 12)[:2]
                                              for p in requests["chain3"]])
+    fill_rng = np.random.default_rng(10)
+    # 32 steps run: the second KV buffer fills to its last step
+    fill = Ensemble(EnsembleSpec(
+        [dataclasses.replace(BASE32, max_steps=33, adapter_rank=0 if i == 0 else 8, seed=20 + i)
+         for i in range(3)],
+        lambdas=[0.3, 0.3], top_k=2))
+    eos = fill.spec.vocab - 1
+    for m in fill.models:
+        # a last LayerNorm bias of ones and an EOS column of -100: EOS never
+        # wins, so each request runs prompt + max_tokens == max_steps
+        unemb = m.params["unemb"].copy()
+        unemb[:, eos] = -100.0
+        m.write([(f"l{m.spec.n_layers}.ln_mlp_b", np.ones(m.spec.d_model)), ("unemb", unemb)])
+        m.write((key, fill_rng.standard_normal(v.shape) * 0.05)
+                for key, v in m.params.items() if key.endswith(".B"))
+    prompts = [fill_rng.integers(0, eos, size=3).tolist() for _ in range(4)]
+    max_new = fill.models[0].spec.max_steps - 3
+    yield "decode.fill.sequential", digest([decode_sequential(fill, p, max_new) for p in prompts])
+    yield "decode.fill.pipelined", digest([decode_pipelined(fill, p, max_new)[:2] for p in prompts])
 
 
 def main() -> None:

@@ -39,10 +39,8 @@ def run_caught(argv, capsys):
     return code, capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def trained_run(tmp_path_factory):
-    """One tiny trained chain shared by infer/bench tests."""
-    root = tmp_path_factory.mktemp("run")
+def train_tiny(root: Path, seeds: list[int]) -> Path:
+    """Train a tiny chain per seed under root/out; returns root/out."""
     cfg = {
         "task": {"kind": "copy", "vocab": 12, "length": 3, "n_samples": 24, "seed": 1},
         "model": {
@@ -51,16 +49,24 @@ def trained_run(tmp_path_factory):
         },
         "n_successors": 1,
         "train": {"learning_rate": 0.05, "epochs": 2, "batch_size": 8, "stage2_epochs": 2},
-        "seeds": [1],
+        "seeds": seeds,
         "holdout_fraction": 0.25,
     }
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = cli.main(["train", "--config", str(cfg_path), "--out", str(root / "out")])
     assert code == 0
+    return root / "out"
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """One tiny trained chain shared by infer/bench tests."""
+    root = tmp_path_factory.mktemp("run")
+    out = train_tiny(root, [1])
     prompts = root / "prompts.txt"
     prompts.write_text("1 2 3\n4 5\n")
-    return root / "out" / "seed1" / "manifest.json", prompts
+    return out / "seed1" / "manifest.json", prompts
 
 
 class TestGen:
@@ -289,17 +295,23 @@ class TestMutationSweep:
         doc = json.loads(manifest.read_text())
         doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
         path = tmp_path / "manifest.json"
+        # besides the sweep values, digest lists that name the wrong checkpoint
+        # or hold one digest too few or too many
+        digests = doc["checkpoint_sha256"]
+        assert len(digests) == len(doc["checkpoints"]) == 2
+        cases = [(key, value) for key in [*doc, "fusion_enabled"] for value in SWEEP_VALUES]
+        cases += [("checkpoint_sha256", value) for value in
+                  (digests[::-1], [digests[0], digests[0]], digests[:1], digests + digests[:1])]
         loaded, bad = [], []
-        for key in [*doc, "fusion_enabled"]:
-            for value in SWEEP_VALUES:
-                path.write_text(json.dumps({**doc, key: value}))
-                code, err = run_caught(["infer", "--manifest", str(path), "--prompts", str(prompts),
-                                        "--max-tokens", "4"], capsys)
-                if code == 0:
-                    loaded.append((key, value))
-                elif not (code == 1 and err.startswith(f"manifest {path} does not load: ")
-                          and err.count("\n") == 1):
-                    bad.append((key, value, code, err))
+        for key, value in cases:
+            path.write_text(json.dumps({**doc, key: value}))
+            code, err = run_caught(["infer", "--manifest", str(path), "--prompts", str(prompts),
+                                    "--max-tokens", "4"], capsys)
+            if code == 0:
+                loaded.append((key, value))
+            elif not (code == 1 and err.startswith(f"manifest {path} does not load: ")
+                      and err.count("\n") == 1):
+                bad.append((key, value, code, err))
         assert bad == []
         assert loaded == [("fusion_enabled", True)]
 
@@ -400,6 +412,7 @@ class TestInfer:
         narrow = TransformerModel(dataclasses.replace(succ.spec, d_ff=24))
         narrow.save(tmp_path / "narrow.npz")
         doc["checkpoints"] = [str(manifest.parent / doc["checkpoints"][0]), "narrow.npz"]
+        del doc["checkpoint_sha256"]  # a hand-built chain, which records no digests
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         _, out, _ = run_cli(
             ["infer", "--manifest", str(tmp_path / "manifest.json"), "--prompts", str(prompts),
@@ -536,6 +549,34 @@ class TestInfer:
         code, out, err = run_cli(["infer", "--manifest", str(bad), "--prompts", str(prompts)], capsys)
         assert code == 1 and out == ""
         assert err == f"manifest {bad} does not load: lambdas[0] must be a finite positive number, got {lam}\n"
+
+    def test_checkpoint_from_another_run_exits_1(self, tmp_path, capsys):
+        # seed 2's successor was trained against another base: its parameters
+        # are not the ones seed 1's manifest recorded
+        out = train_tiny(tmp_path, [1, 2])
+        capsys.readouterr()
+        (out / "seed1" / "model1.npz").write_bytes((out / "seed2" / "model1.npz").read_bytes())
+        (tmp_path / "prompts.txt").write_text("1 2 3\n")
+        manifest = out / "seed1" / "manifest.json"
+        code, stdout, err = run_cli(["infer", "--manifest", str(manifest),
+                                     "--prompts", str(tmp_path / "prompts.txt")], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"manifest {manifest} does not load: "
+                              f"checkpoint {out / 'seed1' / 'model1.npz'}: parameter sha256 ")
+        assert err.count("\n") == 1
+
+    def test_manifest_without_digests_loads(self, trained_run, tmp_path, capsys):
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
+        del doc["checkpoint_sha256"]
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps(doc))
+        runs = [run_cli(["infer", "--manifest", str(m), "--prompts", str(prompts),
+                         "--max-tokens", "4"], capsys) for m in (manifest, old)]
+        assert [code for code, _, _ in runs] == [0, 0]
+        tokens = [[l for l in out.splitlines() if not l.split()[0].endswith("_s")] for _, out, _ in runs]
+        assert tokens[0] == tokens[1] and tokens[0]
 
     def test_empty_prompt_file(self, trained_run, tmp_path, capsys):
         manifest, _ = trained_run

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chainboost.ensemble import (
     EnsembleSpec,
     fuse_logits,
     load_manifest,
+    params_sha256,
     save_manifest,
     topk_mask,
 )
@@ -261,11 +263,27 @@ class TestManifest:
         b = _fused(ens2, [1, 2, 3])
         assert np.array_equal(a, b)
 
-        # corrupt: second checkpoint with a different vocab
+        # corrupt: second checkpoint with a different vocab, whose digest the
+        # rewritten manifest records, so that the chain check refuses it
         other = TransformerModel(dataclasses.replace(MS, vocab=13))
         other.save(tmp_path / "m1.npz")
-        with pytest.raises(ValueError, match="vocab|tokenizer"):
+        save_manifest(mpath, doc["checkpoints"], ens.spec)
+        with pytest.raises(ValueError, match="must share one vocabulary"):
             load_manifest(mpath)
+
+    def test_checkpoint_digests(self, tmp_path):
+        ens, mpath = self._saved(tmp_path, [MS, MS])
+        doc = json.loads(mpath.read_text())
+        assert doc["checkpoint_sha256"] == [params_sha256(m) for m in ens.models]
+        succ = ens.models[1]
+        succ.write([("unemb", succ.params["unemb"] + 1e-12)])
+        succ.save(tmp_path / "m1.npz")
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {tmp_path / 'm1.npz'}: parameter sha256 ")):
+            load_manifest(mpath)
+        # a manifest written before digests were recorded checks none
+        mpath.write_text(json.dumps({k: v for k, v in doc.items() if k != "checkpoint_sha256"}))
+        ens2, _ = load_manifest(mpath)
+        assert params_sha256(ens2.models[1]) == params_sha256(succ)
 
     def test_fusion_disabled_rejected(self, tmp_path):
         _, mpath = self._saved(tmp_path, [MS, MS])

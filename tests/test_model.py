@@ -10,6 +10,7 @@ import pytest
 
 from chainboost.model import (
     ContractError,
+    KV_FIRST_ROOM,
     KvCache,
     ModelSpec,
     TransformerModel,
@@ -111,6 +112,40 @@ class TestForwardStep:
         # shifts by the eps term: different bits, close values
         assert not np.array_equal(fused_states[l], states[l])
         assert np.allclose(fused_states[l], states[l], atol=1e-3)
+
+
+class TestKvCache:
+    """Each step writes its keys and values into a layer buffer that grows by
+    doubling; what extend returns equals the concatenation of every step, and
+    a view handed out keeps its bits through later writes and growths."""
+
+    @pytest.mark.parametrize("first", [1, 3, KV_FIRST_ROOM + 1])
+    @pytest.mark.parametrize("heads, dh", [(1, 4), (3, 2)])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_extend_equals_concatenation(self, B, heads, dh, first):
+        rng = np.random.default_rng(B * 100 + heads * 10 + first)
+        cache = KvCache(2)
+        steps = [[], []]
+        handed_out = []  # (view, its bits as a fresh array)
+        rooms = [set(), set()]
+        for T in [first] + [1] * (3 * KV_FIRST_ROOM):
+            for layer in (0, 1):
+                kv = rng.standard_normal((2, B, heads, T, dh))
+                steps[layer].append(kv)
+                out = cache.extend(layer, kv)
+                expect = np.concatenate(steps[layer], axis=3)
+                assert out is cache.kv[layer]
+                assert np.array_equal(out, expect)
+                handed_out.append((out, expect))
+                rooms[layer].add(out.base.shape[3])
+            assert cache.step_count == first + len(steps[0]) - 1
+            for view, bits in handed_out:
+                assert np.array_equal(view, bits)
+        # buffers of 16, 32 and 64 steps, or of 17, 34 and 68: two growths
+        assert rooms == [{max(first, KV_FIRST_ROOM) * r for r in (1, 2, 4)}] * 2
+
+    def test_empty_cache_counts_no_steps(self):
+        assert KvCache(3).step_count == 0
 
 
 class TestForwardTeacher:

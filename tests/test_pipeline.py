@@ -309,6 +309,44 @@ class TestPromptStop:
                 assert len(calls) == len(toks)
 
 
+def without_eos(ens: Ensemble) -> None:
+    """Write every model's last LayerNorm bias as ones and its EOS column of
+    unemb as -100: a last state then sums to d_model, so EOS's logit is about
+    -100 * d_model and the greedy loop never stops before max_tokens."""
+    eos = ens.spec.vocab - 1
+    for m in ens.models:
+        unemb = m.params["unemb"].copy()
+        unemb[:, eos] = -100.0
+        m.write([(f"l{m.spec.n_layers}.ln_mlp_b", np.ones(m.spec.d_model)), ("unemb", unemb)])
+
+
+class TestFullRequest:
+    """A request of prompt + max_tokens == max_steps runs to its last token."""
+
+    # the last emitted token is not fed back, so max_steps - 1 steps run: 11
+    # fit the first KV buffer, and 32 fill the second to its last step
+    @pytest.mark.parametrize("max_steps", [TINY.max_steps, 2 * model.KV_FIRST_ROOM + 1])
+    @pytest.mark.parametrize("n_successors", [0, 2])
+    def test_fills_max_steps(self, n_successors, max_steps):
+        specs = [dataclasses.replace(TINY, max_steps=max_steps, seed=5 + 10 * i)
+                 for i in range(n_successors + 1)]
+        ens = Ensemble(EnsembleSpec(specs, lambdas=[0.3] * n_successors, top_k=2))
+        without_eos(ens)
+        prompt = [1, 2, 3]
+        max_tokens = max_steps - len(prompt)
+        toks, logits = decode_sequential(ens, prompt, max_tokens)
+        toks_p, logits_p, report = decode_pipelined(ens, prompt, max_tokens)
+        toks_f, logits_f = step_fold(ens, prompt, max_tokens)
+        assert len(toks) == max_tokens and TINY.vocab - 1 not in toks
+        assert toks == toks_p == toks_f
+        assert np.array_equal(logits, logits_p) and np.array_equal(logits, logits_f)
+        assert len(report.events) == (n_successors + 1) * TINY.n_layers * (max_steps - 1)
+        assert all(type(a) is int and type(b) is int and a <= b for *_, a, b in report.events)
+        for decode in (decode_sequential, decode_pipelined):
+            with pytest.raises(ValueError, match=f"exceeds max_steps {max_steps}"):
+                decode(ens, prompt, max_tokens + 1)
+
+
 class TestWavefront:
     def test_layer_precedence_in_events(self):
         deep = dataclasses.replace(TINY, n_layers=4)
