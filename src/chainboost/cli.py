@@ -13,6 +13,8 @@ import argparse
 import csv
 import dataclasses
 import json
+import secrets
+import shutil
 import statistics
 import sys
 import time
@@ -127,6 +129,35 @@ def _chain_config(cfg: dict):
     return ds_full, espec
 
 
+def _write_seed_dir(seed_dir: Path, ensemble, metrics: list[dict]) -> None:
+    """Write one seed's model{i}.npz checkpoints, manifest.json and
+    metrics.jsonl into a new temporary sibling of seed_dir, then rename it
+    to seed_dir, so that a rerun replaces an earlier seed_dir whole. If any
+    write fails, the temporary directory is removed and an earlier seed_dir
+    is left as it was."""
+    tmp = seed_dir.with_name(f".{seed_dir.name}.{secrets.token_hex(4)}")
+    tmp.mkdir()
+    try:
+        ckpts = []
+        for i, model in enumerate(ensemble.models):
+            ckpts.append(f"model{i}.npz")  # manifest paths resolve against its directory
+            model.save(tmp / ckpts[-1])
+        ens_mod.save_manifest(tmp / "manifest.json", ckpts, ensemble.spec)
+        with open(tmp / "metrics.jsonl", "w") as fh:
+            for rec in metrics:
+                fh.write(json.dumps(rec) + "\n")
+        if seed_dir.is_dir():  # rename replaces no nonempty directory: move the old one aside
+            old = tmp.with_name(tmp.name + ".old")
+            seed_dir.rename(old)
+            tmp.rename(seed_dir)
+            shutil.rmtree(old)
+        else:
+            tmp.rename(seed_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
 def cmd_train(args) -> int:
     try:  # an unknown train key, or a seed (set per run from seeds), is a TypeError naming it
         cfg = _load_config(args.config)
@@ -141,7 +172,11 @@ def cmd_train(args) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out or cfg.get("out", "runs"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file as the directory, or a path under a file
+        print(f"cannot write {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     results = []
     for sd in seeds:
@@ -157,16 +192,11 @@ def cmd_train(args) -> int:
             print(f"training failed for seed {sd}: {exc}", file=sys.stderr)
             return 1
         seed_dir = out_dir / f"seed{sd}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        ckpts = []
-        for i, model in enumerate(ensemble.models):
-            p = seed_dir / f"model{i}.npz"
-            model.save(p)
-            ckpts.append(p.name)  # manifest paths resolve against its directory
-        ens_mod.save_manifest(seed_dir / "manifest.json", ckpts, espec)
-        with open(seed_dir / "metrics.jsonl", "w") as fh:
-            for rec in metrics:
-                fh.write(json.dumps(rec) + "\n")
+        try:
+            _write_seed_dir(seed_dir, ensemble, metrics)
+        except OSError as exc:
+            print(f"cannot write {seed_dir}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
         ev = chain_eval(ensemble, hold_ds)
         results.append(ev)
         print(

@@ -15,33 +15,37 @@ param_views(). TransformerModel._forward checks its inputs and runs the walk
 for batched training (forward_train, no cache, with analytic gradients in
 backward that the tests cross-check against finite differences; backward
 takes every gradient, or only those of the keys a trainer asks for and none
-of the work of the rest), for the
-teacher-forced chain walk and for KV-cache decoding (forward_step, the
-one-token call over a KvCache). Only forward_train keeps each layer's
-activations; the other calls return the layer states alone. A model builds
-its param_views() once per parameter version, and every pass until the next
-write shares them: the sequential chain decoder runs the walk over them, and
-the layer-synchronous one calls the layer body with k models' views stacked
-along the batch axis. A decode step whose logits nobody reads stops at the
-last layer's keys and values (cache_kv): both decoders take it on every
-prompt token but the last. A KvCache writes each step's keys and values
-in place into one buffer per layer, which grows by doubling; attention
-reads a view of the filled steps, and a view handed out never changes.
+of the work of the rest, per sample also straight into the rows of one
+caller-owned array), for the teacher-forced chain walk and for KV-cache
+decoding (forward_step, the one-token call over a KvCache). Only
+forward_train keeps each layer's activations; the other calls return the
+layer states alone. A model builds its param_views() once per parameter
+version, and every pass until the next write shares them: the sequential
+chain decoder runs the walk over them, and the layer-synchronous one calls
+the layer body with k models' views stacked along the batch axis. A decode
+step whose logits nobody reads stops at the last layer's keys and values
+(cache_kv): both decoders take it on every prompt token but the last. A
+KvCache writes each step's keys and values in place into one buffer per
+layer, which grows by doubling; attention reads a view of the filled steps,
+and a view handed out never changes.
 
 Ownership rule: TransformerModel.write is the one writer of the parameters
 and moves the model's version on; params, its arrays and the cached views
 are read-only, so a stray write raises instead of leaving a cache stale. A
-kernel writes only arrays it allocated. LayerNorm forward and backward, GELU
-and its gradient, softmax_rows, attention and its backward, and the residual
-and bias adds of transformer_layer and backward allocate an array only for a
-value they keep or return and run every other elementwise step in place on
-it; their inputs and the activations forward_train saves are only read. Each
-in-place step is the IEEE operation the plain expression ran, at most with
-the operands of one + or * swapped, so the results are bit for bit those of
-the out-of-place expressions that tests/oracles.py keeps. LayerNorm forward
-on an input that holds one row (a decode step of one model) runs its row's
-statistics on Python floats: the same IEEE operations in the same order, so
-also bit for bit, with fewer numpy calls.
+kernel writes only arrays it allocated, and backward also the out array its
+caller hands it for per-sample gradients: every element of it, each gradient
+in its own column block, as the plain call would compute it. LayerNorm
+forward and backward, GELU and its gradient, softmax_rows, attention and its
+backward, and the residual and bias adds of transformer_layer and backward
+allocate an array only for a value they keep or return and run every other
+elementwise step in place on it; their inputs and the activations
+forward_train saves are only read. Each in-place step is the IEEE operation
+the plain expression ran, at most with the operands of one + or * swapped,
+so the results are bit for bit those of the out-of-place expressions that
+tests/oracles.py keeps. LayerNorm forward on an input that holds one row (a
+decode step of one model) runs its row's statistics on Python floats: the
+same IEEE operations in the same order, so also bit for bit, with fewer
+numpy calls.
 """
 
 from __future__ import annotations
@@ -354,7 +358,8 @@ class TransformerModel:
         return self._forward(tokens, fusion_in, keep_acts=True)
 
     def backward(self, dlogits: np.ndarray, acts: dict, per_sample: bool = False,
-                 keys: Optional[Sequence[str]] = None) -> dict[str, np.ndarray]:
+                 keys: Optional[Sequence[str]] = None,
+                 out: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. the params arrays named in keys,
         or w.r.t. every array in params when keys is None.
 
@@ -376,6 +381,14 @@ class TransformerModel:
         b's own loss, bit for bit what a B = 1 call on that row returns: the
         weight products run one (d, T) @ (T, e) matmul per row and the bias,
         gain and embedding sums run over positions only.
+
+        out, only with per_sample, is a caller-owned C-contiguous float64
+        (B, P) array, P the sizes of the keys' arrays together (of every
+        params array, in params order, when keys is None). Each gradient is
+        computed straight into its column block, so that row b of out is
+        flatten_grads(keys) of sample b's gradients, with the same bits, and
+        the dict holds views of out. A repeated key, or an out of another
+        shape, dtype or layout, raises ValueError before any work.
         """
         s = self.spec
         B, T, _ = dlogits.shape
@@ -386,15 +399,17 @@ class TransformerModel:
         unknown = sorted(want - self.params.keys())
         if unknown:
             raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
+        blocks = {} if out is None else _out_blocks(self.params, keys, B, per_sample, out)
         below = "tok_emb" in want or "pos_emb" in want  # run the pass below layer 1
         grads: dict[str, np.ndarray] = {}
 
         def put(key, grad):
-            """grads[key] = grad(), run only when key is asked for."""
+            """grads[key] = grad(block), run only when key is asked for; block
+            is the key's view of out, or None without out."""
             if key in want:
-                grads[key] = grad()
+                grads[key] = grad(blocks.get(key))
 
-        put("unemb", lambda: _weight_grad(acts["states"][-1], dlogits, per_sample))
+        put("unemb", lambda o: _weight_grad(acts["states"][-1], dlogits, per_sample, o))
         dh_ = dlogits @ self.params["unemb"].T
 
         for l in range(s.n_layers, 0, -1):
@@ -403,25 +418,25 @@ class TransformerModel:
             w = a["p"]
             # mlp block
             xhat = a["ln_mlp"][0]
-            put(p + "ln_mlp_g", lambda: (dh_ * xhat).sum(axis=rows))
-            put(p + "ln_mlp_b", lambda: dh_.sum(axis=rows))
+            put(p + "ln_mlp_g", lambda o: np.add.reduce(dh_ * xhat, axis=rows, out=o))
+            put(p + "ln_mlp_b", lambda o: np.add.reduce(dh_, axis=rows, out=o))
             dr2 = _ln_backward(dh_, a["ln_mlp"], w["ln_mlp_g"])
             dm = dr2
-            put(p + "w2", lambda: _weight_grad(a["g1"], dm, per_sample))
-            put(p + "b2", lambda: dm.sum(axis=rows))
+            put(p + "w2", lambda o: _weight_grad(a["g1"], dm, per_sample, o))
+            put(p + "b2", lambda o: np.add.reduce(dm, axis=rows, out=o))
             du1 = dm @ w["w2"].T
             du1 *= gelu_grad(a["u1"], a["t1"])
-            put(p + "w1", lambda: _weight_grad(a["ha"], du1, per_sample))
-            put(p + "b1", lambda: du1.sum(axis=rows))
+            put(p + "w1", lambda o: _weight_grad(a["ha"], du1, per_sample, o))
+            put(p + "b1", lambda o: np.add.reduce(du1, axis=rows, out=o))
             dha = du1 @ w["w1"].T
             dha += dr2
             # attention block
             xhat = a["ln_attn"][0]
-            put(p + "ln_attn_g", lambda: (dha * xhat).sum(axis=rows))
-            put(p + "ln_attn_b", lambda: dha.sum(axis=rows))
+            put(p + "ln_attn_g", lambda o: np.add.reduce(dha * xhat, axis=rows, out=o))
+            put(p + "ln_attn_b", lambda o: np.add.reduce(dha, axis=rows, out=o))
             dr1 = _ln_backward(dha, a["ln_attn"], w["ln_attn_g"])
             dhhat = dr1
-            put(p + "wo", lambda: _weight_grad(a["o"], dhhat, per_sample))
+            put(p + "wo", lambda o: _weight_grad(a["o"], dhhat, per_sample, o))
             do = dhhat @ w["wo"].T
             doh = do.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
             dqh, dkh, dvh = _attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale)
@@ -432,11 +447,11 @@ class TransformerModel:
                 # wq and wv carry factors key.A, key.B on a rank > 0 model
                 key = p + name
                 if key in want or key + ".A" in want or key + ".B" in want:
-                    dw = _weight_grad(a["ht"], dy, per_sample)
+                    dw = _weight_grad(a["ht"], dy, per_sample, blocks.get(key))
                     if key in want:
                         grads[key] = dw
-                    put(key + ".A", lambda: dw @ self.params[key + ".B"].T)
-                    put(key + ".B", lambda: self.params[key + ".A"].T @ dw)
+                    put(key + ".A", lambda o: np.matmul(dw, self.params[key + ".B"].T, out=o))
+                    put(key + ".B", lambda o: np.matmul(self.params[key + ".A"].T, dw, out=o))
             if l == 1 and not below:
                 break
             # one product per block: dqkv @ wqkv.T would sum in another order
@@ -452,11 +467,11 @@ class TransformerModel:
         tokens = acts["tokens"]
         lead = (B,) if per_sample else ()
         if "tok_emb" in want:
-            dtok = np.zeros(lead + self.params["tok_emb"].shape)
+            dtok = _zeros(lead + self.params["tok_emb"].shape, blocks.get("tok_emb"))
             np.add.at(dtok, (np.arange(B)[:, None], tokens) if per_sample else tokens, dh_)
             grads["tok_emb"] = dtok
         if "pos_emb" in want:
-            dpos = np.zeros(lead + self.params["pos_emb"].shape)
+            dpos = _zeros(lead + self.params["pos_emb"].shape, blocks.get("pos_emb"))
             dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
             grads["pos_emb"] = dpos
         return grads
@@ -541,12 +556,45 @@ def _archive_name(key: str) -> str:
     return ("adapter." if is_factor(key) else "param.") + key
 
 
-def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool = False) -> np.ndarray:
+def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool = False,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over (b, t) of outer(x[b, t], dy[b, t]), as one 2-D matmul; per
-    sample, the sum over t alone, one (d, T) @ (T, e) matmul per row b."""
+    sample, the sum over t alone, one (d, T) @ (T, e) matmul per row b,
+    written into out when it is given."""
     if per_sample:
-        return x.swapaxes(-1, -2) @ dy
+        return np.matmul(x.swapaxes(-1, -2), dy, out=out)
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def _out_blocks(params, keys, B: int, per_sample: bool, out: np.ndarray) -> dict:
+    """Each key's (B, *shape) view of its column block of backward's out, in
+    the order of keys (of params when keys is None); raises ValueError,
+    before backward does any work, unless out is a per-sample call's
+    C-contiguous float64 (B, P) array and no key repeats."""
+    if not per_sample:
+        raise ValueError("out needs per_sample=True")
+    keys = list(params) if keys is None else list(keys)
+    if len(set(keys)) != len(keys):
+        raise ValueError("out needs keys without repeats")
+    sizes = [params[key].size for key in keys]
+    # a block of any other layout would reshape to a copy, and a narrower
+    # dtype would take the products cast down
+    if out.shape != (B, sum(sizes)) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 {(B, sum(sizes))} array, "
+                         f"got {out.dtype} {out.shape}")
+    blocks, off = {}, 0
+    for key, size in zip(keys, sizes):
+        blocks[key] = out[:, off : off + size].reshape((B,) + params[key].shape)
+        off += size
+    return blocks
+
+
+def _zeros(shape: tuple, out: Optional[np.ndarray]) -> np.ndarray:
+    """np.zeros(shape), or out set to zero in place when it is given."""
+    if out is None:
+        return np.zeros(shape)
+    out[...] = 0.0
+    return out
 
 
 def fuse_states(h: np.ndarray, pred: np.ndarray):

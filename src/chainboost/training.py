@@ -301,12 +301,14 @@ def estimate_alignment(
     -1 holes as elsewhere; samples whose CE gradient vanishes are skipped for
     the ratio. One batched pass serves every sample: one forward_train over
     all rows, then one per-sample backward for CE and one for suppression,
-    each over the batch's live width only (see _live).
+    each over the batch's live width only (see _live), into the rows of one
+    array. The norms and the dot run on each row in turn, one sample's
+    flat gradient at a time, as a one-row pass would give them.
     """
     if not ((err >= 0) & (gold >= 0)).any():
         raise EmptyEstimateError("no active error tokens in batch")
     rho, gamma, count = 0.0, 0.0, 0
-    for g_ce, g_s in _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
+    for g_ce, g_s in zip(*_alignment_rows(model, tokens, gold, err, keys, beta, fusion_in)):
         count += 1
         n_ce = float(np.linalg.norm(g_ce))
         n_s = float(np.linalg.norm(g_s))
@@ -321,27 +323,25 @@ def estimate_alignment(
 
 
 def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
-    """Yield each row's flat gradients over keys, in order, of its CE and of
-    its suppression term (the alpha = 0 objective), from one forward and two
-    per-sample backwards that take the gradients of keys alone. A row's
-    dlogits are unscaled, as a one-row batch_loss_and_grad gives them. Rows
-    are flattened one at a time, so no (B, P) copy of either gradient is
-    made. The pass runs the live width n only, and no loss is summed, so the
-    objective runs over the first n columns too."""
+    """The (B, P) flat gradients over keys of each row's CE and of its
+    suppression term (the alpha = 0 objective), row b laid out as
+    flatten_grads(keys) gives sample b, from one forward and two per-sample
+    backwards that take the gradients of keys alone and write them into the
+    two halves of one (2, B, P) array. A row's dlogits are unscaled, as a
+    one-row batch_loss_and_grad gives them. The pass runs the live width n
+    only, and no loss is summed, so the objective runs over the first n
+    columns too."""
     n, tokens, fusion_in = _live(gold, tokens, fusion_in)
     gold, err = gold[:, :n], err[:, :n]
     logits, acts = model.forward_train(tokens, fusion_in)
     p = softmax_rows(logits)
-    B = tokens.shape[0]
-    rows = []
-    for e, alpha in ((np.full_like(err, -1), 1.0), (err, 0.0)):
+    # one block, not an array per key: the heap those small arrays took was
+    # trimmed when they were freed and faulted in again on every call
+    G = np.empty((2, tokens.shape[0], sum(model.params[k].size for k in keys)))
+    for g, (e, alpha) in zip(G, ((np.full_like(err, -1), 1.0), (err, 0.0))):
         dz = _objective(p, gold, e, alpha, beta)[2]
-        grads = model.backward(dz, acts, per_sample=True, keys=keys)
-        rows.append([grads[k].reshape(B, -1) for k in keys])
-    del acts  # the generator would hold the activations until its last row
-    ce, supp = rows
-    for b in range(B):
-        yield np.concatenate([g[b] for g in ce]), np.concatenate([g[b] for g in supp])
+        model.backward(dz, acts, per_sample=True, keys=keys, out=g)
+    return G[0], G[1]
 
 
 def descent_lr_bound(alpha: float, rho: float, gamma: float, l_smooth: float) -> float:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import dataclasses
+import errno
 import itertools
 import json
 from pathlib import Path
@@ -39,8 +40,9 @@ def run_caught(argv, capsys):
     return code, capsys.readouterr().err
 
 
-def train_tiny(root: Path, seeds: list[int]) -> Path:
-    """Train a tiny chain per seed under root/out; returns root/out."""
+def train_tiny(root: Path, seeds: list[int], code: int = 0) -> Path:
+    """Train a tiny chain per seed under root/out, expecting exit code
+    code; returns root/out."""
     cfg = {
         "task": {"kind": "copy", "vocab": 12, "length": 3, "n_samples": 24, "seed": 1},
         "model": {
@@ -54,8 +56,7 @@ def train_tiny(root: Path, seeds: list[int]) -> Path:
     }
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    code = cli.main(["train", "--config", str(cfg_path), "--out", str(root / "out")])
-    assert code == 0
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(root / "out")]) == code
     return root / "out"
 
 
@@ -133,6 +134,33 @@ class TestTrainArtifacts:
         for ma, mb in zip(a.models, b.models):
             for k in ma.params:
                 assert np.array_equal(ma.params[k], mb.params[k])
+
+
+    def test_rerun_replaces_seed_dir_whole(self, tmp_path):
+        out = train_tiny(tmp_path, [1])
+        (out / "seed1" / "stale.txt").write_text("from another run")
+        first = (out / "seed1" / "manifest.json").read_text()
+        train_tiny(tmp_path, [1])
+        assert sorted(p.name for p in out.iterdir()) == ["seed1"]
+        assert sorted(p.name for p in (out / "seed1").iterdir()) == [
+            "manifest.json", "metrics.jsonl", "model0.npz", "model1.npz"]
+        assert (out / "seed1" / "manifest.json").read_text() == first
+
+    def test_failed_checkpoint_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        save = TransformerModel.save
+        saved = []
+
+        def fail_second(self, path):
+            if saved:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            saved.append(path)
+            save(self, path)
+
+        monkeypatch.setattr(TransformerModel, "save", fail_second)
+        out = train_tiny(tmp_path, [1], code=1)
+        assert len(saved) == 1
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == f"cannot write {out / 'seed1'}: No space left on device\n"
 
 
 class TestTrainConfig:
@@ -255,6 +283,18 @@ class TestTrainConfig:
         assert code == 2 and out == ""
         assert err == f"bad config: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under, reason", [(False, "File exists"), (True, "Not a directory")],
+                             ids=["a_file", "under_a_file"])
+    def test_out_on_a_file_exits_2(self, tmp_path, under, reason, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out_dir = taken / "runs" if under else taken
+        code, out, err = run_cli(["train", "--config", str(EXAMPLE_CONFIG), "--out", str(out_dir),
+                                  "--seeds", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"cannot write {out_dir}: {reason}\n"
+        assert taken.read_text() == "not a directory"
 
     def test_readme_config_is_the_example_file(self):
         root = Path(__file__).resolve().parents[1]

@@ -1,26 +1,38 @@
-"""Bit-identity contracts of the decoders, checked over random chains.
+"""Bit-identity contracts of the decoders and of backward, checked over
+random models.
 
-hypothesis draws a chain (k of 1 to 3 models, 1 to 3 layers each, a d_model
-with 1 to 4 heads dividing it, fusion period 1 to 3, successor adapter
-ranks 0, 1 or 3 with nonzero B factors), top_k, a prompt and max_tokens
-within a max_steps of up to 48, so that KV buffers grow. The models share
-their structure in about half the chains, which the layer-synchronous
-decoder stacks; the others fall back to the sequential decode. For each chain, decode_pipelined equals decode_sequential bit for
+Decoders: hypothesis draws a chain (k of 1 to 3 models, 1 to 3 layers each,
+a d_model with 1 to 4 heads dividing it, fusion period 1 to 3, successor
+adapter ranks 0, 1 or 3 with nonzero B factors), top_k, a prompt and
+max_tokens within a max_steps of up to 48, so that KV buffers grow. The
+models share their structure in about half the chains, which the
+layer-synchronous decoder stacks; the others fall back to the sequential
+decode. For each chain, decode_pipelined equals decode_sequential bit for
 bit, and both are within 1e-9 of the teacher-forced chain_logits +
-fuse_logits at every emitted step, with the same argmax. Runs are
-derandomized, so every run draws the same examples.
+fuse_logits at every emitted step, with the same argmax.
+
+backward: hypothesis draws one model of the same kinds, a (B, T) batch with
+or without fusion inputs, dlogits and an ordered set of keys. A keyed
+backward equals the full one, summed and per sample; per sample into out,
+row b is flatten_grads(keys) of the dict call's row b and of a B = 1 call on
+row b alone, and without keys it is every params array's in params order;
+an out of the wrong shape, dtype or layout, over repeated keys or without
+per_sample raises ValueError before backward reads an activation.
+
+Runs are derandomized, so every run draws the same examples.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
-from chainboost.model import KV_FIRST_ROOM, ModelSpec
+from chainboost.model import KV_FIRST_ROOM, ModelSpec, TransformerModel
 from chainboost.pipeline import decode_pipelined, decode_sequential
-from chainboost.training import chain_logits
+from chainboost.training import chain_logits, flatten_grads
 
 LOGIT_TOL = 1e-9
 
@@ -105,3 +117,58 @@ def test_draws_cover_every_shape():
     record()
     assert seen >= {("k", 1), ("k", 2), ("k", 3), ("stacked", True), ("stacked", False),
                     ("fills max_steps", True), ("prompt outgrows the first KV buffer", True)}
+
+
+@st.composite
+def training_passes(draw):
+    """(model, tokens, fusion_in, dlogits, keys) of a random model and batch;
+    keys is a nonempty subset of the model's params keys in random order."""
+    d_model = draw(st.sampled_from([4, 6, 8, 12]))
+    vocab, T, B = draw(st.integers(6, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    spec = ModelSpec(d_model=d_model, vocab=vocab, max_steps=T, seed=seed,
+                     adapter_rank=draw(st.sampled_from([0, 1, 3])), **draw(structure(d_model, 3)))
+    model = TransformerModel(spec)
+    rng = np.random.default_rng(seed)
+    model.write((key, rng.normal(0.0, 0.5, v.shape)) for key, v in model.params.items()
+                if key.endswith(".B"))
+    tokens = rng.integers(0, vocab, (B, T))
+    fusion_in = None
+    if draw(st.booleans()):
+        fusion_in = {l: rng.normal(0.0, 1.0, (B, T, d_model)) for l in spec.fusion_layers()}
+    keys = draw(st.lists(st.sampled_from(sorted(model.params)), min_size=1, unique=True))
+    return model, tokens, fusion_in, rng.normal(0.0, 1.0, (B, T, vocab)), keys
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(training_passes())
+def test_backward_keys_and_out_agree(case):
+    model, tokens, fusion_in, dz, keys = case
+    B = len(tokens)
+    _, acts = model.forward_train(tokens, fusion_in)
+    for per_sample in (False, True):
+        full = model.backward(dz, acts, per_sample=per_sample)
+        keyed = model.backward(dz, acts, per_sample=per_sample, keys=keys)
+        assert sorted(keyed) == sorted(keys)
+        assert all(np.array_equal(keyed[k], full[k]) for k in keys)
+    out = np.full((B, sum(model.params[k].size for k in keys)), np.nan)
+    into = model.backward(dz, acts, per_sample=True, keys=keys, out=out)
+    assert all(np.shares_memory(into[k], out) and np.array_equal(into[k], keyed[k]) for k in keys)
+    for b in range(B):
+        assert np.array_equal(out[b], flatten_grads({k: g[b] for k, g in keyed.items()}, keys))
+        f_in = None if fusion_in is None else {l: f[b : b + 1] for l, f in fusion_in.items()}
+        _, acts_b = model.forward_train(tokens[b : b + 1], f_in)
+        assert np.array_equal(out[b], flatten_grads(model.backward(dz[b : b + 1], acts_b, keys=keys), keys))
+    every = np.empty((B, sum(v.size for v in model.params.values())))
+    model.backward(dz, acts, per_sample=True, out=every)
+    assert all(np.array_equal(every[b], flatten_grads({k: g[b] for k, g in full.items()},
+                                                      list(model.params))) for b in range(B))
+    P = out.shape[1]
+    bad = [(keys, np.zeros((B, P + 1)), True), (keys, np.zeros((B + 1, P)), True),
+           (keys, np.zeros(B * P), True), (keys, np.zeros_like(out), False),
+           (keys, np.zeros((B, P), np.float32), True), (keys, np.zeros((B, 2 * P))[:, ::2], True),
+           (keys + keys[:1], np.zeros((B, P + model.params[keys[0]].size)), True)]
+    for ks, bad_out, per_sample in bad:
+        # no activations: a call that did any work before refusing out would raise KeyError
+        with pytest.raises(ValueError):
+            model.backward(dz, {}, per_sample=per_sample, keys=ks, out=bad_out)
