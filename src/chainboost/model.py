@@ -22,7 +22,11 @@ forward_train keeps each layer's activations; the other calls return the
 layer states alone. A model builds its param_views() once per parameter
 version, and every pass until the next write shares them: the sequential
 chain decoder runs the walk over them, and the layer-synchronous one calls
-the layer body with k models' views stacked along the batch axis. A decode
+the layer body with k models' views stacked along the batch axis. A view
+holds each gain and bias at the activations' rank, (1, 1, n), and the walk
+adds positions at the batch's rank, so that a decode step's one-row
+elementwise ops meet two arrays of one shape: numpy's fast path, where a
+(n,) operand would take its broadcasting iterator. A decode
 step whose logits nobody reads stops at the last layer's keys and values
 (cache_kv): both decoders take it on every prompt token but the last. A
 KvCache writes each step's keys and values in place into one buffer per
@@ -45,7 +49,9 @@ so the results are bit for bit those of the out-of-place expressions that
 tests/oracles.py keeps. LayerNorm forward on an input that holds one row (a
 decode step of one model) runs its row's statistics on Python floats: the
 same IEEE operations in the same order, so also bit for bit, with fewer
-numpy calls.
+numpy calls. backward adds the token-embedding gradient's rows with one
+np.bincount, in the index order np.add.at would add them, so also bit for
+bit.
 """
 
 from __future__ import annotations
@@ -69,8 +75,10 @@ KV_FIRST_ROOM = 16
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
-# a layer's parameters a view holds as they are; wq, wk and wv go into its wqkv
-LAYER_KEYS = ("wo", "ln_attn_g", "ln_attn_b", "w1", "b1", "w2", "b2", "ln_mlp_g", "ln_mlp_b")
+# a layer's weights a view holds as they are; wq, wk and wv go into its wqkv
+LAYER_WEIGHTS = ("wo", "w1", "w2")
+# a layer's gains and biases, which a view holds as (1, 1, n)
+LAYER_VECTORS = ("ln_attn_g", "ln_attn_b", "b1", "b2", "ln_mlp_g", "ln_mlp_b")
 
 
 class ContractError(RuntimeError):
@@ -283,9 +291,16 @@ class TransformerModel:
         wq, wk and wv, which it holds only as the one projection wqkv = [wq |
         wk | wv] (d_model, 3 d_model), read-only like the rest. On a rank > 0
         model the q and v blocks are merged with their factors as w + A @ B
-        before the concatenation."""
+        before the concatenation.
+
+        The gains and biases (ln_attn_g/b, b1, b2, ln_mlp_g/b) are (1, 1, n)
+        views of their (n,) params arrays, the rank of the (B, T, n)
+        activations: a one-row decode step meets them at equal shapes, on
+        numpy's fast path, where a (n,) vector takes its broadcasting iterator
+        at about three times the cost per op, for the same bits."""
         p = f"l{l}."
-        view = {name: self.params[p + name] for name in LAYER_KEYS}
+        view = {name: self.params[p + name] for name in LAYER_WEIGHTS}
+        view.update((name, self.params[p + name][None, None]) for name in LAYER_VECTORS)
         qkv = {name: self.params[p + name] for name in ("wq", "wk", "wv")}
         if self.spec.adapter_rank > 0:
             for name in ("wq", "wv"):
@@ -296,8 +311,9 @@ class TransformerModel:
 
     def param_views(self) -> list[dict[str, np.ndarray]]:
         """The views one pass reads: [0] holds tok_emb, pos_emb and unemb, [l]
-        is layer_params(l). Built once per version and shared by every pass
-        until the next write(); callers only read them."""
+        is layer_params(l), its vectors at the activations' rank. Built once
+        per version and shared by every pass until the next write(); callers
+        only read them."""
         if self._views is None:
             emb = {name: self.params[name] for name in ("tok_emb", "pos_emb", "unemb")}
             self._views = [emb] + [self.layer_params(l) for l in range(1, self.spec.n_layers + 1)]
@@ -467,9 +483,8 @@ class TransformerModel:
         tokens = acts["tokens"]
         lead = (B,) if per_sample else ()
         if "tok_emb" in want:
-            dtok = _zeros(lead + self.params["tok_emb"].shape, blocks.get("tok_emb"))
-            np.add.at(dtok, (np.arange(B)[:, None], tokens) if per_sample else tokens, dh_)
-            grads["tok_emb"] = dtok
+            grads["tok_emb"] = _embedding_grad(tokens, dh_, s.vocab, per_sample,
+                                               blocks.get("tok_emb"))
         if "pos_emb" in want:
             dpos = _zeros(lead + self.params["pos_emb"].shape, blocks.get("pos_emb"))
             dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
@@ -589,6 +604,26 @@ def _out_blocks(params, keys, B: int, per_sample: bool, out: np.ndarray) -> dict
     return blocks
 
 
+def _embedding_grad(tokens: np.ndarray, dh: np.ndarray, vocab: int, per_sample: bool,
+                    out: Optional[np.ndarray]) -> np.ndarray:
+    """The (vocab, d) table gradient: each dh[b, t] added onto row tokens[b, t]
+    of zeros, or per sample onto row b's own (B, vocab, d) table, written
+    into out when it is given. One np.bincount over the flat indices
+    (row * vocab + token) * d + j: like np.add.at, it adds in index order
+    from zeros, so the bits are the same, at a fraction of the cost."""
+    B, _, d = dh.shape
+    rows = tokens.astype(np.intp)  # a narrower int type would wrap in the products
+    if per_sample:
+        rows += np.arange(B)[:, None] * vocab
+    shape = ((B,) if per_sample else ()) + (vocab, d)
+    flat = (rows[..., None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=dh.ravel(), minlength=math.prod(shape)).reshape(shape)
+    if out is None:
+        return sums
+    out[...] = sums
+    return out
+
+
 def _zeros(shape: tuple, out: Optional[np.ndarray]) -> np.ndarray:
     """np.zeros(shape), or out set to zero in place when it is given."""
     if out is None:
@@ -631,7 +666,8 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     # a one-token step attends to every cached step: its mask is all zeros
     mask = None if T == 1 else np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
     emb = views[0]
-    h = emb["tok_emb"][tokens] + emb["pos_emb"][t0 : t0 + T]
+    # positions at the batch's rank: a one-row step adds two (1, 1, d) arrays
+    h = emb["tok_emb"][tokens] + emb["pos_emb"][None, t0 : t0 + T]
     acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
     for l in range(1, spec.n_layers + 1):
         fused = fusion_in is not None and l % spec.fusion_period == 0
@@ -653,10 +689,10 @@ def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: 
     """The one transformer layer body, from its attention input ht (B, T, d_model).
 
     p is a parameter view (TransformerModel.layer_params): one model's
-    (d, d') weights and (d,) gains, or k models' stacked along a leading
-    model axis, (k, d, d') and (k, 1, d), so that batch row b runs model b.
-    A cache, when given, is extended in place at index layer-1; mask None
-    means every key is visible. Returns (state h_layer, activations). The
+    (d, d') weights and (1, 1, d) gains and biases, or k models' stacked
+    along a leading model axis, (k, d, d') and (k, 1, d), so that batch row
+    b runs model b. A cache, when given, is extended in place at index
+    layer-1; mask None means every key is visible. Returns (state h_layer, activations). The
     residual and bias adds go in place onto the fresh products; ht and p
     are only read.
     """

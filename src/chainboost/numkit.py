@@ -1,10 +1,12 @@
-"""Small numeric kernel: softmax, its Jacobian, layer norm.
+"""Small numeric kernel: a vector norm, softmax, its Jacobian, layer norm.
 
 Everything here is a pure function over numpy arrays in float64, as is the
 rest of the package: models, training and probes all run in f64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,6 +18,13 @@ class ShapeError(ValueError):
 def check_finite(x: np.ndarray, name: str = "array") -> None:
     if not np.all(np.isfinite(x)):
         raise FloatingPointError(f"{name} contains NaN/Inf")
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D float64 vector as math.sqrt(v.dot(v)): what
+    np.linalg.norm(v) computes for one, with the same bits, minus its
+    argument handling."""
+    return math.sqrt(v.dot(v))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

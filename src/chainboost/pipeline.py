@@ -54,15 +54,26 @@ class TimingReport:
         return "\n".join(lines)
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bool is not one here, though it subclasses int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
-    """Raise ValueError unless max_tokens >= 1, the prompt is nonempty, its
-    ids lie in [0, vocab) and prompt + max_tokens fits max_steps."""
+    """Raise ValueError unless max_tokens is an integer >= 1, the prompt is
+    nonempty, its ids are integers (Python or numpy, not bool) in [0,
+    vocab) and prompt + max_tokens fits max_steps. An id that is not an
+    integer is refused, not rounded: the greedy loop would read 1.9 as 1."""
+    if not _is_int(max_tokens):
+        raise ValueError(f"max_tokens must be an integer, got {max_tokens!r}")
     if max_tokens < 1:  # the greedy loop emits a token before it checks the limit
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
     vocab = ensemble.spec.vocab
-    for token in prompt:
+    for i, token in enumerate(prompt):
+        if not _is_int(token):
+            raise ValueError(f"prompt token {i} must be an integer id, got {token!r}")
         if not 0 <= token < vocab:
             raise ValueError(f"prompt token id {token} out of range for vocab {vocab}")
     cap = min(m.spec.max_steps for m in ensemble.models)
@@ -131,11 +142,13 @@ def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-model arrays along a leading model axis, read-only; vectors
-    become (k, 1, n)."""
-    out = np.array(arrays)  # np.stack's result at a third of its overhead
+    """Per-model arrays along a leading model axis, read-only: (d, d')
+    weights become (k, d, d'), and the views' (1, 1, n) gains and biases are
+    concatenated into (k, 1, n), the rank of the (k, 1, n) activations."""
+    # np.array(arrays) is np.stack's result at a third of its overhead
+    out = np.concatenate(arrays) if arrays[0].ndim == 3 else np.array(arrays)
     out.flags.writeable = False
-    return out[:, None] if out.ndim == 2 else out
+    return out
 
 
 def _stack_weights(models) -> list[dict]:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numkit import ShapeError, check_finite, softmax, softmax_jacobian, softmax_rows
+from .numkit import ShapeError, check_finite, softmax, softmax_jacobian, softmax_rows, vector_norm
 from .training import (
     DEFAULT_BETA,
     AlignmentEstimate,
@@ -253,14 +253,14 @@ def descent_probe(
     rng = np.random.default_rng(seed)
     l_hat = 1e-12
     for d in [g0_ce] + [rng.standard_normal(theta0.size) for _ in range(6)]:
-        nd = float(np.linalg.norm(d))
+        nd = vector_norm(d)
         if nd == 0.0:
             continue
         d = d / nd
         for s in (1e-2, 1e-1, 1.0):
             _, _, g1 = at(theta0 + s * d)
             if np.isfinite(g1).all():
-                l_hat = max(l_hat, float(np.linalg.norm(g1 - g0_ce)) / s)
+                l_hat = max(l_hat, vector_norm(g1 - g0_ce) / s)
 
     try:
         descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
@@ -292,9 +292,9 @@ def descent_probe(
         for _ in range(steps):
             theta_next = theta - eta * g_comp
             ce_next, g_comp_next, g_ce_next = at(theta_next)
-            dn = float(np.linalg.norm(theta_next - theta))
+            dn = vector_norm(theta_next - theta)
             if dn > 0 and np.isfinite(g_ce_next).all():
-                path_sec = max(path_sec, float(np.linalg.norm(g_ce_next - g_ce)) / dn)
+                path_sec = max(path_sec, vector_norm(g_ce_next - g_ce) / dn)
             if not ce_next < traj[-1]:
                 violations += 1
             traj.append(ce_next)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
 from .model import TransformerModel, is_factor
-from .numkit import ShapeError, softmax_rows
+from .numkit import ShapeError, softmax_rows, vector_norm
 from .tasks import Dataset
 
 log = logging.getLogger(__name__)
@@ -247,8 +247,10 @@ def _live(gold: np.ndarray, tokens: np.ndarray, fusion_in: Optional[dict] = None
     width: n is 1 + the last column in which any row has gold >= 0 (1 when
     no row has a label), and the tokens and every fusion input keep columns
     0 .. n-1. No labelled position sees a later column, so the cut pass gives
-    each labelled position the logits the full one does; an error token
-    counts only where gold is labelled, so err needs no check of its own."""
+    each labelled position the logits the full one does, up to the rounding
+    of products run at other shapes (a one-row product is a gemv); an error
+    token counts only where gold is labelled, so err needs no check of its
+    own."""
     cols = np.flatnonzero((gold >= 0).any(axis=0))
     n = int(cols[-1]) + 1 if cols.size else 1
     if fusion_in is not None:
@@ -310,8 +312,8 @@ def estimate_alignment(
     rho, gamma, count = 0.0, 0.0, 0
     for g_ce, g_s in zip(*_alignment_rows(model, tokens, gold, err, keys, beta, fusion_in)):
         count += 1
-        n_ce = float(np.linalg.norm(g_ce))
-        n_s = float(np.linalg.norm(g_s))
+        n_ce = vector_norm(g_ce)
+        n_s = vector_norm(g_s)
         if n_ce <= 0:
             continue
         gamma = max(gamma, n_s / n_ce)

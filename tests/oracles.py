@@ -5,9 +5,11 @@ way: a teacher-forced forward and a greedy chain decode as folds of
 forward_step, the teacher-forced chain walk as forward_train calls that keep
 every activation, a gradient by central differences, the alignment estimate
 as a loop of one-row passes, a training batch pass and chain_eval over
-every column, the dead ones past the last labelled column included, and the
+every column, the dead ones past the last labelled column included, the
 layer kernels as out-of-place expressions, one fresh array per step, which
-the in-place kernels must match bit for bit. Last come the references only
+the in-place kernels must match bit for bit, the embedding gradient by
+np.add.at, and a layer's parameter view with (n,) gains and biases, which
+the (1, 1, n) ones must match bit for bit. Last come the references only
 the tests call: a task's labels re-derived from its tokens, the wavefront
 grid's anti-diagonal widths, and cross-entropy and the suppression loss as
 plain formulas over probabilities.
@@ -23,7 +25,7 @@ import numpy as np
 
 from chainboost import pipeline
 from chainboost.ensemble import Ensemble, fuse_logits
-from chainboost.model import _GELU_A, _GELU_C, LN_EPS, KvCache, TransformerModel
+from chainboost.model import _GELU_A, _GELU_C, LAYER_VECTORS, LN_EPS, KvCache, TransformerModel
 from chainboost.tasks import NO_LABEL, TaskSpec
 from chainboost.training import (
     AlignmentEstimate,
@@ -302,13 +304,32 @@ def backward(model: TransformerModel, dlogits, acts, per_sample=False):
                 grads[key + ".B"] = params[key + ".A"].T @ dw
         dht = dr1 + (dq @ w["wq"].T + dk @ w["wk"].T + dv @ w["wv"].T)
         dh_ = ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
-    lead = (B,) if per_sample else ()
-    dtok = np.zeros(lead + params["tok_emb"].shape)
-    np.add.at(dtok, (np.arange(B)[:, None], acts["tokens"]) if per_sample else acts["tokens"], dh_)
-    dpos = np.zeros(lead + params["pos_emb"].shape)
+    dpos = np.zeros(((B,) if per_sample else ()) + params["pos_emb"].shape)
     dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
-    grads["tok_emb"], grads["pos_emb"] = dtok, dpos
+    grads["tok_emb"] = embedding_grad(acts["tokens"], dh_, s.vocab, per_sample)
+    grads["pos_emb"] = dpos
     return grads
+
+
+def embedding_grad(tokens, dh, vocab, per_sample=False):
+    """model._embedding_grad by np.add.at: each dh[b, t] added onto row
+    tokens[b, t] of a zero (vocab, d) table, or of row b's own table."""
+    B, _, d = dh.shape
+    if per_sample:
+        out = np.zeros((B, vocab, d))
+        np.add.at(out, (np.arange(B)[:, None], tokens), dh)
+    else:
+        out = np.zeros((vocab, d))
+        np.add.at(out, tokens, dh)
+    return out
+
+
+def layer_params_1d(model: TransformerModel, l: int) -> dict:
+    """model.layer_params(l) with its gains and biases as the (n,) params
+    arrays themselves, not (1, 1, n) views: the same call's operands at
+    another rank, which broadcasting must not change a bit of."""
+    return {name: arr.reshape(arr.shape[-1:]) if name in LAYER_VECTORS else arr
+            for name, arr in model.layer_params(l).items()}
 
 
 # -- references only the tests call

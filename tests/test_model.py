@@ -11,6 +11,7 @@ import pytest
 from chainboost.model import (
     ContractError,
     KV_FIRST_ROOM,
+    LAYER_VECTORS,
     KvCache,
     ModelSpec,
     TransformerModel,
@@ -250,6 +251,15 @@ class TestWriter:
             for name, arr in view.items():
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0.0
+
+    def test_views_hold_vectors_at_the_activations_rank(self):
+        # (1, 1, n) views of the params arrays, which a one-row step meets at equal shapes
+        m = small_model(rank=2)
+        for l, view in enumerate(m.param_views()[1:], start=1):
+            for name in LAYER_VECTORS:
+                arr = m.params[f"l{l}.{name}"]
+                assert view[name].shape == (1, 1) + arr.shape and arr.ndim == 1
+                assert np.shares_memory(view[name], arr)
 
     def test_write_checks_shapes_and_moves_the_version_on(self):
         m = small_model()

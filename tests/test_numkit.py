@@ -10,6 +10,7 @@ from chainboost.numkit import (
     layer_norm,
     softmax,
     softmax_jacobian,
+    vector_norm,
 )
 from oracles import finite_diff_grad
 
@@ -97,6 +98,19 @@ class TestLayerNorm:
         h = np.array([1.0, -1.0])
         out = layer_norm(h, np.array([2.0, 3.0]), np.array([1.0, -1.0]), 0.0)
         assert np.allclose(out, [3.0, -4.0], atol=1e-12)
+
+
+class TestVectorNorm:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 4960, 100_003])
+    def test_bits_of_linalg_norm(self, n):
+        # descent_probe's and estimate_alignment's norms keep the bits of
+        # np.linalg.norm only while it sums in this order: a numpy whose norm
+        # changes shows up here
+        rng = np.random.default_rng(n)
+        for v in (rng.normal(0.0, 1.0, n), rng.normal(0.0, 1e-150, n), rng.normal(0.0, 1e150, n),
+                  np.zeros(n), np.arange(n, dtype=float)[::-1]):
+            got, want = vector_norm(v), np.linalg.norm(v)
+            assert type(got) is float and got.hex() == float(want).hex()
 
 
 class TestFiniteDiff:

@@ -225,9 +225,16 @@ class TestLayerSynchronous:
 def test_stacked_weights_hold_exactly_the_view_keys():
     ens = adapted_chain(seed=4)
     views = ens.models[0].param_views()
-    assert [set(w) for w in pipeline._stack_weights(ens.models)] == [set(v) for v in views]
+    stacked = pipeline._stack_weights(ens.models)
+    assert [set(w) for w in stacked] == [set(v) for v in views]
     for v in views[1:]:  # Q/K/V only as the one wqkv
         assert "wqkv" in v and not {"wq", "wk", "wv"} & set(v)
+    # gains and biases at the (k, 1, n) rank of the stacked activations, model b in row b
+    for l in range(1, TINY.n_layers + 1):
+        for name in model.LAYER_VECTORS:
+            assert stacked[l][name].shape == (3, 1) + ens.models[0].params[f"l{l}.{name}"].shape
+            for b, m in enumerate(ens.models):
+                assert np.array_equal(stacked[l][name][b, 0], m.params[f"l{l}.{name}"])
 
 
 class TestSequential:
@@ -401,3 +408,31 @@ class TestPromptValidation:
         ens = make_chain(0)
         with pytest.raises((ValueError, IndexError)):
             decode_sequential(ens, [99], max_tokens=3)
+
+    @pytest.mark.parametrize("prompt, position", [
+        ([1.9, 2], 0), ([1, 2.0], 1), ([1, True], 1), ([False], 0), ([1, 2, "3"], 2),
+        ([np.float64(1.0)], 0), ([np.bool_(True)], 0), (np.array([1.0, 2.0]), 0),
+    ])
+    def test_ids_that_are_not_integers_are_refused(self, prompt, position):
+        # the greedy loop's int() would read 1.9 as 1 and True as 1
+        ens = make_chain(1)
+        for decode in (decode_sequential, decode_pipelined):
+            with pytest.raises(ValueError, match=f"prompt token {position} must be an integer id"):
+                decode(ens, prompt, 4)
+
+    @pytest.mark.parametrize("max_tokens", [2.5, 2.0, True, "4", None])
+    def test_max_tokens_that_is_not_an_integer_is_refused(self, max_tokens):
+        ens = make_chain(1)
+        for decode in (decode_sequential, decode_pipelined):
+            with pytest.raises(ValueError, match="max_tokens must be an integer"):
+                decode(ens, [1, 2], max_tokens)
+
+    def test_numpy_integers_decode_as_python_ones(self):
+        ens = make_chain(1)
+        want = decode_sequential(ens, [1, 2], 4)
+        for prompt in (np.array([1, 2]), [np.int32(1), np.uint8(2)]):
+            for max_tokens in (4, np.int64(4)):
+                toks, logits = decode_sequential(ens, prompt, max_tokens)
+                toks_p, logits_p, _ = decode_pipelined(ens, prompt, max_tokens)
+                assert toks == toks_p == want[0]
+                assert np.array_equal(logits, want[1]) and np.array_equal(logits_p, want[1])

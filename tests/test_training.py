@@ -539,7 +539,8 @@ def _record_widths(monkeypatch) -> list:
 
 class TestLiveWidth:
     """Labelled passes run only columns 0 .. n-1, n = 1 + the last labelled
-    column, bit for bit equal to the full-width pass."""
+    column, bit for bit equal to the full-width pass on these cases (not on
+    every shape: tests/test_properties.py checks the cut to 1e-12)."""
 
     @pytest.mark.parametrize("name", LIVE_WIDTH_CASES)
     def test_stage_batch_pass_matches_full_width(self, name, monkeypatch):
