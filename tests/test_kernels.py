@@ -168,7 +168,9 @@ def test_softmax_rows_of_integers():
 
 
 def layer_weights(name, rng):
-    """A parameter view for the shape: one model's, or k models' stacked."""
+    """A parameter view for the shape: one model's, its gains and biases
+    (1, 1, n) as TransformerModel.layer_params holds them, or k models'
+    stacked."""
     (_, _, d), lead = SHAPES[name]
     k = lead[:1]
     ff = 2 * d
@@ -178,7 +180,8 @@ def layer_weights(name, rng):
              w2=rng.standard_normal(k + (ff, d)) / math.sqrt(ff))
     for name_, n in (("ln_attn_g", d), ("ln_attn_b", d), ("b1", ff), ("b2", d),
                      ("ln_mlp_g", d), ("ln_mlp_b", d)):
-        p[name_] = (1.0 if name_.endswith("_g") else 0.0) + 0.2 * rng.standard_normal(lead + (n,))
+        shape = (lead or (1, 1)) + (n,)
+        p[name_] = (1.0 if name_.endswith("_g") else 0.0) + 0.2 * rng.standard_normal(shape)
     return p
 
 
