@@ -168,6 +168,9 @@ def cmd_train(args) -> int:
         holdout = cfg.get("holdout_fraction", 0.25)
         if len(ds_full.split(holdout)[0]) == 0:  # split sizes do not depend on the seed
             raise ValueError(f"holdout_fraction {holdout} leaves no training sample of {len(ds_full)}")
+        for sd in seeds:  # chain_eval scores only labelled positions
+            if not (ds_full.split(holdout, seed=sd)[1].gold >= 0).any():
+                raise ValueError(f"the holdout set of seed {sd} has no labelled position to score")
     except (OSError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ for batched training (forward_train, no cache, with analytic gradients in
 backward that the tests cross-check against finite differences; backward
 takes every gradient, or only those of the keys a trainer asks for and none
 of the work of the rest, per sample also straight into the rows of one
-caller-owned array), for the teacher-forced chain walk and for KV-cache
+caller-owned array, and for a stack of cotangents in one layer walk),
+for the teacher-forced chain walk and for KV-cache
 decoding (forward_step, the one-token call over a KvCache). Only
 forward_train keeps each layer's activations; the other calls return the
 layer states alone. A model builds its param_views() once per parameter
@@ -398,24 +399,34 @@ class TransformerModel:
         weight products run one (d, T) @ (T, e) matmul per row and the bias,
         gain and embedding sums run over positions only.
 
+        Per sample, dlogits may stack C cotangents, (C, B, T, V): each
+        gradient is then (C, B, ...), [c] bit for bit the call on
+        dlogits[c], in one walk where the saved activations broadcast (never
+        tiled) and the GELU gradient is taken once. Another rank, or a stack
+        without per_sample, raises ValueError before any work.
+
         out, only with per_sample, is a caller-owned C-contiguous float64
-        (B, P) array, P the sizes of the keys' arrays together (of every
-        params array, in params order, when keys is None). Each gradient is
-        computed straight into its column block, so that row b of out is
-        flatten_grads(keys) of sample b's gradients, with the same bits, and
-        the dict holds views of out. A repeated key, or an out of another
-        shape, dtype or layout, raises ValueError before any work.
+        (*lead, P) array, lead being dlogits' (B,) or (C, B), P the sizes of
+        the keys' arrays together (of every params array, in params order,
+        when keys is None). Each gradient goes straight into its column
+        block, so that out[..., b, :] is flatten_grads(keys) of sample b's
+        gradients, with the same bits, and the dict holds views of out. A
+        repeated key, or an out of another shape, dtype or layout, raises
+        ValueError before any work.
         """
         s = self.spec
-        B, T, _ = dlogits.shape
+        if dlogits.ndim != 3 and not (per_sample and dlogits.ndim == 4):
+            raise ValueError(f"dlogits must be (B, T, V), or (C, B, T, V) per sample; "
+                             f"got shape {dlogits.shape}")
+        lead, T = dlogits.shape[:-2], dlogits.shape[-2]
         nh, dh = s.n_heads, s.d_model // s.n_heads
         scale = 1.0 / np.sqrt(dh)
-        rows = 1 if per_sample else (0, 1)  # the axes a bias gradient sums
+        rows = -2 if per_sample else (0, 1)  # the axes a bias gradient sums
         want = self.params.keys() if keys is None else set(keys)
         unknown = sorted(want - self.params.keys())
         if unknown:
             raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
-        blocks = {} if out is None else _out_blocks(self.params, keys, B, per_sample, out)
+        blocks = {} if out is None else _out_blocks(self.params, keys, lead, per_sample, out)
         below = "tok_emb" in want or "pos_emb" in want  # run the pass below layer 1
         grads: dict[str, np.ndarray] = {}
 
@@ -454,11 +465,11 @@ class TransformerModel:
             dhhat = dr1
             put(p + "wo", lambda o: _weight_grad(a["o"], dhhat, per_sample, o))
             do = dhhat @ w["wo"].T
-            doh = do.reshape(B, T, nh, dh).transpose(0, 2, 1, 3)
+            doh = do.reshape(lead + (T, nh, dh)).swapaxes(-3, -2)
             dqh, dkh, dvh = _attention_backward(doh, a["qh"], a["kh"], a["vh"], a["attn"], scale)
-            dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, s.d_model)
+            dq = dqh.swapaxes(-3, -2).reshape(lead + (T, s.d_model))
+            dk = dkh.swapaxes(-3, -2).reshape(lead + (T, s.d_model))
+            dv = dvh.swapaxes(-3, -2).reshape(lead + (T, s.d_model))
             for name, dy in (("wq", dq), ("wk", dk), ("wv", dv)):
                 # wq and wv carry factors key.A, key.B on a rank > 0 model
                 key = p + name
@@ -481,12 +492,12 @@ class TransformerModel:
 
         # embeddings
         tokens = acts["tokens"]
-        lead = (B,) if per_sample else ()
         if "tok_emb" in want:
             grads["tok_emb"] = _embedding_grad(tokens, dh_, s.vocab, per_sample,
                                                blocks.get("tok_emb"))
         if "pos_emb" in want:
-            dpos = _zeros(lead + self.params["pos_emb"].shape, blocks.get("pos_emb"))
+            dpos = _zeros((lead if per_sample else ()) + self.params["pos_emb"].shape,
+                          blocks.get("pos_emb"))
             dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
             grads["pos_emb"] = dpos
         return grads
@@ -574,18 +585,18 @@ def _archive_name(key: str) -> str:
 def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool = False,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """sum over (b, t) of outer(x[b, t], dy[b, t]), as one 2-D matmul; per
-    sample, the sum over t alone, one (d, T) @ (T, e) matmul per row b,
-    written into out when it is given."""
+    sample, the sum over t alone, one (d, T) @ (T, e) matmul per row b (per
+    (c, b) of a stacked dy), written into out when it is given."""
     if per_sample:
         return np.matmul(x.swapaxes(-1, -2), dy, out=out)
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _out_blocks(params, keys, B: int, per_sample: bool, out: np.ndarray) -> dict:
-    """Each key's (B, *shape) view of its column block of backward's out, in
-    the order of keys (of params when keys is None); raises ValueError,
+def _out_blocks(params, keys, lead: tuple, per_sample: bool, out: np.ndarray) -> dict:
+    """Each key's (*lead, *shape) view of its column block of backward's out,
+    in the order of keys (of params when keys is None); raises ValueError,
     before backward does any work, unless out is a per-sample call's
-    C-contiguous float64 (B, P) array and no key repeats."""
+    C-contiguous float64 (*lead, P) array and no key repeats."""
     if not per_sample:
         raise ValueError("out needs per_sample=True")
     keys = list(params) if keys is None else list(keys)
@@ -594,12 +605,13 @@ def _out_blocks(params, keys, B: int, per_sample: bool, out: np.ndarray) -> dict
     sizes = [params[key].size for key in keys]
     # a block of any other layout would reshape to a copy, and a narrower
     # dtype would take the products cast down
-    if out.shape != (B, sum(sizes)) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 {(B, sum(sizes))} array, "
+    shape = lead + (sum(sizes),)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 {shape} array, "
                          f"got {out.dtype} {out.shape}")
     blocks, off = {}, 0
     for key, size in zip(keys, sizes):
-        blocks[key] = out[:, off : off + size].reshape((B,) + params[key].shape)
+        blocks[key] = out[..., off : off + size].reshape(lead + params[key].shape)
         off += size
     return blocks
 
@@ -608,14 +620,17 @@ def _embedding_grad(tokens: np.ndarray, dh: np.ndarray, vocab: int, per_sample: 
                     out: Optional[np.ndarray]) -> np.ndarray:
     """The (vocab, d) table gradient: each dh[b, t] added onto row tokens[b, t]
     of zeros, or per sample onto row b's own (B, vocab, d) table, written
-    into out when it is given. One np.bincount over the flat indices
-    (row * vocab + token) * d + j: like np.add.at, it adds in index order
-    from zeros, so the bits are the same, at a fraction of the cost."""
-    B, _, d = dh.shape
+    into out when it is given (per (c, b) of a stacked dh). One np.bincount
+    over the flat indices (row * vocab + token) * d + j: like np.add.at, it
+    adds in index order from zeros, so the bits are the same, at a fraction
+    of the cost."""
+    d = dh.shape[-1]
     rows = tokens.astype(np.intp)  # a narrower int type would wrap in the products
+    if dh.ndim == 4:  # a stack: tile the tokens, and only then
+        rows = np.tile(rows, (dh.shape[0], 1))
     if per_sample:
-        rows += np.arange(B)[:, None] * vocab
-    shape = ((B,) if per_sample else ()) + (vocab, d)
+        rows += np.arange(len(rows))[:, None] * vocab
+    shape = (dh.shape[:-2] if per_sample else ()) + (vocab, d)
     flat = (rows[..., None] * d + np.arange(d)).ravel()
     sums = np.bincount(flat, weights=dh.ravel(), minlength=math.prod(shape)).reshape(shape)
     if out is None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
 from .model import TransformerModel, is_factor
-from .numkit import ShapeError, softmax_rows, vector_norm
+from .numkit import ShapeError, softmax_rows
 from .tasks import Dataset
 
 log = logging.getLogger(__name__)
@@ -302,23 +302,31 @@ def estimate_alignment(
     Both gradients are taken per sample over the trainable keys. gold/err use
     -1 holes as elsewhere; samples whose CE gradient vanishes are skipped for
     the ratio. One batched pass serves every sample: one forward_train over
-    all rows, then one per-sample backward for CE and one for suppression,
-    each over the batch's live width only (see _live), into the rows of one
-    array. The norms and the dot run on each row in turn, one sample's
-    flat gradient at a time, as a one-row pass would give them.
+    all rows, then one per-sample backward that carries the CE and the
+    suppression cotangents together, over the batch's live width only (see
+    _live), into the rows of one array. Each row's squared norms and dot
+    come from three batched (1, P) @ (P, 1) products, each row on numpy's
+    vector-dot path, so the bits of the one-row v.dot(v) and g_s @ g_ce;
+    the sqrt, the ratios and the max/min fold then run on Python floats,
+    row by row.
     """
     if not ((err >= 0) & (gold >= 0)).any():
         raise EmptyEstimateError("no active error tokens in batch")
+    g_ce, g_s = _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in)
+
+    def row_dots(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
+
     rho, gamma, count = 0.0, 0.0, 0
-    for g_ce, g_s in zip(*_alignment_rows(model, tokens, gold, err, keys, beta, fusion_in)):
+    for sq_ce, sq_s, dot in zip(row_dots(g_ce, g_ce), row_dots(g_s, g_s), row_dots(g_s, g_ce)):
         count += 1
-        n_ce = vector_norm(g_ce)
-        n_s = vector_norm(g_s)
+        n_ce = math.sqrt(sq_ce)
+        n_s = math.sqrt(sq_s)
         if n_ce <= 0:
             continue
         gamma = max(gamma, n_s / n_ce)
         if n_s > 0:
-            cos = float(g_s @ g_ce) / (n_s * n_ce)
+            cos = dot / (n_s * n_ce)
             rho = max(rho, min(-cos, 1.0 - 1e-12))
     rho = max(0.0, rho)
     return AlignmentEstimate(rho=rho, gamma=gamma, sample_count=count)
@@ -327,22 +335,23 @@ def estimate_alignment(
 def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     """The (B, P) flat gradients over keys of each row's CE and of its
     suppression term (the alpha = 0 objective), row b laid out as
-    flatten_grads(keys) gives sample b, from one forward and two per-sample
-    backwards that take the gradients of keys alone and write them into the
-    two halves of one (2, B, P) array. A row's dlogits are unscaled, as a
-    one-row batch_loss_and_grad gives them. The pass runs the live width n
-    only, and no loss is summed, so the objective runs over the first n
-    columns too."""
+    flatten_grads(keys) gives sample b, from one forward and one per-sample
+    backward: the two objectives' dlogits, stacked as (2, B, n, V), go down
+    one layer walk that takes the gradients of keys alone and writes them
+    into one (2, B, P) array, bit for bit what a backward per objective
+    gives. A row's dlogits are unscaled, as a one-row batch_loss_and_grad
+    gives them. The pass runs the live width n only, and no loss is summed,
+    so the objective runs over the first n columns too."""
     n, tokens, fusion_in = _live(gold, tokens, fusion_in)
     gold, err = gold[:, :n], err[:, :n]
     logits, acts = model.forward_train(tokens, fusion_in)
     p = softmax_rows(logits)
+    dz = np.stack([_objective(p, gold, e, alpha, beta)[2]
+                   for e, alpha in ((np.full_like(err, -1), 1.0), (err, 0.0))])
     # one block, not an array per key: the heap those small arrays took was
     # trimmed when they were freed and faulted in again on every call
     G = np.empty((2, tokens.shape[0], sum(model.params[k].size for k in keys)))
-    for g, (e, alpha) in zip(G, ((np.full_like(err, -1), 1.0), (err, 0.0))):
-        dz = _objective(p, gold, e, alpha, beta)[2]
-        model.backward(dz, acts, per_sample=True, keys=keys, out=g)
+    model.backward(dz, acts, per_sample=True, keys=keys, out=G)
     return G[0], G[1]
 
 
@@ -494,10 +503,13 @@ def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
     """Held-out next-token accuracy of every model and of the fused chain,
     from one teacher-forced chain walk that keeps no layer activations and
     runs the dataset's live width only (see _live): the columns past the
-    last labelled one are scored nowhere."""
+    last labelled one are scored nowhere. A dataset with no labelled
+    position has no accuracy and raises ValueError."""
     n, tokens, _ = _live(dataset.gold, dataset.tokens)
-    zs = chain_logits(ensemble, tokens)
     labeled = dataset.gold[:, :n] >= 0
+    if not labeled.any():
+        raise ValueError("dataset has no labelled position to score")
+    zs = chain_logits(ensemble, tokens)
     gold = dataset.gold[:, :n][labeled]
     accs = [float((z.argmax(-1)[labeled] == gold).mean()) for z in zs]
     fused = fuse_logits(zs, ensemble.spec.lambdas, ensemble.spec.top_k)

@@ -18,7 +18,9 @@ What is hashed:
   (ranks 4/4/3), each on seeds 1 and 2;
 - both criterion-6 descent_probe reports with their trajectories;
 - estimate_alignment of the trained rank-8 successor with its fusion input,
-  in full and in adapter scope;
+  in full and in adapter scope, and (alignment.rows) the two (B, P)
+  per-sample gradient matrices, CE and suppression, that it reads, in both
+  scopes, so that a bit moving in a row that sets neither maximum shows;
 - tokens and per-step fused logits from decode_sequential and
   decode_pipelined on decode_chain3-shaped (3 models, 3-token prompts, up to
   12 new tokens) and decode_long1-shaped (one model, 8-token prompts, 110
@@ -49,6 +51,7 @@ from chainboost.tasks import TaskSpec, generate
 from chainboost.theoryprobe import descent_probe
 from chainboost.training import (
     TrainConfig,
+    _alignment_rows,
     chain_eval,
     estimate_alignment,
     pred_forward_chain,
@@ -123,10 +126,14 @@ def training_hashes():
     rows = np.where((err >= 0).any(axis=1))[0][:12]
     succ = k2.models[1]
     fusion_in = {l: s[rows] for l, s in k2.fusion_inputs(1, pred_states).items()}
+    batch = (k2_train.tokens[rows], k2_train.gold[rows], err[rows])
+    matrices = {}
     for scope in ("full", "adapters"):
-        est = estimate_alignment(succ, k2_train.tokens[rows], k2_train.gold[rows], err[rows],
-                                 trainable_keys(succ, scope), 0.5, fusion_in)
+        keys = trainable_keys(succ, scope)
+        est = estimate_alignment(succ, *batch, keys, 0.5, fusion_in)
         yield f"alignment.{scope}", digest(dataclasses.asdict(est))
+        matrices[scope] = list(_alignment_rows(succ, *batch, keys, 0.5, fusion_in))
+    yield "alignment.rows", digest(matrices)
 
 
 def probe_hashes():

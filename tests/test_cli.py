@@ -256,6 +256,23 @@ class TestTrainConfig:
         assert err.startswith("bad config: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_unlabelled_dataset_exits_2(self, tmp_path, capsys):
+        # chain_eval has nothing to score: refused before --out is made
+        code, _, _ = run_cli(["gen", "--kind", "modsum", "--vocab", "16", "--length", "8",
+                              "--n-samples", "40", "--out", str(tmp_path / "d.jsonl")], capsys)
+        assert code == 0
+        ds = load_dataset(tmp_path / "d.jsonl")
+        (tmp_path / "d.jsonl").write_text("".join(
+            json.dumps({"input": row, "gold": [-1] * len(row)}) + "\n" for row in ds.tokens.tolist()))
+        doc = json.loads((Path(__file__).resolve().parents[1] / "examples_config.json").read_text())
+        doc["dataset"] = str(tmp_path / "d.jsonl")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert err == "bad config: the holdout set of seed 1 has no labelled position to score\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = Path(__file__).resolve().parents[1] / "examples_config.json"
         code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -17,7 +17,12 @@ backward equals the full one, summed and per sample; per sample into out,
 row b is flatten_grads(keys) of the dict call's row b and of a B = 1 call on
 row b alone, and without keys it is every params array's in params order;
 an out of the wrong shape, dtype or layout, over repeated keys or without
-per_sample raises ValueError before backward reads an activation.
+per_sample raises ValueError before backward reads an activation. A stack
+of C = 1 to 3 cotangents, (C, B, T, V), per sample: [c] of every gradient,
+and of out, equals the call on dlogits[c] bit for bit; a stack without
+per_sample, dlogits of rank other than 3 or 4 and an out of the wrong
+leading shape raise ValueError before any work. A guard checks that the
+drawn passes reach factor keys, fusion inputs and every batch size.
 
 The embedding gradient: np.bincount over flat indices equals the np.add.at
 oracle on drawn tokens with repeats, summed and per sample, into out too.
@@ -211,6 +216,53 @@ def test_backward_keys_and_out_agree(case):
         # no activations: a call that did any work before refusing out would raise KeyError
         with pytest.raises(ValueError):
             model.backward(dz, {}, per_sample=per_sample, keys=ks, out=bad_out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(training_passes(), st.integers(1, 3), st.integers(0, 2**16))
+def test_stacked_backward_is_separate_calls(case, C, seed):
+    model, tokens, fusion_in, dz, keys = case
+    B = len(tokens)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([dz] + [rng.normal(0.0, 1.0, dz.shape) for _ in range(C - 1)])
+    _, acts = model.forward_train(tokens, fusion_in)
+    every = model.backward(stack, acts, per_sample=True)
+    P = sum(model.params[k].size for k in keys)
+    out = np.full((C, B, P), np.nan)
+    into = model.backward(stack, acts, per_sample=True, keys=keys, out=out)
+    assert all(np.shares_memory(into[k], out) for k in keys)
+    for c in range(C):
+        one = model.backward(stack[c], acts, per_sample=True)
+        assert list(every) == list(one)
+        assert all(np.array_equal(every[k][c], one[k]) for k in one)
+        out_c = np.full((B, P), np.nan)
+        model.backward(stack[c], acts, per_sample=True, keys=keys, out=out_c)
+        assert np.array_equal(out[c], out_c)
+    bad = [(stack, False, None), (stack[..., None], True, None), (stack[0, 0], True, None),
+           (stack, True, np.zeros((B, P))), (stack, True, np.zeros((C + 1, B, P))),
+           (stack, True, np.zeros((C, B + 1, P))), (stack[0], True, np.zeros((1, B, P)))]
+    for dlogits, per_sample, bad_out in bad:
+        # no activations: a call that did any work before refusing would raise KeyError
+        with pytest.raises(ValueError):
+            model.backward(dlogits, {}, per_sample=per_sample, keys=keys, out=bad_out)
+
+
+def test_training_draws_cover_stacked_cases():
+    """The drawn passes reach adapter factors among the keys, fusion inputs
+    and every batch size: a guard against a strategy that stops drawing a case."""
+    seen = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(training_passes())
+    def record(case):
+        model, tokens, fusion_in, _, keys = case
+        seen.add(("factor keys", any(k.endswith((".A", ".B")) for k in keys)))
+        seen.add(("fusion", fusion_in is not None))
+        seen.add(("B", len(tokens)))
+
+    record()
+    assert {("factor keys", True), ("fusion", True), ("fusion", False)} <= seen
+    assert {("B", b) for b in range(1, 5)} <= seen
 
 
 # B, T, vocab, d, seed and per_sample of an embedding-gradient case

@@ -9,7 +9,7 @@ import pytest
 from chainboost.ensemble import Ensemble, EnsembleSpec, ErrorTokenTrace
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import softmax
-from chainboost.tasks import TaskSpec, generate
+from chainboost.tasks import Dataset, TaskSpec, generate
 from chainboost import training
 from chainboost.training import (
     BoundViolatedError,
@@ -338,7 +338,7 @@ class TestBatchedAlignment:
             assert np.abs(per_sample[key].sum(axis=0) - g).max() <= 1e-12 * np.abs(g).max(), key
 
     @pytest.mark.parametrize("rows", [1, 4, 24])
-    def test_one_forward_two_backwards(self, rows, monkeypatch):
+    def test_one_forward_one_backward(self, rows, monkeypatch):
         model, tokens, gold, err, keys, _ = _alignment_case("tiny_full0")
         calls = {"forward_train": 0, "backward": 0}
         for name in calls:
@@ -351,7 +351,7 @@ class TestBatchedAlignment:
             monkeypatch.setattr(TransformerModel, name, counted)
         est = estimate_alignment(model, tokens[:rows], gold[:rows], err[:rows], keys, 0.1)
         assert est.sample_count == rows
-        assert calls == {"forward_train": 1, "backward": 2}
+        assert calls == {"forward_train": 1, "backward": 1}
 
 
 class TestPredecessorErrors:
@@ -589,6 +589,11 @@ class TestLiveWidth:
         widths = _record_widths(monkeypatch)
         assert chain_eval(ens, ds) == want
         assert widths == [ds.tokens.shape[1] - 1] * k
+
+    def test_chain_eval_refuses_an_unlabelled_set(self):
+        ds = _modsum(8)
+        with pytest.raises(ValueError, match="no labelled position"):
+            chain_eval(_rank8_chain(2), Dataset(ds.tokens, np.full_like(ds.gold, -1)))
 
     def test_training_sees_one_column_less(self, monkeypatch):
         # modsum rows end in [..., eos, -1]: the eos column carries no label
