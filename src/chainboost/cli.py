@@ -24,7 +24,6 @@ import numpy as np
 
 from . import ensemble as ens_mod
 from . import schedlab, tasks, theoryprobe
-from .ensemble import ErrorTokenTrace
 from .model import ModelSpec, TransformerModel
 from .numkit import softmax
 from .pipeline import TimingReport, check_prompt, decode_pipelined, decode_sequential
@@ -104,11 +103,12 @@ def cmd_gen(args) -> int:
 
 def _chain_config(cfg: dict):
     """(dataset, EnsembleSpec) a train config describes, its model seeds
-    left to each run; a config they cannot be built from, or whose models'
-    max_steps cannot hold the data's sequences, raises OSError, TypeError or
-    ValueError naming the problem."""
+    left to each run; a config they cannot be built from, a dataset file
+    that does not load (its ids checked against the task's vocab, if one is
+    given), or models whose max_steps cannot hold the data's sequences,
+    raise OSError, TypeError or ValueError naming the problem."""
     if "dataset" in cfg:
-        ds_full = tasks.load_dataset(cfg["dataset"])
+        ds_full = tasks.load_dataset(cfg["dataset"], cfg.get("task", {}).get("vocab"))
     elif "task" in cfg:
         ds_full = tasks.generate(tasks.TaskSpec(**cfg["task"]))
     else:
@@ -338,7 +338,6 @@ def _verify_grad(seed: int) -> bool:
         alpha = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.05, 0.5))
         g = loss_logit_grad(softmax(z), gold, err, alpha, beta)
-        trace = ErrorTokenTrace([err])
 
         def central(e):
             out = np.zeros(v)
@@ -347,8 +346,8 @@ def _verify_grad(seed: int) -> bool:
                 zp[j] += e
                 zm[j] -= e
                 out[j] = (
-                    total_loss([zp], [gold], trace, alpha, beta)
-                    - total_loss([zm], [gold], trace, alpha, beta)
+                    total_loss([zp], [gold], [err], alpha, beta)
+                    - total_loss([zm], [gold], [err], alpha, beta)
                 ) / (2 * e)
             return out
 
@@ -408,16 +407,9 @@ def _verify_descent(seed: int) -> bool:
 
 
 def _verify_sched(seed: int) -> bool:
-    bad = 0
-    for k in range(1, 7):
-        for l in range(1, 13):
-            for g in range(1, 5):
-                prob = schedlab.SchedProblem(k=k, l=l, g=g, c=1, delta=0)
-                closed = schedlab.t_parallel_closed(prob)
-                sim, _ = schedlab.simulate_schedule(prob)
-                if closed != sim:
-                    bad += 1
-    print(f"sched: {6 * 12 * 4} grid points, {bad} mismatches")
+    table = schedlab.speedup_table(range(1, 7), range(1, 13), range(1, 5))
+    bad = sum(row["t_par_closed"] != row["t_par_sim"] for row in table)
+    print(f"sched: {len(table)} grid points, {bad} mismatches")
     return bad == 0
 
 

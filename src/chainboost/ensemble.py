@@ -1,4 +1,4 @@
-"""Chain wiring: ordered model list, fusion inputs, error-token traces, logits fusion."""
+"""Chain wiring: ordered model list, fusion inputs, the chain walk, stacked weights, logits fusion."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ModelSpec, TransformerModel
+from .model import ModelSpec, TransformerModel, check_tokens, forward_pass, stack_views
 from .numkit import ShapeError
 from .numkit import layer_norm  # noqa: F401 - chainbench/tracer.py patches ensemble.layer_norm
 
@@ -71,16 +71,6 @@ class EnsembleSpec:
         return self.models[0].vocab
 
 
-@dataclass
-class ErrorTokenTrace:
-    """Per-step optional wrong-token id from a predecessor (None = correct)."""
-
-    tokens: list[Optional[int]]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 def topk_mask(z: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest entries of each row (last axis), zero the rest.
 
@@ -138,7 +128,7 @@ class Ensemble:
             if m.spec != ms:
                 raise ValueError(f"model {i}'s spec differs from spec.models[{i}]")
         self.models = models
-        # pipeline's stacked weights, with the (model, version) pairs they were stacked from
+        # stacked_views(), with the (model, version) pairs they were stacked from
         self._stacked: Optional[tuple[tuple, list[dict]]] = None
 
     def fusion_inputs(self, i: int, pred_states) -> Optional[dict]:
@@ -157,6 +147,48 @@ class Ensemble:
         successor fuses at layer L + 1, deeper than model i itself."""
         models = self.spec.models
         return i + 1 < len(models) and models[i].n_layers + 1 in models[i + 1].fusion_layers()
+
+    def walk(self, tokens, upto: Optional[int] = None, caches: Optional[list] = None,
+             emit: bool = True) -> tuple[list, list]:
+        """The chain walk: models 0 .. upto (every model when upto is None)
+        in chain order, each forward_pass over its param_views() on the (B,
+        T) batch tokens, model i's fusion layers reading model i-1's states
+        (fusion_inputs). Returns (each walked model's (B, T, V) logits,
+        model upto's states [h_0, ..., h_L]). No model keeps its layer
+        activations: while model i + 1 runs, only model i's states stay.
+
+        Without caches the batch starts at position 0 and is checked once
+        for the whole chain, whose models share vocab and max_steps
+        (check_tokens raises IndexError). With caches, one KvCache per
+        model, it is a decode step after the cached ones, run unchecked
+        and extending each cache in place. A step with emit False stops any
+        model whose last state nobody reads (last_state_read) at its last
+        layer's keys and values, and that model's logits are None."""
+        tokens = np.asarray(tokens)
+        if caches is None:
+            check_tokens(self.spec.models[0], tokens)
+        zs, states = [], None
+        for i in range(len(self.models) if upto is None else upto + 1):
+            m = self.models[i]
+            z, acts = forward_pass(m.spec, m.param_views(), tokens, self.fusion_inputs(i, states),
+                                   None if caches is None else caches[i],
+                                   stop_at_cache=not (emit or self.last_state_read(i)))
+            zs.append(z)
+            states = acts["states"]
+        return zs, states
+
+    def stacked_views(self) -> Optional[list[dict]]:
+        """stack_views of the chain's models for the layer-synchronous
+        decoder, or None when their depths, widths, heads or fusion periods
+        differ. Kept until a model is replaced or written: the key holds
+        each model, compared by identity, with its version."""
+        specs = self.spec.models
+        if len({(m.n_layers, m.d_model, m.d_ff, m.n_heads, m.fusion_period) for m in specs}) > 1:
+            return None
+        key = tuple((m, m.version) for m in self.models)
+        if self._stacked is None or self._stacked[0] != key:
+            self._stacked = (key, stack_views(self.models))
+        return self._stacked[1]
 
 
 def params_sha256(model: TransformerModel) -> str:

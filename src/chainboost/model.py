@@ -3,56 +3,32 @@
 The block structure follows a post-norm layout: the attention input is either
 the previous layer's state or, at fusion layers, LayerNorm(h_own + h_pred)
 with unit gain and zero bias; Q/K/V are all projected from that (possibly
-fused) stream, in one matmul with wqkv = [wq | wk | wv], the one Q/K/V
-weight a layer's parameter view holds (backward reads its three column
-blocks); a residual + LayerNorm follows, then a GELU MLP with its own
-residual + LayerNorm. Layers are 1-indexed so layer l fuses iff
-l % fusion_period == 0; the embedding output counts as "layer 0".
+fused) stream, in one matmul with wqkv = [wq | wk | wv]; a residual +
+LayerNorm follows, then a GELU MLP with its own residual + LayerNorm. Layers
+are 1-indexed so layer l fuses iff l % fusion_period == 0; the embedding
+output counts as "layer 0".
 
 One layer body (transformer_layer, over a parameter view) serves every path.
 One walk, forward_pass, wraps it in embedding and unembedding over a model's
-param_views(). TransformerModel._forward checks its inputs and runs the walk
-for batched training (forward_train, no cache, with analytic gradients in
-backward that the tests cross-check against finite differences; backward
-takes every gradient, or only those of the keys a trainer asks for and none
-of the work of the rest, per sample also straight into the rows of one
-caller-owned array, and for a stack of cotangents in one layer walk),
-for the teacher-forced chain walk and for KV-cache
-decoding (forward_step, the one-token call over a KvCache). Only
-forward_train keeps each layer's activations; the other calls return the
-layer states alone. A model builds its param_views() once per parameter
-version, and every pass until the next write shares them: the sequential
-chain decoder runs the walk over them, and the layer-synchronous one calls
-the layer body with k models' views stacked along the batch axis. A view
-holds each gain and bias at the activations' rank, (1, 1, n), and the walk
-adds positions at the batch's rank, so that a decode step's one-row
-elementwise ops meet two arrays of one shape: numpy's fast path, where a
-(n,) operand would take its broadcasting iterator. A decode
-step whose logits nobody reads stops at the last layer's keys and values
-(cache_kv): both decoders take it on every prompt token but the last. A
-KvCache writes each step's keys and values in place into one buffer per
-layer, which grows by doubling; attention reads a view of the filled steps,
-and a view handed out never changes.
+param_views(), which are built once per parameter version.
+TransformerModel._forward checks a batch (check_tokens) and runs the walk for
+forward_train (no cache, activations kept for backward) and forward_step
+(the one-token call over a KvCache); Ensemble.walk runs it down a chain, and
+the layer-synchronous decoder calls the layer body on k models' views
+stacked by stack_views. A decode step whose logits nobody reads stops at the
+last layer's keys and values (cache_kv).
 
 Ownership rule: TransformerModel.write is the one writer of the parameters
 and moves the model's version on; params, its arrays and the cached views
 are read-only, so a stray write raises instead of leaving a cache stale. A
-kernel writes only arrays it allocated, and backward also the out array its
-caller hands it for per-sample gradients: every element of it, each gradient
-in its own column block, as the plain call would compute it. LayerNorm
-forward and backward, GELU and its gradient, softmax_rows, attention and its
-backward, and the residual and bias adds of transformer_layer and backward
-allocate an array only for a value they keep or return and run every other
-elementwise step in place on it; their inputs and the activations
-forward_train saves are only read. Each in-place step is the IEEE operation
-the plain expression ran, at most with the operands of one + or * swapped,
-so the results are bit for bit those of the out-of-place expressions that
-tests/oracles.py keeps. LayerNorm forward on an input that holds one row (a
-decode step of one model) runs its row's statistics on Python floats: the
-same IEEE operations in the same order, so also bit for bit, with fewer
-numpy calls. backward adds the token-embedding gradient's rows with one
-np.bincount, in the index order np.add.at would add them, so also bit for
-bit.
+kernel writes only arrays it allocated. LayerNorm forward and backward, GELU
+and its gradient, softmax_rows, attention and its backward, and the residual
+and bias adds of transformer_layer and backward allocate an array only for a
+value they keep or return and run every other elementwise step in place on
+it; their inputs and the activations forward_train saves are only read. Each
+in-place step is the IEEE operation the plain expression ran, at most with
+the operands of one + or * swapped, so the results are bit for bit those of
+the out-of-place expressions that tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -329,19 +305,13 @@ class TransformerModel:
         cache: Optional[KvCache] = None,
         keep_acts: bool = False,
     ) -> tuple[np.ndarray, dict]:
-        """forward_pass over this model's param_views(), once the token range,
-        the step bound and every fusion layer's input (when fusion_in is
+        """forward_pass over this model's param_views(), once the batch
+        (check_tokens) and every fusion layer's input (when fusion_in is
         given) are checked. keep_acts is forward_pass's: only forward_train
         sets it; every other caller reads just acts["states"]."""
         s = self.spec
         tokens = np.asarray(tokens)
-        _, T = tokens.shape
-        t0 = 0 if cache is None else cache.step_count
-        bad = tokens[(tokens < 0) | (tokens >= s.vocab)]
-        if bad.size:
-            raise IndexError(f"token id {bad[0]} out of range for vocab {s.vocab}")
-        if t0 + T > s.max_steps:
-            raise IndexError(f"step {t0 + T - 1} exceeds max_steps {s.max_steps}")
+        check_tokens(s, tokens, 0 if cache is None else cache.step_count)
         if fusion_in is not None:
             for l in s.fusion_layers():
                 if l not in fusion_in:
@@ -375,8 +345,7 @@ class TransformerModel:
         return self._forward(tokens, fusion_in, keep_acts=True)
 
     def backward(self, dlogits: np.ndarray, acts: dict, per_sample: bool = False,
-                 keys: Optional[Sequence[str]] = None,
-                 out: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
+                 keys: Optional[Sequence[str]] = None):
         """Gradients of a scalar loss w.r.t. the params arrays named in keys,
         or w.r.t. every array in params when keys is None.
 
@@ -393,26 +362,21 @@ class TransformerModel:
         below layer 1 when neither embedding is asked for. A key that is not
         in params raises KeyError.
 
-        Gradients are summed over the batch. With per_sample=True each one
-        keeps a leading B axis instead, row b being the gradient of batch row
-        b's own loss, bit for bit what a B = 1 call on that row returns: the
-        weight products run one (d, T) @ (T, e) matmul per row and the bias,
-        gain and embedding sums run over positions only.
+        Gradients are summed over the batch into that dict. With
+        per_sample=True the call returns instead one C-contiguous (*lead, P)
+        array, lead being dlogits' (B,) and P the sizes of the keys' arrays
+        together (of every params array, in params order, when keys is None):
+        row b is flatten_grads(keys) of batch row b's own gradients, bit for
+        bit what a B = 1 call on that row returns. Each gradient goes
+        straight into its column block; the weight products run one (d, T) @
+        (T, e) matmul per row and the bias, gain and embedding sums run over
+        positions only. A repeated key raises ValueError before any work.
 
-        Per sample, dlogits may stack C cotangents, (C, B, T, V): each
-        gradient is then (C, B, ...), [c] bit for bit the call on
-        dlogits[c], in one walk where the saved activations broadcast (never
-        tiled) and the GELU gradient is taken once. Another rank, or a stack
-        without per_sample, raises ValueError before any work.
-
-        out, only with per_sample, is a caller-owned C-contiguous float64
-        (*lead, P) array, lead being dlogits' (B,) or (C, B), P the sizes of
-        the keys' arrays together (of every params array, in params order,
-        when keys is None). Each gradient goes straight into its column
-        block, so that out[..., b, :] is flatten_grads(keys) of sample b's
-        gradients, with the same bits, and the dict holds views of out. A
-        repeated key, or an out of another shape, dtype or layout, raises
-        ValueError before any work.
+        Per sample, dlogits may stack C cotangents, (C, B, T, V): lead is
+        then (C, B), and [c] is bit for bit the call on dlogits[c], from one
+        walk where the saved activations broadcast (never tiled) and the
+        GELU gradient is taken once. Another rank, or a stack without
+        per_sample, raises ValueError before any work.
         """
         s = self.spec
         if dlogits.ndim != 3 and not (per_sample and dlogits.ndim == 4):
@@ -426,13 +390,13 @@ class TransformerModel:
         unknown = sorted(want - self.params.keys())
         if unknown:
             raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
-        blocks = {} if out is None else _out_blocks(self.params, keys, lead, per_sample, out)
+        out, blocks = _out_blocks(self.params, keys, lead) if per_sample else (None, {})
         below = "tok_emb" in want or "pos_emb" in want  # run the pass below layer 1
         grads: dict[str, np.ndarray] = {}
 
         def put(key, grad):
             """grads[key] = grad(block), run only when key is asked for; block
-            is the key's view of out, or None without out."""
+            is the key's view of out, or None for a summed call."""
             if key in want:
                 grads[key] = grad(blocks.get(key))
 
@@ -496,11 +460,11 @@ class TransformerModel:
             grads["tok_emb"] = _embedding_grad(tokens, dh_, s.vocab, per_sample,
                                                blocks.get("tok_emb"))
         if "pos_emb" in want:
-            dpos = _zeros((lead if per_sample else ()) + self.params["pos_emb"].shape,
-                          blocks.get("pos_emb"))
+            dpos = blocks["pos_emb"] if per_sample else np.zeros(self.params["pos_emb"].shape)
+            dpos[..., T:, :] = 0.0
             dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
             grads["pos_emb"] = dpos
-        return grads
+        return out if per_sample else grads
 
     # -- persistence -------------------------------------------------------
 
@@ -592,28 +556,21 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool = False,
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _out_blocks(params, keys, lead: tuple, per_sample: bool, out: np.ndarray) -> dict:
-    """Each key's (*lead, *shape) view of its column block of backward's out,
-    in the order of keys (of params when keys is None); raises ValueError,
-    before backward does any work, unless out is a per-sample call's
-    C-contiguous float64 (*lead, P) array and no key repeats."""
-    if not per_sample:
-        raise ValueError("out needs per_sample=True")
+def _out_blocks(params, keys, lead: tuple) -> tuple[np.ndarray, dict]:
+    """A per-sample backward's result, one (*lead, P) array, and each key's
+    (*lead, *shape) view of its column block, in the order of keys (of
+    params when keys is None); a repeated key raises ValueError."""
     keys = list(params) if keys is None else list(keys)
     if len(set(keys)) != len(keys):
-        raise ValueError("out needs keys without repeats")
-    sizes = [params[key].size for key in keys]
-    # a block of any other layout would reshape to a copy, and a narrower
-    # dtype would take the products cast down
-    shape = lead + (sum(sizes),)
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 {shape} array, "
-                         f"got {out.dtype} {out.shape}")
+        raise ValueError("per-sample gradients need keys without repeats")
+    # one block, not an array per key: the heap those small arrays took was
+    # trimmed when they were freed and faulted in again on every call
+    out = np.empty(lead + (sum(params[key].size for key in keys),))
     blocks, off = {}, 0
-    for key, size in zip(keys, sizes):
-        blocks[key] = out[..., off : off + size].reshape(lead + params[key].shape)
-        off += size
-    return blocks
+    for key in keys:
+        blocks[key] = out[..., off : off + params[key].size].reshape(lead + params[key].shape)
+        off += params[key].size
+    return out, blocks
 
 
 def _embedding_grad(tokens: np.ndarray, dh: np.ndarray, vocab: int, per_sample: bool,
@@ -639,12 +596,32 @@ def _embedding_grad(tokens: np.ndarray, dh: np.ndarray, vocab: int, per_sample: 
     return out
 
 
-def _zeros(shape: tuple, out: Optional[np.ndarray]) -> np.ndarray:
-    """np.zeros(shape), or out set to zero in place when it is given."""
-    if out is None:
-        return np.zeros(shape)
-    out[...] = 0.0
-    return out
+def check_tokens(spec: ModelSpec, tokens: np.ndarray, t0: int = 0) -> None:
+    """Raise IndexError unless every id of the (B, T) batch tokens is in [0,
+    vocab) and its steps t0 .. t0 + T - 1 fit max_steps."""
+    _, T = tokens.shape
+    bad = tokens[(tokens < 0) | (tokens >= spec.vocab)]
+    if bad.size:
+        raise IndexError(f"token id {bad[0]} out of range for vocab {spec.vocab}")
+    if t0 + T > spec.max_steps:
+        raise IndexError(f"step {t0 + T - 1} exceeds max_steps {spec.max_steps}")
+
+
+def stack_views(models) -> list[dict]:
+    """The models' param_views() stacked along a leading model axis,
+    read-only, so that transformer_layer runs model b in batch row b: [0]
+    holds the embeddings and unembedding, [l] every entry of layer l's view.
+    (d, d') weights become (k, d, d'), and the (1, 1, n) gains and biases
+    are concatenated into (k, 1, n), the rank of the (k, 1, n) activations."""
+
+    def stack(arrays):
+        # np.array(arrays) is np.stack's result at a third of its overhead
+        out = np.concatenate(arrays) if arrays[0].ndim == 3 else np.array(arrays)
+        out.flags.writeable = False
+        return out
+
+    return [{name: stack([v[name] for v in per]) for name in per[0]}
+            for per in zip(*(m.param_views() for m in models))]
 
 
 def fuse_states(h: np.ndarray, pred: np.ndarray):

@@ -1,16 +1,15 @@
 """Greedy decoding for model chains.
 
 Two decoders run one greedy loop and give bit-identical tokens and fused
-logits. decode_sequential, the reference, runs each model's forward_pass in
-chain order over its param_views(), which the model builds once per
-parameter version. decode_pipelined is layer-synchronous: successor fusion
-layer l reads predecessor state l-1, the depth of its own input, so one call
-of the shared layer body runs layer l of all k models, their weights stacked
-along the batch axis (and kept on the Ensemble until a model is replaced or
-written). A step costs n_layers layer calls whatever k is: GPipe's schedule
-(Huang et al., arXiv:1811.06965) with models in place of devices. Both stop
-every prompt step but the last at the last layer's keys and values: nobody
-reads its logits.
+logits. decode_sequential, the reference, runs each step as one
+Ensemble.walk over per-model KV caches. decode_pipelined is
+layer-synchronous: successor fusion layer l reads predecessor state l-1, the
+depth of its own input, so one call of the shared layer body runs layer l of
+all k models, their weights stacked along the batch axis
+(Ensemble.stacked_views). A step costs n_layers layer calls whatever k is:
+GPipe's schedule (Huang et al., arXiv:1811.06965) with models in place of
+devices. Both stop every prompt step but the last at the last layer's keys
+and values: nobody reads its logits.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import KvCache, cache_kv, forward_pass, fuse_states, transformer_layer
+from .model import KvCache, cache_kv, fuse_states, transformer_layer
 
 
 @dataclass
@@ -111,29 +110,17 @@ def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):
 def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     """Reference greedy decoder; returns (tokens, per-step fused logits).
 
-    Each model's param_views() are built once per parameter version, so
-    requests between two writes share them. Per step each model runs
-    forward_pass in chain order over its own KvCache, and successor fusion
-    layers read the predecessor's states for the same step. On a step that
-    emits nothing, a model whose last state no successor reads stops at its
-    last layer's keys and values (forward_pass's stop_at_cache), and
-    fuse_logits is not called; a model whose successor fuses its last state
-    runs in full.
+    The prompt is checked once (check_prompt); each step is then one
+    unchecked Ensemble.walk over the models' own KvCaches. On a step that
+    emits nothing, the walk stops a model whose last state no successor
+    reads at its last layer's keys and values, and fuse_logits is not
+    called.
     """
     check_prompt(ensemble, prompt, max_tokens)
-    models = ensemble.models
-    views = [m.param_views() for m in models]
-    caches = [KvCache(m.spec.n_layers) for m in models]
-    last_read = [ensemble.last_state_read(i) for i in range(len(models))]
+    caches = [KvCache(m.spec.n_layers) for m in ensemble.models]
 
     def step_chain(token: int, emit: bool) -> Optional[np.ndarray]:
-        tokens = np.array([[token]])
-        zs, states = [], None
-        for i, m in enumerate(models):
-            z, acts = forward_pass(m.spec, views[i], tokens, ensemble.fusion_inputs(i, states),
-                                   caches[i], stop_at_cache=not (emit or last_read[i]))
-            zs.append(z)
-            states = acts["states"]
+        zs, _ = ensemble.walk(np.array([[token]]), caches=caches, emit=emit)
         if not emit:
             return None
         return fuse_logits([z[0, 0] for z in zs], ensemble.spec.lambdas, ensemble.spec.top_k)
@@ -141,48 +128,19 @@ def decode_sequential(ensemble: Ensemble, prompt, max_tokens: int):
     return _greedy(ensemble, prompt, max_tokens, step_chain)
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-model arrays along a leading model axis, read-only: (d, d')
-    weights become (k, d, d'), and the views' (1, 1, n) gains and biases are
-    concatenated into (k, 1, n), the rank of the (k, 1, n) activations."""
-    # np.array(arrays) is np.stack's result at a third of its overhead
-    out = np.concatenate(arrays) if arrays[0].ndim == 3 else np.array(arrays)
-    out.flags.writeable = False
-    return out
-
-
-def _stack_weights(models) -> list[dict]:
-    """The chain's param_views() stacked along a leading model axis: [0] holds
-    the embeddings and unembedding, [l] every entry of layer l's
-    adapter-merged view, Q/K/V as the one wqkv."""
-    return [{name: _stack([v[name] for v in per]) for name in per[0]}
-            for per in zip(*(m.param_views() for m in models))]
-
-
-def _chain_weights(ensemble: Ensemble) -> list[dict]:
-    """_stack_weights of the ensemble's models, kept on the ensemble and
-    rebuilt only when a model was replaced or written: the key holds each
-    model, compared by identity, with its version."""
-    key = tuple((m, m.version) for m in ensemble.models)
-    if ensemble._stacked is None or ensemble._stacked[0] != key:
-        ensemble._stacked = (key, _stack_weights(ensemble.models))
-    return ensemble._stacked[1]
-
-
 def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optional[int] = None):
     """Layer-synchronous greedy decode; returns (tokens, fused logits, timing).
 
-    The stacked weights are built once per set of model versions and kept on
-    the ensemble (_chain_weights), so a request after no write only looks
-    them up. Per step an embedding lookup feeds one transformer_layer call
-    per depth over a B = k KvCache; at fusion layers rows 1..k-1 take
-    LN(h[1:] + h[:-1]) and the base row passes through. A step that emits
-    nothing makes n_layers - 1 such calls and then only cache_kv at the
-    last layer, with no unembedding or fuse_logits: in a stackable chain no
-    fusion layer reads a last state. Chains whose models differ in depth,
-    widths, heads or fusion period run decode_sequential. report.events
-    holds (model, layer, step, start_us, finish_us), one per model for each
-    layer of each step.
+    The stacked weights come from Ensemble.stacked_views, so a request
+    after no write only looks them up. Per step an embedding lookup feeds
+    one transformer_layer call per depth over a B = k KvCache; at fusion
+    layers rows 1..k-1 take LN(h[1:] + h[:-1]) and the base row passes
+    through. A step that emits nothing makes n_layers - 1 such calls and
+    then only cache_kv at the last layer, with no unembedding or
+    fuse_logits: in a stackable chain no fusion layer reads a last state. A
+    chain that stacked_views cannot stack runs decode_sequential.
+    report.events holds (model, layer, step, start_us, finish_us), one per
+    model for each layer of each step.
 
     workers is kept only for chainbench/workloads.py, and a benchmark change
     removes it: below 1 it raises ValueError; any other value has no effect.
@@ -191,14 +149,12 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     t_origin = time.perf_counter()
-    specs = ensemble.spec.models
-    if len({(m.n_layers, m.d_model, m.d_ff, m.n_heads, m.fusion_period) for m in specs}) > 1:
+    weights = ensemble.stacked_views()
+    if weights is None:
         out, fused_hist = decode_sequential(ensemble, prompt, max_tokens)
         return out, fused_hist, TimingReport(wall_s=time.perf_counter() - t_origin, n_tokens=len(out))
-
-    weights = _chain_weights(ensemble)
     transfer_s = time.perf_counter() - t_origin
-    k, spec = len(specs), specs[0]
+    k, spec = len(ensemble.models), ensemble.spec.models[0]
     cache = KvCache(spec.n_layers)
     calls: list[tuple] = []  # (layer, step, start, finish) of each stacked call, perf_counter s
 

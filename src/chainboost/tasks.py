@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -146,12 +147,36 @@ def save_dataset(path, ds: Dataset) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def load_dataset(path) -> Dataset:
-    tokens, gold = [], []
-    for line in Path(path).read_text().splitlines():
+def load_dataset(path, vocab: Optional[int] = None) -> Dataset:
+    """The samples of a file save_dataset writes: per nonempty line, a JSON
+    object whose "input" and "gold" are lists of integer ids, as long as
+    each other and as the first line's. A token id is in [0, vocab), a gold
+    id too or NO_LABEL; vocab defaults to 1 + the largest token id. A file
+    that breaks any of this raises ValueError naming its first bad line."""
+    rows = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        tokens.append(rec["input"])
-        gold.append(rec["gold"])
-    return Dataset(np.array(tokens), np.array(gold))
+        where = f"{path} line {n}"
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: not JSON: {exc}") from None
+        pair = [rec.get(key) if isinstance(rec, dict) else None for key in ("input", "gold")]
+        if not all(isinstance(ids, list) and all(type(i) is int for i in ids) for ids in pair):
+            raise ValueError(f"{where}: needs 'input' and 'gold' lists of integer ids")
+        width = len(rows[0][1]) if rows else len(pair[0])
+        if not width or {len(pair[0]), len(pair[1])} != {width}:
+            raise ValueError(f"{where}: 'input' and 'gold' hold {len(pair[0])} and "
+                             f"{len(pair[1])} ids, not one nonzero width every line shares")
+        rows.append((where, *pair))
+    if not rows:
+        raise ValueError(f"{path} holds no sample")
+    if vocab is None:
+        vocab = 1 + max(max(tokens) for _, tokens, _ in rows)
+    for where, tokens, gold in rows:
+        for name, ids, least in (("token", tokens, 0), ("gold", gold, NO_LABEL)):
+            bad = [i for i in ids if not least <= i < vocab]
+            if bad:
+                raise ValueError(f"{where}: {name} id {bad[0]} out of range [{least}, {vocab})")
+    return Dataset(np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ensemble import Ensemble, ErrorTokenTrace, fuse_logits
+from .ensemble import Ensemble, fuse_logits
 from .model import TransformerModel, is_factor
 from .numkit import ShapeError, softmax_rows
 from .tasks import Dataset
@@ -157,15 +157,17 @@ def loss_logit_grad(
 def total_loss(
     logits: np.ndarray,
     gold: Sequence[int],
-    err_trace: ErrorTokenTrace,
+    err: Sequence[Optional[int]],
     alpha: float,
     beta: float,
 ) -> float:
-    """Eq-style composite: sum_t suppression + alpha * sum_t CE, over labeled steps."""
+    """Eq-style composite: sum_t suppression + alpha * sum_t CE, over labeled
+    steps; err holds each step's wrong-token id from the predecessor, None
+    where it was correct."""
     logits = np.asarray(logits)
-    if logits.shape[0] != len(gold) or len(err_trace) != len(gold):
+    if logits.shape[0] != len(gold) or len(err) != len(gold):
         raise ValueError("logits, gold and error trace must align")
-    err = np.array([-1 if e is None else e for e in err_trace.tokens], dtype=int)
+    err = np.array([-1 if e is None else e for e in err], dtype=int)
     ce, supp, _ = _objective(softmax_rows(logits), np.asarray(gold, dtype=int), err, alpha, beta)
     return float((supp + alpha * ce).sum())
 
@@ -337,8 +339,8 @@ def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     suppression term (the alpha = 0 objective), row b laid out as
     flatten_grads(keys) gives sample b, from one forward and one per-sample
     backward: the two objectives' dlogits, stacked as (2, B, n, V), go down
-    one layer walk that takes the gradients of keys alone and writes them
-    into one (2, B, P) array, bit for bit what a backward per objective
+    one layer walk that takes the gradients of keys alone into the one (2,
+    B, P) array it returns, bit for bit what a backward per objective
     gives. A row's dlogits are unscaled, as a one-row batch_loss_and_grad
     gives them. The pass runs the live width n only, and no loss is summed,
     so the objective runs over the first n columns too."""
@@ -348,10 +350,7 @@ def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     p = softmax_rows(logits)
     dz = np.stack([_objective(p, gold, e, alpha, beta)[2]
                    for e, alpha in ((np.full_like(err, -1), 1.0), (err, 0.0))])
-    # one block, not an array per key: the heap those small arrays took was
-    # trimmed when they were freed and faulted in again on every call
-    G = np.empty((2, tokens.shape[0], sum(model.params[k].size for k in keys)))
-    model.backward(dz, acts, per_sample=True, keys=keys, out=G)
+    G = model.backward(dz, acts, per_sample=True, keys=keys)
     return G[0], G[1]
 
 
@@ -477,26 +476,10 @@ def train_chain(ensemble: Ensemble, dataset: Dataset, cfg: TrainConfig) -> list[
     return metrics
 
 
-def _chain_forward(ensemble: Ensemble, upto: int, tokens: np.ndarray):
-    """Teacher-forced walk down the chain through model `upto`.
-
-    Returns every walked model's (B, T, V) logits and model `upto`'s states
-    [h_0, ..., h_L], each (B, T, d_model). No backward follows, so each model
-    runs the checked walk without keeping layer activations (forward_train
-    keeps them): while model i + 1 runs, only model i's states, which its
-    fusion layers read, stay alive.
-    """
-    zs, states = [], None
-    for i in range(upto + 1):
-        z, acts = ensemble.models[i]._forward(tokens, ensemble.fusion_inputs(i, states))
-        zs.append(z)
-        states = acts["states"]
-    return zs, states
-
-
 def chain_logits(ensemble: Ensemble, tokens: np.ndarray) -> list[np.ndarray]:
-    """Teacher-forced per-model logits down the whole chain; list of (B,T,V)."""
-    return _chain_forward(ensemble, len(ensemble.models) - 1, tokens)[0]
+    """Teacher-forced per-model logits down the whole chain (Ensemble.walk);
+    list of (B, T, V)."""
+    return ensemble.walk(tokens)[0]
 
 
 def chain_eval(ensemble: Ensemble, dataset: Dataset) -> dict:
@@ -521,8 +504,8 @@ def pred_forward_chain(
     ensemble: Ensemble, upto: int, tokens: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Teacher-forced logits (B, T, V) and states [h_0, ..., h_L] of model
-    `upto`, with its fusion inputs resolved down the chain."""
-    zs, states = _chain_forward(ensemble, upto, tokens)
+    `upto`, from one Ensemble.walk through it."""
+    zs, states = ensemble.walk(tokens, upto)
     return zs[-1], states
 
 

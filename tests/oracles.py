@@ -90,7 +90,7 @@ def step_fold(ens: Ensemble, prompt, max_tokens: int):
 def chain_walk_train(ens: Ensemble, upto: int, tokens):
     """The teacher-forced chain walk through model `upto` as one forward_train
     per model, activations kept: every walked model's logits and model
-    `upto`'s states, as training._chain_forward returns them."""
+    `upto`'s states, as Ensemble.walk returns them."""
     zs, states = [], None
     for i in range(upto + 1):
         z, acts = ens.models[i].forward_train(tokens, ens.fusion_inputs(i, states))
@@ -309,6 +309,15 @@ def backward(model: TransformerModel, dlogits, acts, per_sample=False):
     grads["tok_emb"] = embedding_grad(acts["tokens"], dh_, s.vocab, per_sample)
     grads["pos_emb"] = dpos
     return grads
+
+
+def sample_grads(model: TransformerModel, rows, keys=None) -> dict:
+    """A per-sample backward's (*lead, P) rows split back into each key's
+    (*lead, *shape) gradient, in the order the rows hold them: keys, or
+    params order when keys is None."""
+    keys = list(model.params) if keys is None else keys
+    parts = np.split(rows, np.cumsum([model.params[k].size for k in keys])[:-1], axis=-1)
+    return {k: g.reshape(rows.shape[:-1] + model.params[k].shape) for k, g in zip(keys, parts)}
 
 
 def embedding_grad(tokens, dh, vocab, per_sample=False):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chainboost import schedlab, theoryprobe
-from chainboost.ensemble import Ensemble, EnsembleSpec, ErrorTokenTrace
+from chainboost.ensemble import Ensemble, EnsembleSpec
 from chainboost.model import KvCache, ModelSpec, TransformerModel
 from chainboost.numkit import softmax, softmax_jacobian
 from chainboost.pipeline import decode_pipelined, decode_sequential
@@ -57,7 +57,6 @@ def test_criterion_1_gradient_fidelity():
         alpha = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.05, 0.5))
         g = loss_logit_grad(softmax(z), gold, err, alpha, beta)
-        trace = ErrorTokenTrace([err])
 
         def central(e):
             out = np.zeros(v)
@@ -66,8 +65,8 @@ def test_criterion_1_gradient_fidelity():
                 zp[j] += e
                 zm[j] -= e
                 out[j] = (
-                    total_loss([zp], [gold], trace, alpha, beta)
-                    - total_loss([zm], [gold], trace, alpha, beta)
+                    total_loss([zp], [gold], [err], alpha, beta)
+                    - total_loss([zm], [gold], [err], alpha, beta)
                 ) / (2 * e)
             return out
 

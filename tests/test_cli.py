@@ -273,6 +273,34 @@ class TestTrainConfig:
         assert err == "bad config: the holdout set of seed 1 has no labelled position to score\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec.pop("gold"), "needs 'input' and 'gold' lists of integer ids"),
+        (lambda rec: rec["input"].__setitem__(3, -1), "token id -1 out of range [0, 16)"),
+        (lambda rec: rec["gold"].__setitem__(3, 20), "gold id 20 out of range [-1, 16)"),
+        (lambda rec: rec["gold"].__setitem__(3, -7), "gold id -7 out of range [-1, 16)"),
+        (lambda rec: rec["input"].__setitem__(3, 1.9), "needs 'input' and 'gold' lists of integer ids"),
+    ], ids=["no_gold", "token_negative", "gold_above_vocab", "gold_negative", "token_float"])
+    def test_bad_dataset_line_exits_2(self, tmp_path, edit, message, capsys):
+        # the example config with a dataset file in place of its task
+        data = tmp_path / "d.jsonl"
+        code, _, _ = run_cli(["gen", "--kind", "modsum", "--vocab", "16", "--length", "8",
+                              "--n-samples", "240", "--seed", "1", "--out", str(data)], capsys)
+        assert code == 0
+        lines = data.read_text().splitlines()
+        rec = json.loads(lines[6])
+        edit(rec)
+        lines[6] = json.dumps(rec)
+        data.write_text("\n".join(lines) + "\n")
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        del doc["task"]
+        doc["dataset"] = str(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert err == f"bad config: {data} line 7: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = Path(__file__).resolve().parents[1] / "examples_config.json"
         code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out"),

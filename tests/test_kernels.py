@@ -233,6 +233,8 @@ def test_backward_matches_oracle(rank, B, per_sample):
     model, tokens, fusion_in, dlogits = model_case(rank, B)
     _, acts = model.forward_train(tokens, fusion_in)
     got = model.backward(dlogits, acts, per_sample=per_sample)
+    if per_sample:
+        got = oracles.sample_grads(model, got)
     assert_same_tree(got, oracles.backward(model, dlogits, acts, per_sample))
 
 
@@ -244,6 +246,8 @@ def test_one_token_backward_matches_oracle(rank, per_sample):
     model, tokens, fusion_in, dlogits = model_case(rank, 1)
     _, acts = model.forward_train(tokens[:, :1], {l: f[:, :1] for l, f in fusion_in.items()})
     got = model.backward(dlogits[:, :1], acts, per_sample=per_sample)
+    if per_sample:
+        got = oracles.sample_grads(model, got)
     assert_same_tree(got, oracles.backward(model, dlogits[:, :1], acts, per_sample))
 
 

@@ -26,7 +26,7 @@ from chainboost.model import (
     is_factor,
 )
 from chainboost.numkit import layer_norm
-from oracles import forward_teacher
+from oracles import forward_teacher, sample_grads
 
 SMALL = ModelSpec(
     n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=16,
@@ -390,6 +390,8 @@ class TestKeyedBackward:
         keys = KEY_SETS[keyset](m)
         full = m.backward(dz, acts, per_sample=per_sample)
         got = m.backward(dz, acts, per_sample=per_sample, keys=keys)
+        if per_sample:
+            full, got = sample_grads(m, full), sample_grads(m, got, keys)
         assert sorted(got) == sorted(keys)
         for k in keys:
             assert np.array_equal(got[k], full[k]), k

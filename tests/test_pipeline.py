@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from chainboost import model, pipeline, training
+from chainboost import ensemble, model, pipeline, training
 from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.pipeline import decode_pipelined, decode_sequential
@@ -176,9 +176,9 @@ class TestLayerSynchronous:
     def test_replacing_a_model_restacks(self, monkeypatch):
         ens = adapted_chain(seed=5)
         stacked = []
-        stack_weights = pipeline._stack_weights
-        monkeypatch.setattr(pipeline, "_stack_weights",
-                            lambda models: stacked.append(1) or stack_weights(models))
+        stack_views = model.stack_views
+        monkeypatch.setattr(ensemble, "stack_views",
+                            lambda models: stacked.append(1) or stack_views(models))
         _, before, _ = decode_pipelined(ens, [1, 2], max_tokens=4)
         decode_pipelined(ens, [3], max_tokens=4)
         assert len(stacked) == 1  # one stack for two requests at one version
@@ -197,7 +197,7 @@ class TestLayerSynchronous:
     def test_stacked_weights_refuse_writes(self):
         ens = adapted_chain(seed=5)
         decode_pipelined(ens, [1, 2], max_tokens=4)
-        for view in pipeline._chain_weights(ens):
+        for view in ens.stacked_views():
             for name, arr in view.items():
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0.0
@@ -213,6 +213,7 @@ class TestLayerSynchronous:
         # models of different d_ff cannot be stacked: the sequential decode runs
         succ = dataclasses.replace(TINY, d_ff=24, seed=1)
         ens = Ensemble(EnsembleSpec([TINY, succ], lambdas=[0.3], top_k=2))
+        assert ens.stacked_views() is None
         toks, logits, report = decode_pipelined(ens, [1, 2], max_tokens=4)
         toks_s, logits_s = decode_sequential(ens, [1, 2], max_tokens=4)
         assert toks == toks_s and np.array_equal(logits, logits_s)
@@ -225,7 +226,7 @@ class TestLayerSynchronous:
 def test_stacked_weights_hold_exactly_the_view_keys():
     ens = adapted_chain(seed=4)
     views = ens.models[0].param_views()
-    stacked = pipeline._stack_weights(ens.models)
+    stacked = model.stack_views(ens.models)
     assert [set(w) for w in stacked] == [set(v) for v in views]
     for v in views[1:]:  # Q/K/V only as the one wqkv
         assert "wqkv" in v and not {"wq", "wk", "wv"} & set(v)

@@ -13,19 +13,19 @@ fuse_logits at every emitted step, with the same argmax.
 
 backward: hypothesis draws one model of the same kinds, a (B, T) batch with
 or without fusion inputs, dlogits and an ordered set of keys. A keyed
-backward equals the full one, summed and per sample; per sample into out,
-row b is flatten_grads(keys) of the dict call's row b and of a B = 1 call on
-row b alone, and without keys it is every params array's in params order;
-an out of the wrong shape, dtype or layout, over repeated keys or without
-per_sample raises ValueError before backward reads an activation. A stack
-of C = 1 to 3 cotangents, (C, B, T, V), per sample: [c] of every gradient,
-and of out, equals the call on dlogits[c] bit for bit; a stack without
-per_sample, dlogits of rank other than 3 or 4 and an out of the wrong
-leading shape raise ValueError before any work. A guard checks that the
-drawn passes reach factor keys, fusion inputs and every batch size.
+backward equals the full one, summed and per sample. Per sample it returns
+one C-contiguous float64 (B, P) array whose row b is flatten_grads(keys) of
+a B = 1 call on row b alone, and without keys every params array's in
+params order; repeated keys raise ValueError before backward reads an
+activation. A stack of C = 1 to 3 cotangents, (C, B, T, V), per sample:
+[c] of the full and of the keyed rows equals the call on dlogits[c] bit for
+bit; a stack without per_sample and dlogits of rank other than 3 or 4 raise
+ValueError before any work. A guard checks that the drawn passes reach
+factor keys, fusion inputs and every batch size.
 
 The embedding gradient: np.bincount over flat indices equals the np.add.at
-oracle on drawn tokens with repeats, summed and per sample, into out too.
+oracle on drawn tokens with repeats, summed and per sample, into out too
+(a column block of a wider array, as backward's per-sample rows).
 
 The live cut: a labelled batch cut to its live width (training._live) gives
 every labelled position the logits of the full-width pass, and
@@ -61,7 +61,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainboost import pipeline
 from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
 from chainboost.model import (
     KV_FIRST_ROOM,
@@ -70,11 +69,12 @@ from chainboost.model import (
     TransformerModel,
     _embedding_grad,
     _ln_forward,
+    stack_views,
     transformer_layer,
 )
 from chainboost.pipeline import decode_pipelined, decode_sequential
 from chainboost.training import _live, chain_logits, flatten_grads, stage_batch_pass
-from oracles import embedding_grad, layer_params_1d, stage_batch_pass_full
+from oracles import embedding_grad, layer_params_1d, sample_grads, stage_batch_pass_full
 from test_kernels import assert_same_tree, same_bits
 
 LOGIT_TOL = 1e-9
@@ -190,32 +190,26 @@ def test_backward_keys_and_out_agree(case):
     model, tokens, fusion_in, dz, keys = case
     B = len(tokens)
     _, acts = model.forward_train(tokens, fusion_in)
-    for per_sample in (False, True):
-        full = model.backward(dz, acts, per_sample=per_sample)
-        keyed = model.backward(dz, acts, per_sample=per_sample, keys=keys)
-        assert sorted(keyed) == sorted(keys)
-        assert all(np.array_equal(keyed[k], full[k]) for k in keys)
-    out = np.full((B, sum(model.params[k].size for k in keys)), np.nan)
-    into = model.backward(dz, acts, per_sample=True, keys=keys, out=out)
-    assert all(np.shares_memory(into[k], out) and np.array_equal(into[k], keyed[k]) for k in keys)
+    full = model.backward(dz, acts)
+    keyed = model.backward(dz, acts, keys=keys)
+    assert sorted(keyed) == sorted(keys)
+    assert all(np.array_equal(keyed[k], full[k]) for k in keys)
+    every = model.backward(dz, acts, per_sample=True)
+    rows = model.backward(dz, acts, per_sample=True, keys=keys)
+    full, keyed = sample_grads(model, every), sample_grads(model, rows, keys)
+    assert all(np.array_equal(keyed[k], full[k]) for k in keys)
+    for out, P in ((rows, sum(model.params[k].size for k in keys)),
+                   (every, sum(v.size for v in model.params.values()))):
+        assert out.shape == (B, P) and out.dtype == np.float64 and out.flags.c_contiguous
     for b in range(B):
-        assert np.array_equal(out[b], flatten_grads({k: g[b] for k, g in keyed.items()}, keys))
         f_in = None if fusion_in is None else {l: f[b : b + 1] for l, f in fusion_in.items()}
         _, acts_b = model.forward_train(tokens[b : b + 1], f_in)
-        assert np.array_equal(out[b], flatten_grads(model.backward(dz[b : b + 1], acts_b, keys=keys), keys))
-    every = np.empty((B, sum(v.size for v in model.params.values())))
-    model.backward(dz, acts, per_sample=True, out=every)
-    assert all(np.array_equal(every[b], flatten_grads({k: g[b] for k, g in full.items()},
-                                                      list(model.params))) for b in range(B))
-    P = out.shape[1]
-    bad = [(keys, np.zeros((B, P + 1)), True), (keys, np.zeros((B + 1, P)), True),
-           (keys, np.zeros(B * P), True), (keys, np.zeros_like(out), False),
-           (keys, np.zeros((B, P), np.float32), True), (keys, np.zeros((B, 2 * P))[:, ::2], True),
-           (keys + keys[:1], np.zeros((B, P + model.params[keys[0]].size)), True)]
-    for ks, bad_out, per_sample in bad:
-        # no activations: a call that did any work before refusing out would raise KeyError
-        with pytest.raises(ValueError):
-            model.backward(dz, {}, per_sample=per_sample, keys=ks, out=bad_out)
+        assert np.array_equal(rows[b], flatten_grads(model.backward(dz[b : b + 1], acts_b, keys=keys), keys))
+        assert np.array_equal(every[b], flatten_grads(model.backward(dz[b : b + 1], acts_b),
+                                                      list(model.params)))
+    # no activations: a call that did any work before refusing would raise KeyError
+    with pytest.raises(ValueError):
+        model.backward(dz, {}, per_sample=True, keys=keys + keys[:1])
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -227,24 +221,17 @@ def test_stacked_backward_is_separate_calls(case, C, seed):
     stack = np.stack([dz] + [rng.normal(0.0, 1.0, dz.shape) for _ in range(C - 1)])
     _, acts = model.forward_train(tokens, fusion_in)
     every = model.backward(stack, acts, per_sample=True)
+    keyed = model.backward(stack, acts, per_sample=True, keys=keys)
     P = sum(model.params[k].size for k in keys)
-    out = np.full((C, B, P), np.nan)
-    into = model.backward(stack, acts, per_sample=True, keys=keys, out=out)
-    assert all(np.shares_memory(into[k], out) for k in keys)
+    assert every.shape == (C, B, sum(v.size for v in model.params.values()))
+    assert keyed.shape == (C, B, P) and keyed.flags.c_contiguous
     for c in range(C):
-        one = model.backward(stack[c], acts, per_sample=True)
-        assert list(every) == list(one)
-        assert all(np.array_equal(every[k][c], one[k]) for k in one)
-        out_c = np.full((B, P), np.nan)
-        model.backward(stack[c], acts, per_sample=True, keys=keys, out=out_c)
-        assert np.array_equal(out[c], out_c)
-    bad = [(stack, False, None), (stack[..., None], True, None), (stack[0, 0], True, None),
-           (stack, True, np.zeros((B, P))), (stack, True, np.zeros((C + 1, B, P))),
-           (stack, True, np.zeros((C, B + 1, P))), (stack[0], True, np.zeros((1, B, P)))]
-    for dlogits, per_sample, bad_out in bad:
+        assert np.array_equal(every[c], model.backward(stack[c], acts, per_sample=True))
+        assert np.array_equal(keyed[c], model.backward(stack[c], acts, per_sample=True, keys=keys))
+    for dlogits, per_sample in ((stack, False), (stack[..., None], True), (stack[0, 0], True)):
         # no activations: a call that did any work before refusing would raise KeyError
         with pytest.raises(ValueError):
-            model.backward(dlogits, {}, per_sample=per_sample, keys=keys, out=bad_out)
+            model.backward(dlogits, {}, per_sample=per_sample, keys=keys)
 
 
 def test_training_draws_cover_stacked_cases():
@@ -457,7 +444,7 @@ def test_layer_vectors_at_any_rank_agree(case):
     past = rng.normal(0.0, 1.0, (2, k, nh, t0, d // nh))
     ht = rng.normal(0.0, 1.0, (k, 1, d))
     # one row over a cache: each model, and row b of the stacked call
-    stacked = transformer_layer(pipeline._stack_weights(models)[l], ht,
+    stacked = transformer_layer(stack_views(models)[l], ht,
                                 filled_cache(s, l, past), l, nh, None)
     for b, m in enumerate(models):
         one_d = transformer_layer(layer_params_1d(m, l), ht[b : b + 1],

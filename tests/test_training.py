@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chainboost.ensemble import Ensemble, EnsembleSpec, ErrorTokenTrace
+from chainboost.ensemble import Ensemble, EnsembleSpec
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import softmax
 from chainboost.tasks import Dataset, TaskSpec, generate
-from chainboost import training
+from chainboost import ensemble as ensemble_mod, model as model_mod, pipeline, training
 from chainboost.training import (
     BoundViolatedError,
     EmptyEstimateError,
@@ -38,6 +38,7 @@ from oracles import (
     estimate_alignment_loop,
     finite_diff_grad,
     forward_teacher,
+    sample_grads,
     stage_batch_pass_full,
     suppression_loss,
 )
@@ -51,7 +52,7 @@ SMALL = ModelSpec(
 def suppression_term(p, gold, err, beta):
     """The package's suppression loss at one position: total_loss at alpha 0
     over the logits log p, whose softmax is p."""
-    return total_loss(np.log(p)[None], [gold], ErrorTokenTrace([err]), 0.0, beta)
+    return total_loss(np.log(p)[None], [gold], [err], 0.0, beta)
 
 
 class TestSuppressionLoss:
@@ -93,18 +94,16 @@ class TestTotalLoss:
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((4, 6))
         gold = [1, 2, 3, 0]
-        trace = ErrorTokenTrace([None] * 4)
         want = 0.9 * sum(cross_entropy(softmax(logits[t]), gold[t]) for t in range(4))
-        assert total_loss(logits, gold, trace, alpha=0.9, beta=0.1) == pytest.approx(want)
+        assert total_loss(logits, gold, [None] * 4, alpha=0.9, beta=0.1) == pytest.approx(want)
 
     def test_unlabeled_steps_skipped(self):
         logits = np.zeros((3, 4))
-        trace = ErrorTokenTrace([None, None, None])
-        assert total_loss(logits, [-1, -1, -1], trace, 0.9, 0.1) == 0.0
+        assert total_loss(logits, [-1, -1, -1], [None, None, None], 0.9, 0.1) == 0.0
 
     def test_alignment_check(self):
         with pytest.raises(ValueError):
-            total_loss(np.zeros((3, 4)), [0, 1], ErrorTokenTrace([None, None, None]), 0.9, 0.1)
+            total_loss(np.zeros((3, 4)), [0, 1], [None, None, None], 0.9, 0.1)
 
 
 class TestLossLogitGrad:
@@ -331,8 +330,8 @@ class TestBatchedAlignment:
         logits, acts = model.forward_train(tokens, fusion_in)
         _, _, dz = batch_loss_and_grad(logits, gold, err, 0.9, 0.1)
         batch = model.backward(dz, acts)
-        per_sample = model.backward(dz, acts, per_sample=True)
-        assert list(per_sample) == list(batch)
+        per_sample = sample_grads(model, model.backward(dz, acts, per_sample=True))
+        assert sorted(per_sample) == sorted(batch)
         for key, g in batch.items():
             assert per_sample[key].shape == (len(tokens),) + g.shape
             assert np.abs(per_sample[key].sum(axis=0) - g).max() <= 1e-12 * np.abs(g).max(), key
@@ -464,6 +463,46 @@ class TestLeanChainWalk:
         assert len(acts["layers"]) == BASE32.n_layers
         assert [a["fused"] for a in acts["layers"]] == [False, True]
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("bad, message", [
+        ("token_-1", "token id -1 out of range for vocab 16"),
+        ("token_vocab", "token id 16 out of range for vocab 16"),
+        ("wider_than_max_steps", "step 16 exceeds max_steps 16"),
+    ])
+    def test_refuses_what_one_model_refuses(self, k, bad, message):
+        ens, ds = _rank8_chain(k), _modsum(4)
+        tokens, gold = ds.tokens.copy(), ds.gold.copy()
+        if bad == "wider_than_max_steps":  # labelled to the last column, which chain_eval scores
+            tokens = np.concatenate([tokens] * 2, axis=1)[:, : BASE32.max_steps + 1]
+            gold = np.concatenate([gold] * 2, axis=1)[:, : BASE32.max_steps + 1]
+            gold[:, -1] = 3
+        else:
+            tokens[1, 2] = -1 if bad == "token_-1" else BASE32.vocab
+        with pytest.raises(IndexError) as one:
+            ens.models[0].forward_train(tokens)
+        assert str(one.value) == message
+        for run in (lambda: chain_logits(ens, tokens),
+                    lambda: pred_forward_chain(ens, k - 1, tokens),
+                    lambda: pred_forward_chain(ens, 0, tokens),
+                    lambda: chain_eval(ens, Dataset(tokens, gold))):
+            with pytest.raises(IndexError) as err:
+                run()
+            assert str(err.value) == message
+
+    def test_checked_once_per_walk_and_never_per_decode_step(self, monkeypatch):
+        calls = []
+        for module in (model_mod, ensemble_mod):
+            def spy(*args, _orig=module.check_tokens, **kw):
+                calls.append(1)
+                return _orig(*args, **kw)
+
+            monkeypatch.setattr(module, "check_tokens", spy)
+        ens = _rank8_chain(3)
+        chain_logits(ens, _modsum(4).tokens)
+        assert len(calls) == 1  # one check for three models
+        toks, _ = pipeline.decode_sequential(ens, [1, 2, 3], max_tokens=5)
+        assert len(toks) > 1 and len(calls) == 1
+
     def test_chain_eval_peak_memory(self):
         # one 100-sample part of the train_modsum benchmark's held-out set:
         # 16.0 MB traced at peak when every layer's activations were kept,
@@ -524,16 +563,16 @@ LIVE_WIDTH_CASES = ["stage1", "successor_adapters", "successor_full", "probe",
 
 
 def _record_widths(monkeypatch) -> list:
-    """Patch TransformerModel._forward, which every teacher-forced pass runs
-    through, to record the width of each token batch it receives."""
+    """Patch forward_pass where TransformerModel._forward and Ensemble.walk,
+    which every teacher-forced pass runs through, look it up, to record the
+    width of each token batch it receives."""
     widths = []
-    orig = TransformerModel._forward
+    for module in (model_mod, ensemble_mod):
+        def spy(spec, views, tokens, *args, _orig=module.forward_pass, **kw):
+            widths.append(tokens.shape[1])
+            return _orig(spec, views, tokens, *args, **kw)
 
-    def spy(self, tokens, *args, **kw):
-        widths.append(np.shape(tokens)[1])
-        return orig(self, tokens, *args, **kw)
-
-    monkeypatch.setattr(TransformerModel, "_forward", spy)
+        monkeypatch.setattr(module, "forward_pass", spy)
     return widths
 
 
