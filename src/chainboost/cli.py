@@ -106,14 +106,17 @@ def _chain_config(cfg: dict):
     left to each run; a config they cannot be built from, a dataset file
     that does not load (its ids checked against the task's vocab, if one is
     given), or models whose max_steps cannot hold the data's sequences,
-    raise OSError, TypeError or ValueError naming the problem."""
+    raise OSError, TypeError or ValueError naming the problem. A task
+    section is checked as a TaskSpec whenever it is there, also beside a
+    dataset, whose vocab it then gives."""
+    task = tasks.TaskSpec(**cfg["task"]) if "task" in cfg else None
     if "dataset" in cfg:
-        ds_full = tasks.load_dataset(cfg["dataset"], cfg.get("task", {}).get("vocab"))
-    elif "task" in cfg:
-        ds_full = tasks.generate(tasks.TaskSpec(**cfg["task"]))
+        ds_full = tasks.load_dataset(cfg["dataset"], None if task is None else task.vocab)
+    elif task is not None:
+        ds_full = tasks.generate(task)
     else:
         raise ValueError("a config needs a 'task' or a 'dataset'")
-    vocab = int(cfg.get("task", {}).get("vocab", ds_full.tokens.max() + 1))
+    vocab = int(ds_full.tokens.max() + 1) if task is None else task.vocab
     mspec = ModelSpec(**{"vocab": vocab, **cfg.get("model", {})})  # ModelSpec fills the rest
     if mspec.vocab != vocab:
         raise ValueError(f"model vocab {mspec.vocab} differs from the data vocab {vocab}")

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .numkit import softmax_rows
+from .numkit import ShapeError, softmax_rows
 from .numkit import layer_norm  # noqa: F401 - chainbench/tracer.py patches model.layer_norm
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -345,9 +345,12 @@ class TransformerModel:
         return self._forward(tokens, fusion_in, keep_acts=True)
 
     def backward(self, dlogits: np.ndarray, acts: dict, per_sample: bool = False,
-                 keys: Optional[Sequence[str]] = None):
+                 keys: Optional[Sequence[str]] = None) -> np.ndarray:
         """Gradients of a scalar loss w.r.t. the params arrays named in keys,
-        or w.r.t. every array in params when keys is None.
+        or w.r.t. every array in params when keys is None, as one
+        C-contiguous float64 array laid out by flat_blocks(params, keys, ·):
+        (P,) summed over the batch, or per sample (*lead, P), lead being
+        dlogits' (B,). Each gradient goes straight into its column block.
 
         dlogits is dL/dz of shape (B, T, V). Each layer's weights are read
         from the view its forward used (acts["layers"][l - 1]["p"]): wq, wk
@@ -356,27 +359,20 @@ class TransformerModel:
         under their params keys, like 'l1.wq.A'. No gradient flows into
         fusion inputs (they come from a frozen predecessor).
 
-        With keys, the dict holds exactly those keys, each array_equal to
-        what the full call returns, and the work of every other gradient is
-        skipped: its weight product or sum, the factor products, and the pass
-        below layer 1 when neither embedding is asked for. A key that is not
-        in params raises KeyError.
+        With keys, each block is array_equal to that key's block of the full
+        call, and the work of every other gradient is skipped: its weight
+        product or sum, the factor products, and the pass below layer 1 when
+        neither embedding is asked for. A key that is not in params raises
+        KeyError, a repeated key ValueError, both before any work.
 
-        Gradients are summed over the batch into that dict. With
-        per_sample=True the call returns instead one C-contiguous (*lead, P)
-        array, lead being dlogits' (B,) and P the sizes of the keys' arrays
-        together (of every params array, in params order, when keys is None):
-        row b is flatten_grads(keys) of batch row b's own gradients, bit for
-        bit what a B = 1 call on that row returns. Each gradient goes
-        straight into its column block; the weight products run one (d, T) @
-        (T, e) matmul per row and the bias, gain and embedding sums run over
-        positions only. A repeated key raises ValueError before any work.
-
-        Per sample, dlogits may stack C cotangents, (C, B, T, V): lead is
-        then (C, B), and [c] is bit for bit the call on dlogits[c], from one
-        walk where the saved activations broadcast (never tiled) and the
-        GELU gradient is taken once. Another rank, or a stack without
-        per_sample, raises ValueError before any work.
+        Per sample, row b is bit for bit what a B = 1 call on that row
+        returns: the weight products run one (d, T) @ (T, e) matmul per row
+        and the bias, gain and embedding sums run over positions only.
+        dlogits may stack C cotangents, (C, B, T, V): lead is then (C, B),
+        and [c] is bit for bit the call on dlogits[c], from one walk where
+        the saved activations broadcast (never tiled) and the GELU gradient
+        is taken once. Another rank, or a stack without per_sample, raises
+        ValueError before any work.
         """
         s = self.spec
         if dlogits.ndim != 3 and not (per_sample and dlogits.ndim == 4):
@@ -390,15 +386,16 @@ class TransformerModel:
         unknown = sorted(want - self.params.keys())
         if unknown:
             raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
-        out, blocks = _out_blocks(self.params, keys, lead) if per_sample else (None, {})
+        # one block, not an array per key: the heap those small arrays took was
+        # trimmed when they were freed and faulted in again on every call
+        out = np.empty((lead if per_sample else ()) + (sum(self.params[k].size for k in want),))
+        blocks = flat_blocks(self.params, keys, out)
         below = "tok_emb" in want or "pos_emb" in want  # run the pass below layer 1
-        grads: dict[str, np.ndarray] = {}
 
         def put(key, grad):
-            """grads[key] = grad(block), run only when key is asked for; block
-            is the key's view of out, or None for a summed call."""
+            """grad(block) into key's block, run only when key is asked for."""
             if key in want:
-                grads[key] = grad(blocks.get(key))
+                grad(blocks[key])
 
         put("unemb", lambda o: _weight_grad(acts["states"][-1], dlogits, per_sample, o))
         dh_ = dlogits @ self.params["unemb"].T
@@ -439,8 +436,6 @@ class TransformerModel:
                 key = p + name
                 if key in want or key + ".A" in want or key + ".B" in want:
                     dw = _weight_grad(a["ht"], dy, per_sample, blocks.get(key))
-                    if key in want:
-                        grads[key] = dw
                     put(key + ".A", lambda o: np.matmul(dw, self.params[key + ".B"].T, out=o))
                     put(key + ".B", lambda o: np.matmul(self.params[key + ".A"].T, dw, out=o))
             if l == 1 and not below:
@@ -455,16 +450,12 @@ class TransformerModel:
             dh_ = _ln_backward(dht, a["ln_fuse"], 1.0) if a["fused"] else dht
 
         # embeddings
-        tokens = acts["tokens"]
-        if "tok_emb" in want:
-            grads["tok_emb"] = _embedding_grad(tokens, dh_, s.vocab, per_sample,
-                                               blocks.get("tok_emb"))
+        put("tok_emb", lambda o: _embedding_grad(acts["tokens"], dh_, s.vocab, per_sample, o))
         if "pos_emb" in want:
-            dpos = blocks["pos_emb"] if per_sample else np.zeros(self.params["pos_emb"].shape)
+            dpos = blocks["pos_emb"]
             dpos[..., T:, :] = 0.0
             dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
-            grads["pos_emb"] = dpos
-        return out if per_sample else grads
+        return out
 
     # -- persistence -------------------------------------------------------
 
@@ -546,60 +537,67 @@ def _archive_name(key: str) -> str:
     return ("adapter." if is_factor(key) else "param.") + key
 
 
-def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool = False,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool,
+                 out: Optional[np.ndarray]) -> np.ndarray:
     """sum over (b, t) of outer(x[b, t], dy[b, t]), as one 2-D matmul; per
     sample, the sum over t alone, one (d, T) @ (T, e) matmul per row b (per
-    (c, b) of a stacked dy), written into out when it is given."""
+    (c, b) of a stacked dy); into out, or a fresh array when out is None."""
     if per_sample:
         return np.matmul(x.swapaxes(-1, -2), dy, out=out)
-    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+    return np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=out)
 
 
-def _out_blocks(params, keys, lead: tuple) -> tuple[np.ndarray, dict]:
-    """A per-sample backward's result, one (*lead, P) array, and each key's
-    (*lead, *shape) view of its column block, in the order of keys (of
-    params when keys is None); a repeated key raises ValueError."""
+def flat_blocks(params: Mapping[str, np.ndarray], keys: Optional[Sequence[str]],
+                flat: np.ndarray) -> dict[str, np.ndarray]:
+    """The one key-to-column-block map: each key's (*lead, *shape) view of
+    its block of flat, a (*lead, P) array whose last axis holds the keys'
+    arrays one after another, in the order of keys (of params when keys is
+    None). backward writes its gradients into these views, and sgd_step and
+    load_flat_params hand them to TransformerModel.write. A repeated key,
+    or a P that is not the keys' sizes together, raises ValueError; a key
+    not in params, KeyError."""
     keys = list(params) if keys is None else list(keys)
     if len(set(keys)) != len(keys):
-        raise ValueError("per-sample gradients need keys without repeats")
-    # one block, not an array per key: the heap those small arrays took was
-    # trimmed when they were freed and faulted in again on every call
-    out = np.empty(lead + (sum(params[key].size for key in keys),))
-    blocks, off = {}, 0
-    for key in keys:
-        blocks[key] = out[..., off : off + params[key].size].reshape(lead + params[key].shape)
-        off += params[key].size
-    return out, blocks
+        raise ValueError("a flat parameter layout needs keys without repeats")
+    arrays = [params[key] for key in keys]
+    need = sum(arr.size for arr in arrays)
+    if flat.shape[-1:] != (need,):
+        raise ValueError(f"flat array of shape {flat.shape} does not hold the keys' {need} entries per row")
+    blocks, off, lead = {}, 0, flat.shape[:-1]
+    for key, arr in zip(keys, arrays):
+        blocks[key] = flat[..., off : off + arr.size].reshape(lead + arr.shape)
+        off += arr.size
+    return blocks
 
 
 def _embedding_grad(tokens: np.ndarray, dh: np.ndarray, vocab: int, per_sample: bool,
-                    out: Optional[np.ndarray]) -> np.ndarray:
-    """The (vocab, d) table gradient: each dh[b, t] added onto row tokens[b, t]
-    of zeros, or per sample onto row b's own (B, vocab, d) table, written
-    into out when it is given (per (c, b) of a stacked dh). One np.bincount
-    over the flat indices (row * vocab + token) * d + j: like np.add.at, it
-    adds in index order from zeros, so the bits are the same, at a fraction
-    of the cost."""
+                    out: np.ndarray) -> np.ndarray:
+    """The (vocab, d) table gradient, written into out and returned: each
+    dh[b, t] added onto row tokens[b, t] of zeros, or per sample onto row
+    b's own (B, vocab, d) table (per (c, b) of a stacked dh). One
+    np.bincount over the flat indices (row * vocab + token) * d + j: like
+    np.add.at, it adds in index order from zeros, so the bits are the same,
+    at a fraction of the cost."""
     d = dh.shape[-1]
     rows = tokens.astype(np.intp)  # a narrower int type would wrap in the products
     if dh.ndim == 4:  # a stack: tile the tokens, and only then
         rows = np.tile(rows, (dh.shape[0], 1))
     if per_sample:
         rows += np.arange(len(rows))[:, None] * vocab
-    shape = (dh.shape[:-2] if per_sample else ()) + (vocab, d)
     flat = (rows[..., None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=dh.ravel(), minlength=math.prod(shape)).reshape(shape)
-    if out is None:
-        return sums
-    out[...] = sums
+    out[...] = np.bincount(flat, weights=dh.ravel(), minlength=out.size).reshape(out.shape)
     return out
 
 
 def check_tokens(spec: ModelSpec, tokens: np.ndarray, t0: int = 0) -> None:
     """Raise IndexError unless every id of the (B, T) batch tokens is in [0,
-    vocab) and its steps t0 .. t0 + T - 1 fit max_steps."""
-    _, T = tokens.shape
+    vocab) and its steps t0 .. t0 + T - 1 fit max_steps; a batch that is not
+    2-D raises ShapeError, one not of an integer dtype ValueError."""
+    if tokens.ndim != 2:
+        raise ShapeError(f"a token batch must be (B, T), got shape {tokens.shape}")
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"token ids must have an integer dtype, got {tokens.dtype}")
+    T = tokens.shape[1]
     bad = tokens[(tokens < 0) | (tokens >= spec.vocab)]
     if bad.size:
         raise IndexError(f"token id {bad[0]} out of range for vocab {spec.vocab}")

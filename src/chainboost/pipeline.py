@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import KvCache, cache_kv, fuse_states, transformer_layer
+from .model import KvCache, cache_kv, check_tokens, fuse_states, transformer_layer
 
 
 @dataclass
@@ -60,26 +60,22 @@ def _is_int(value) -> bool:
 
 def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
     """Raise ValueError unless max_tokens is an integer >= 1, the prompt is
-    nonempty, its ids are integers (Python or numpy, not bool) in [0,
-    vocab) and prompt + max_tokens fits max_steps. An id that is not an
-    integer is refused, not rounded: the greedy loop would read 1.9 as 1."""
+    nonempty, its ids are integers (Python or numpy, not bool; the greedy
+    loop would read 1.9 as 1), and model.check_tokens passes it as a batch
+    max_tokens steps on: ids in [0, vocab), prompt + max_tokens <= max_steps."""
     if not _is_int(max_tokens):
         raise ValueError(f"max_tokens must be an integer, got {max_tokens!r}")
     if max_tokens < 1:  # the greedy loop emits a token before it checks the limit
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
-    vocab = ensemble.spec.vocab
     for i, token in enumerate(prompt):
         if not _is_int(token):
             raise ValueError(f"prompt token {i} must be an integer id, got {token!r}")
-        if not 0 <= token < vocab:
-            raise ValueError(f"prompt token id {token} out of range for vocab {vocab}")
-    cap = min(m.spec.max_steps for m in ensemble.models)
-    if len(prompt) + max_tokens > cap:
-        raise ValueError(
-            f"prompt ({len(prompt)}) + max_tokens ({max_tokens}) exceeds max_steps {cap}"
-        )
+    try:
+        check_tokens(ensemble.spec.models[0], np.array([list(map(int, prompt))]), max_tokens)
+    except IndexError as exc:
+        raise ValueError(f"prompt of {len(prompt)} ids with max_tokens {max_tokens}: {exc}") from None
 
 
 def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):

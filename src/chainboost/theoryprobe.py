@@ -22,7 +22,6 @@ from .training import (
     BoundViolatedError,
     descent_lr_bound,
     estimate_alignment,
-    flatten_grads,
     flatten_params,
     load_flat_params,
     stage_batch_pass,
@@ -244,10 +243,9 @@ def descent_probe(
     def at(theta: np.ndarray):
         """(primary CE, composite flat grad, CE-only flat grad) at theta."""
         load_flat_params(model, keys, theta)
-        ce, _, grads = stage_batch_pass(model, tokens, gold, err, alpha, DEFAULT_BETA, keys=keys)
-        g_comp = flatten_grads(grads, keys)
-        _, _, grads_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, DEFAULT_BETA, keys=keys)
-        return ce, g_comp, flatten_grads(grads_ce, keys)
+        ce, _, g_comp = stage_batch_pass(model, tokens, gold, err, alpha, DEFAULT_BETA, keys=keys)
+        _, _, g_ce = stage_batch_pass(model, tokens, gold, no_err, 1.0, DEFAULT_BETA, keys=keys)
+        return ce, g_comp, g_ce
 
     ce0, g0_comp, g0_ce = at(theta0)
     rng = np.random.default_rng(seed)

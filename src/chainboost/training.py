@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import TransformerModel, is_factor
+from .model import TransformerModel, flat_blocks, is_factor
 from .numkit import ShapeError, softmax_rows
 from .tasks import Dataset
 
@@ -109,20 +109,29 @@ def _objective(
     p is (..., V); gold and err are (...) with -1 holes, and err counts only
     where gold is labeled. Returns per-position CE and suppression (...) and
     the unscaled dlogits (..., V) of sum(suppression + alpha * CE). Logs one
-    warning per call that floors a probability at PROB_FLOOR.
+    warning per call that floors a probability at PROB_FLOOR. A labeled gold
+    id or an active err id >= V raises ValueError naming its position: its
+    flat index would read another position's probabilities.
     """
     if gold.shape != p.shape[:-1] or err.shape != gold.shape:
         raise ShapeError(f"probabilities {p.shape} do not match gold {gold.shape} / err {err.shape}")
     V = p.shape[-1]
     g, e = gold.ravel(), err.ravel()
-    d = p.copy()
-    flat = d.reshape(-1)  # a view: the copy is C-contiguous
     labeled = g >= 0
     r = labeled.nonzero()[0]
-    ig = r * V + g[r]  # flat index of each labeled position's gold entry
-    act = e[r] >= 0
+    gr, er = g[r], e[r]
+    over = (gr >= V) | (er >= V)
+    if over.any():
+        i = r[over.argmax()]
+        name, value = ("gold", g[i]) if g[i] >= V else ("error", e[i])
+        where = tuple(map(int, np.unravel_index(i, gold.shape)))
+        raise ValueError(f"{name} id {value} at position {where} is out of range for vocab {V}")
+    d = p.copy()
+    flat = d.reshape(-1)  # a view: the copy is C-contiguous
+    ig = r * V + gr  # flat index of each labeled position's gold entry
+    act = er >= 0
     a = r[act]
-    ie, iga = a * V + e[a], ig[act]  # the active positions' err and gold entries
+    ie, iga = a * V + er[act], ig[act]  # the active positions' err and gold entries
     if (ie == iga).any():
         raise ValueError("error token must differ from gold")
     pg, pe = flat[ig], flat[ie]
@@ -205,18 +214,11 @@ def trainable_keys(model: TransformerModel, scope: str) -> list[str]:
     return keys
 
 
-def sgd_step(model: TransformerModel, grads: dict, lr: float, keys: Sequence[str]) -> None:
-    """params -= lr * grads, restricted to the given keys, in place through
-    model.write; a key with no gradient raises KeyError, before anything is
-    written, rather than going untrained."""
-    for key in keys:
-        if key not in grads:
-            raise KeyError(f"no gradient for {key!r} to step")
-    model.write(((key, grads[key]) for key in keys), lr)
-
-
-def flatten_grads(grads: dict, keys: Sequence[str]) -> np.ndarray:
-    return np.concatenate([np.ravel(grads[k]) for k in keys])
+def sgd_step(model: TransformerModel, grads: np.ndarray, lr: float, keys: Sequence[str]) -> None:
+    """params -= lr * grads in place through model.write, grads being the
+    (P,) gradient backward(keys=keys) returns; one of another size raises
+    ValueError before anything is written, so no key goes untrained."""
+    model.write(flat_blocks(model.params, keys, grads).items(), lr)
 
 
 def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
@@ -224,24 +226,18 @@ def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
 
 
 def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.ndarray) -> None:
-    """Inverse of flatten_params: write theta's slices into the params through
-    model.write. Raises ValueError, before writing anything, unless theta has
-    exactly as many entries as the keys' arrays together."""
-    arrays = [model.params[key] for key in keys]
-    need = sum(arr.size for arr in arrays)
-    if theta.size != need:
-        raise ValueError(f"theta has {theta.size} entries, the keys' arrays hold {need}")
-
-    def slices():
-        off = 0
-        for key, arr in zip(keys, arrays):
-            yield key, theta[off : off + arr.size].reshape(arr.shape)
-            off += arr.size
-
-    model.write(slices())
+    """Inverse of flatten_params, through model.write; a theta of another
+    size than the keys' arrays together raises ValueError, writing nothing."""
+    model.write(flat_blocks(model.params, keys, theta).items())
 
 
 # -- forward/backward wrappers --------------------------------------------
+
+
+def _check_labels(tokens: np.ndarray, gold: np.ndarray, err: np.ndarray) -> None:
+    """Raise ShapeError unless gold and err have the shape of the batch tokens."""
+    if gold.shape != tokens.shape or err.shape != tokens.shape:
+        raise ShapeError(f"gold {gold.shape} and err {err.shape} must have the tokens' shape {tokens.shape}")
 
 
 def _live(gold: np.ndarray, tokens: np.ndarray, fusion_in: Optional[dict] = None):
@@ -270,12 +266,15 @@ def stage_batch_pass(
     fusion_in: Optional[dict[int, np.ndarray]] = None,
     keys: Optional[Sequence[str]] = None,
 ):
-    """One forward + composite-loss backward; returns (ce, supp, grads), the
-    gradients of keys only, or of every params array when keys is None.
+    """One forward + composite-loss backward; returns (ce, supp, grads), grads
+    the flat (P,) gradient backward gives for keys (every params array when
+    keys is None).
 
     The forward and backward run the batch's live width only (see _live);
     the loss runs over the full (B, T) grid with the dead columns' logits
-    zero-filled, so ce and supp are the sums a full-width pass reports."""
+    zero-filled, so ce and supp are the sums a full-width pass reports. gold
+    or err of another shape than tokens raises ShapeError."""
+    _check_labels(tokens, gold, err)
     n, tokens, fusion_in = _live(gold, tokens, fusion_in)
     logits, acts = model.forward_train(tokens, fusion_in)
     if n < gold.shape[1]:
@@ -310,8 +309,9 @@ def estimate_alignment(
     come from three batched (1, P) @ (P, 1) products, each row on numpy's
     vector-dot path, so the bits of the one-row v.dot(v) and g_s @ g_ce;
     the sqrt, the ratios and the max/min fold then run on Python floats,
-    row by row.
+    row by row. gold or err of another shape than tokens raises ShapeError.
     """
+    _check_labels(tokens, gold, err)
     if not ((err >= 0) & (gold >= 0)).any():
         raise EmptyEstimateError("no active error tokens in batch")
     g_ce, g_s = _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in)
@@ -336,8 +336,8 @@ def estimate_alignment(
 
 def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     """The (B, P) flat gradients over keys of each row's CE and of its
-    suppression term (the alpha = 0 objective), row b laid out as
-    flatten_grads(keys) gives sample b, from one forward and one per-sample
+    suppression term (the alpha = 0 objective), row b sample b's gradient
+    in the layout of flat_blocks, from one forward and one per-sample
     backward: the two objectives' dlogits, stacked as (2, B, n, V), go down
     one layer walk that takes the gradients of keys alone into the one (2,
     B, P) array it returns, bit for bit what a backward per objective

@@ -31,7 +31,6 @@ from chainboost.training import (
     AlignmentEstimate,
     batch_loss_and_grad,
     chain_logits,
-    flatten_grads,
 )
 
 
@@ -156,10 +155,10 @@ def estimate_alignment_loop(model: TransformerModel, tokens, gold, err, keys, be
         f_in = {l: fusion_in[l][b : b + 1] for l in fusion_in} if fusion_in else None
         logits, acts = model.forward_train(tb, f_in)
         _, _, dz_ce = batch_loss_and_grad(logits, gb, np.full_like(eb, -1), 1.0, beta)
-        g_ce = flatten_grads(model.backward(dz_ce, acts), keys)
+        g_ce = model.backward(dz_ce, acts, keys=keys)
         # suppression-only gradient (the alpha = 0 contribution)
         _, _, dz_s = batch_loss_and_grad(logits, gb, eb, 0.0, beta)
-        g_s = flatten_grads(model.backward(dz_s, acts), keys)
+        g_s = model.backward(dz_s, acts, keys=keys)
         rows_ce.append(g_ce)
         rows_s.append(g_s)
         count += 1
@@ -309,15 +308,6 @@ def backward(model: TransformerModel, dlogits, acts, per_sample=False):
     grads["tok_emb"] = embedding_grad(acts["tokens"], dh_, s.vocab, per_sample)
     grads["pos_emb"] = dpos
     return grads
-
-
-def sample_grads(model: TransformerModel, rows, keys=None) -> dict:
-    """A per-sample backward's (*lead, P) rows split back into each key's
-    (*lead, *shape) gradient, in the order the rows hold them: keys, or
-    params order when keys is None."""
-    keys = list(model.params) if keys is None else keys
-    parts = np.split(rows, np.cumsum([model.params[k].size for k in keys])[:-1], axis=-1)
-    return {k: g.reshape(rows.shape[:-1] + model.params[k].shape) for k, g in zip(keys, parts)}
 
 
 def embedding_grad(tokens, dh, vocab, per_sample=False):

@@ -256,6 +256,19 @@ class TestTrainConfig:
         assert err.startswith("bad config: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_task_beside_a_dataset_is_checked(self, tmp_path, capsys):
+        # the task section gives the dataset's vocab, and is refused like a task alone
+        code, _, _ = run_cli(["gen", "--kind", "modsum", "--vocab", "16", "--length", "8",
+                              "--n-samples", "40", "--out", str(tmp_path / "d.jsonl")], capsys)
+        assert code == 0
+        doc = {"task": {"kind": "nope", "vocab": 16, "length": -3}, "dataset": str(tmp_path / "d.jsonl")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("bad config: unknown task kind 'nope'")
+        assert not (tmp_path / "out").exists()
+
     def test_unlabelled_dataset_exits_2(self, tmp_path, capsys):
         # chain_eval has nothing to score: refused before --out is made
         code, _, _ = run_cli(["gen", "--kind", "modsum", "--vocab", "16", "--length", "8",

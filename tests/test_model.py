@@ -20,13 +20,14 @@ from chainboost.model import (
     _ln_backward,
     _ln_forward,
     _weight_grad,
+    flat_blocks,
     gelu,
     gelu_grad,
     gelu_tanh,
     is_factor,
 )
-from chainboost.numkit import layer_norm
-from oracles import forward_teacher, sample_grads
+from chainboost.numkit import ShapeError, layer_norm
+from oracles import forward_teacher
 
 SMALL = ModelSpec(
     n_layers=3, d_model=16, n_heads=2, d_ff=32, vocab=12, max_steps=16,
@@ -312,10 +313,8 @@ class TestBackward:
         p /= p.sum(-1, keepdims=True)
         dz = p.copy()
         np.put_along_axis(dz, gold[..., None], np.take_along_axis(dz, gold[..., None], -1) - 1.0, -1)
-        grads = m.backward(dz, acts)
-
         target = m.params[name]
-        g = grads[name]
+        g = flat_blocks(m.params, None, m.backward(dz, acts))[name]
         if target.ndim == 1:
             idx = [(0,), (target.shape[0] - 1,)]
         else:
@@ -377,8 +376,9 @@ def keyed_case(rank, fusion_period, fused):
 
 
 class TestKeyedBackward:
-    """backward(keys=...) returns exactly the keys asked for, each bit for bit
-    what the full call returns, and skips the work of the others."""
+    """backward(keys=...) returns exactly the blocks of the keys asked for,
+    each bit for bit that key's block of the full call, and skips the work
+    of the others."""
 
     @pytest.mark.parametrize("per_sample", [False, True], ids=["batch", "per_sample"])
     @pytest.mark.parametrize("keyset", list(KEY_SETS))
@@ -388,11 +388,8 @@ class TestKeyedBackward:
     def test_equals_full_backward(self, rank, fusion_period, fused, keyset, per_sample):
         m, dz, acts = keyed_case(rank, fusion_period, fused)
         keys = KEY_SETS[keyset](m)
-        full = m.backward(dz, acts, per_sample=per_sample)
-        got = m.backward(dz, acts, per_sample=per_sample, keys=keys)
-        if per_sample:
-            full, got = sample_grads(m, full), sample_grads(m, got, keys)
-        assert sorted(got) == sorted(keys)
+        full = flat_blocks(m.params, None, m.backward(dz, acts, per_sample=per_sample))
+        got = flat_blocks(m.params, keys, m.backward(dz, acts, per_sample=per_sample, keys=keys))
         for k in keys:
             assert np.array_equal(got[k], full[k]), k
 
@@ -529,6 +526,16 @@ class TestForwardTrain:
         with pytest.raises(IndexError, match="token id -1"):
             small_model().forward_train(np.array([[1, -1]]))
 
+    @pytest.mark.parametrize("tokens, error, message", [
+        ([[1.5, 2.0]], ValueError, "integer dtype, got float64"),
+        ([[True, False]], ValueError, "integer dtype, got bool"),
+        ([1, 2], ShapeError, r"must be \(B, T\), got shape \(2,\)"),
+        ([[[1, 2]]], ShapeError, r"must be \(B, T\), got shape \(1, 1, 2\)"),
+    ], ids=["float", "bool", "1d", "3d"])
+    def test_rejects_a_batch_not_2d_of_integers(self, tokens, error, message):
+        with pytest.raises(error, match=message):
+            small_model().forward_train(np.array(tokens))
+
     def test_missing_fusion_layer_is_contract_error(self):
         with pytest.raises(ContractError, match="fusion layer 2"):
             small_model().forward_train(np.array([[1, 2]]), fusion_in={})
@@ -565,7 +572,7 @@ class TestBlasShapedGradients:
         x = rng.normal(size=(self.B, self.T, 16))
         dy = rng.normal(size=(self.B, self.T, 24))
         ref = np.einsum("btd,bte->de", x, dy)
-        np.testing.assert_allclose(_weight_grad(x, dy), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_weight_grad(x, dy, False, None), ref, rtol=0, atol=1e-12)
 
     def test_attention_matches_einsum(self):
         rng = np.random.default_rng(23)

@@ -137,8 +137,8 @@ class TestLayerSynchronous:
         key = "l2.wv.B"
 
         def sgd(ens):
-            grads = {key: np.full((4, TINY.d_model), 0.5)}
-            sgd_step(ens.models[2], grads, 1.0, [key])  # in place, as training does
+            # in place, as training does
+            sgd_step(ens.models[2], np.full(4 * TINY.d_model, 0.5), 1.0, [key])
 
         def flat(ens):
             load_flat_params(ens.models[2], [key], flatten_params(ens.models[2], [key]) - 0.5)

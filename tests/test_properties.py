@@ -12,20 +12,24 @@ bit, and both are within 1e-9 of the teacher-forced chain_logits +
 fuse_logits at every emitted step, with the same argmax.
 
 backward: hypothesis draws one model of the same kinds, a (B, T) batch with
-or without fusion inputs, dlogits and an ordered set of keys. A keyed
-backward equals the full one, summed and per sample. Per sample it returns
-one C-contiguous float64 (B, P) array whose row b is flatten_grads(keys) of
-a B = 1 call on row b alone, and without keys every params array's in
-params order; repeated keys raise ValueError before backward reads an
-activation. A stack of C = 1 to 3 cotangents, (C, B, T, V), per sample:
-[c] of the full and of the keyed rows equals the call on dlogits[c] bit for
-bit; a stack without per_sample and dlogits of rank other than 3 or 4 raise
-ValueError before any work. A guard checks that the drawn passes reach
-factor keys, fusion inputs and every batch size.
+or without fusion inputs, dlogits and an ordered set of keys. backward
+returns one C-contiguous float64 array, (P,) summed and (B, P) per sample,
+over the keys' blocks (model.flat_blocks) or, without keys, every params
+array's in params order. Each keyed block equals the full call's block for
+that key, summed and per sample; row b of the per-sample result is the
+summed call on row b alone; repeated keys raise ValueError in both modes
+before backward reads an activation; and load_flat_params takes back what
+flatten_params gives, bit for bit, in the same layout. A stack of C = 1 to
+3 cotangents, (C, B, T, V), per sample: [c] of the full and of the keyed
+rows equals the call on dlogits[c] bit for bit; a stack without per_sample
+and dlogits of rank other than 3 or 4 raise ValueError before any work. A
+guard checks that the drawn passes reach factor keys, fusion inputs and
+every batch size.
 
 The embedding gradient: np.bincount over flat indices equals the np.add.at
-oracle on drawn tokens with repeats, summed and per sample, into out too
-(a column block of a wider array, as backward's per-sample rows).
+oracle on drawn tokens with repeats, summed and per sample, written into
+out, a fresh table or a column block of a wider array (as backward's
+per-sample rows).
 
 The live cut: a labelled batch cut to its live width (training._live) gives
 every labelled position the logits of the full-width pass, and
@@ -69,12 +73,14 @@ from chainboost.model import (
     TransformerModel,
     _embedding_grad,
     _ln_forward,
+    flat_blocks,
     stack_views,
     transformer_layer,
 )
 from chainboost.pipeline import decode_pipelined, decode_sequential
-from chainboost.training import _live, chain_logits, flatten_grads, stage_batch_pass
-from oracles import embedding_grad, layer_params_1d, sample_grads, stage_batch_pass_full
+from chainboost.training import (_live, chain_logits, flatten_params, load_flat_params,
+                                 stage_batch_pass)
+from oracles import embedding_grad, layer_params_1d, stage_batch_pass_full
 from test_kernels import assert_same_tree, same_bits
 
 LOGIT_TOL = 1e-9
@@ -189,27 +195,31 @@ def training_passes(draw):
 def test_backward_keys_and_out_agree(case):
     model, tokens, fusion_in, dz, keys = case
     B = len(tokens)
+    P, P_all = sum(model.params[k].size for k in keys), sum(v.size for v in model.params.values())
     _, acts = model.forward_train(tokens, fusion_in)
-    full = model.backward(dz, acts)
-    keyed = model.backward(dz, acts, keys=keys)
-    assert sorted(keyed) == sorted(keys)
-    assert all(np.array_equal(keyed[k], full[k]) for k in keys)
-    every = model.backward(dz, acts, per_sample=True)
-    rows = model.backward(dz, acts, per_sample=True, keys=keys)
-    full, keyed = sample_grads(model, every), sample_grads(model, rows, keys)
-    assert all(np.array_equal(keyed[k], full[k]) for k in keys)
-    for out, P in ((rows, sum(model.params[k].size for k in keys)),
-                   (every, sum(v.size for v in model.params.values()))):
-        assert out.shape == (B, P) and out.dtype == np.float64 and out.flags.c_contiguous
+    for lead in ((), (B,)):
+        per_sample = lead != ()
+        full = model.backward(dz, acts, per_sample=per_sample)
+        keyed = model.backward(dz, acts, per_sample=per_sample, keys=keys)
+        for out, width in ((keyed, P), (full, P_all)):
+            assert out.shape == lead + (width,) and out.dtype == np.float64 and out.flags.c_contiguous
+        full_blocks = flat_blocks(model.params, None, full)
+        assert all(np.array_equal(block, full_blocks[k])
+                   for k, block in flat_blocks(model.params, keys, keyed).items())
+        # no activations: a call that did any work before refusing would raise KeyError
+        with pytest.raises(ValueError):
+            model.backward(dz, {}, per_sample=per_sample, keys=keys + keys[:1])
     for b in range(B):
         f_in = None if fusion_in is None else {l: f[b : b + 1] for l, f in fusion_in.items()}
         _, acts_b = model.forward_train(tokens[b : b + 1], f_in)
-        assert np.array_equal(rows[b], flatten_grads(model.backward(dz[b : b + 1], acts_b, keys=keys), keys))
-        assert np.array_equal(every[b], flatten_grads(model.backward(dz[b : b + 1], acts_b),
-                                                      list(model.params)))
-    # no activations: a call that did any work before refusing would raise KeyError
-    with pytest.raises(ValueError):
-        model.backward(dz, {}, per_sample=True, keys=keys + keys[:1])
+        assert np.array_equal(keyed[b], model.backward(dz[b : b + 1], acts_b, keys=keys))
+        assert np.array_equal(full[b], model.backward(dz[b : b + 1], acts_b))
+    theta = flatten_params(model, keys)
+    assert all(np.array_equal(block, model.params[k])
+               for k, block in flat_blocks(model.params, keys, theta).items())
+    load_flat_params(model, keys, theta + 1.0)
+    load_flat_params(model, keys, theta)
+    assert np.array_equal(flatten_params(model, keys), theta)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -265,7 +275,9 @@ def test_embedding_grad_matches_add_at(B, T, vocab, d, seed, per_sample):
     dh = rng.normal(0.0, 1.0, (B, T, d))
     dh[rng.random((B, T)) < 0.2] = -0.0
     want = embedding_grad(tokens, dh, vocab, per_sample)
-    assert same_bits(_embedding_grad(tokens, dh, vocab, per_sample, None), want)
+    table = np.empty(((B,) if per_sample else ()) + (vocab, d))
+    assert _embedding_grad(tokens, dh, vocab, per_sample, table) is table
+    assert same_bits(table, want)
     if per_sample:  # into a column block of a wider (B, P) array, as backward's out
         out = np.full((B, 3 + vocab * d), np.nan)
         block = out[:, 3:].reshape(B, vocab, d)
@@ -318,9 +330,9 @@ def test_live_cut_equals_full_width(case):
                                                      fusion_in, keys)
     close(ce, want_ce)
     close(supp, want_supp)
-    assert list(grads) == list(want)
-    for k in want:
-        close(grads[k], want[k])
+    want = flat_blocks(model.params, keys, want)
+    for k, block in flat_blocks(model.params, keys, grads).items():
+        close(block, want[k])
 
 
 def close(got, want) -> None:

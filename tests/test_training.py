@@ -1,14 +1,15 @@
 """Tests for the composite objective, alignment estimates and chain trainer."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from chainboost.ensemble import Ensemble, EnsembleSpec
-from chainboost.model import ModelSpec, TransformerModel
-from chainboost.numkit import softmax
+from chainboost.model import ModelSpec, TransformerModel, flat_blocks
+from chainboost.numkit import ShapeError, softmax
 from chainboost.tasks import Dataset, TaskSpec, generate
 from chainboost import ensemble as ensemble_mod, model as model_mod, pipeline, training
 from chainboost.training import (
@@ -38,7 +39,6 @@ from oracles import (
     estimate_alignment_loop,
     finite_diff_grad,
     forward_teacher,
-    sample_grads,
     stage_batch_pass_full,
     suppression_loss,
 )
@@ -104,6 +104,40 @@ class TestTotalLoss:
     def test_alignment_check(self):
         with pytest.raises(ValueError):
             total_loss(np.zeros((3, 4)), [0, 1], [None, None, None], 0.9, 0.1)
+
+
+# an id >= V at a position the loss reads: its flat index r * V + id would
+# read the next position's probability, or run past the array's end. Per
+# case: total_loss's (gold, err) over (2, 8) logits, stage_batch_pass's over
+# a (1, 3) batch of SMALL (vocab 12), and the position each names
+OUT_OF_VOCAB = {
+    "gold_reads_next_position": (([9, 1], [None, None], "gold id 9 at position (0,)"),
+                                 ([[-1, 13, 1]], [[-1, -1, -1]], "gold id 13 at position (0, 1)")),
+    "gold_past_the_end": (([0, 17], [None, None], "gold id 17 at position (1,)"),
+                          ([[-1, 0, 21]], [[-1, -1, -1]], "gold id 21 at position (0, 2)")),
+    "active_error": (([0, 1], [None, 8], "error id 8 at position (1,)"),
+                     ([[-1, 0, 1]], [[-1, -1, 12]], "error id 12 at position (0, 2)")),
+}
+
+
+class TestOutOfVocabIds:
+    @pytest.mark.parametrize("case", list(OUT_OF_VOCAB))
+    def test_total_loss_refuses(self, case):
+        gold, err, message = OUT_OF_VOCAB[case][0]
+        with pytest.raises(ValueError, match=re.escape(message + " is out of range for vocab 8")):
+            total_loss(np.zeros((2, 8)), gold, err, 0.9, 0.1)
+
+    @pytest.mark.parametrize("case", list(OUT_OF_VOCAB))
+    def test_stage_batch_pass_refuses(self, case):
+        gold, err, message = OUT_OF_VOCAB[case][1]
+        with pytest.raises(ValueError, match=re.escape(message + " is out of range for vocab 12")):
+            training.stage_batch_pass(TransformerModel(SMALL), np.array([[1, 2, 3]]),
+                                      np.array(gold), np.array(err), 0.9, 0.1)
+
+    def test_holes_and_inactive_errors_are_not_read(self):
+        # a -1 gold hole with an out-of-vocab error id there: nothing is read
+        assert total_loss(np.zeros((2, 8)), [-1, 1], [99, None], 0.9, 0.1) == pytest.approx(
+            0.9 * np.log(8.0), rel=1e-15)
 
 
 class TestLossLogitGrad:
@@ -176,24 +210,24 @@ class TestSgdStep:
     def test_single_step(self):
         model = TransformerModel(SMALL)
         before = model.params["unemb"].copy()
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        sgd_step(model, grads, 0.5, ["unemb"])
+        sgd_step(model, np.ones(before.size), 0.5, ["unemb"])
         np.testing.assert_allclose(model.params["unemb"], before - 0.5, atol=1e-15)
 
     def test_untouched_keys_stay_bitwise(self):
         model = TransformerModel(SMALL)
         before = model.params["tok_emb"].copy()
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        sgd_step(model, grads, 0.5, ["unemb"])
+        sgd_step(model, np.ones(model.params["unemb"].size), 0.5, ["unemb"])
         assert np.array_equal(model.params["tok_emb"], before)
 
     def test_key_without_gradient_raises(self):
-        # backward returns only the keys it is asked for: a key it was not
-        # asked for must not go untrained without a word
+        # backward returns only the blocks of the keys it is asked for: a key
+        # it was not asked for must not go untrained without a word
         model = TransformerModel(SMALL)
-        grads = {"unemb": np.ones_like(model.params["unemb"])}
-        with pytest.raises(KeyError, match="tok_emb"):
+        before = flatten_params(model, ["unemb", "tok_emb"])
+        grads = np.ones(model.params["unemb"].size)
+        with pytest.raises(ValueError, match=f"does not hold the keys' {before.size} entries"):
             sgd_step(model, grads, 0.5, ["unemb", "tok_emb"])
+        assert np.array_equal(flatten_params(model, ["unemb", "tok_emb"]), before)
 
 
 class TestLoadFlatParams:
@@ -217,7 +251,8 @@ class TestLoadFlatParams:
         keys = trainable_keys(model, "full")
         theta = flatten_params(model, keys)
         bad = np.zeros(theta.size + extra)
-        with pytest.raises(ValueError, match=f"theta has {bad.size} entries, .* hold {theta.size}"):
+        message = rf"\({bad.size},\) does not hold the keys' {theta.size} entries"
+        with pytest.raises(ValueError, match=message):
             load_flat_params(model, keys, bad)
         assert np.array_equal(flatten_params(model, keys), theta)
 
@@ -254,6 +289,19 @@ class TestEstimateAlignment:
         err = np.full_like(gold, -1)
         with pytest.raises(EmptyEstimateError):
             estimate_alignment(model, tokens, gold, err, trainable_keys(model, "full"), 0.1)
+
+    @pytest.mark.parametrize("which", ["gold", "err"])
+    def test_labels_of_another_shape_are_refused(self, which):
+        # a gold one column short would drop the tokens' last column unseen
+        model = TransformerModel(SMALL)
+        tokens, gold, err = self._batch()
+        labels = {"gold": gold, "err": err}
+        labels[which] = labels[which][:, :-1]
+        with pytest.raises(ShapeError, match=r"must have the tokens' shape \(4, 6\)"):
+            training.stage_batch_pass(model, tokens, labels["gold"], labels["err"], 0.9, 0.1)
+        with pytest.raises(ShapeError, match=r"must have the tokens' shape \(4, 6\)"):
+            estimate_alignment(model, tokens, labels["gold"], labels["err"],
+                               trainable_keys(model, "full"), 0.1)
 
     def test_estimates_in_range(self):
         model = TransformerModel(SMALL)
@@ -329,9 +377,8 @@ class TestBatchedAlignment:
         model, tokens, gold, err, _, fusion_in = _alignment_case(name)
         logits, acts = model.forward_train(tokens, fusion_in)
         _, _, dz = batch_loss_and_grad(logits, gold, err, 0.9, 0.1)
-        batch = model.backward(dz, acts)
-        per_sample = sample_grads(model, model.backward(dz, acts, per_sample=True))
-        assert sorted(per_sample) == sorted(batch)
+        batch = flat_blocks(model.params, None, model.backward(dz, acts))
+        per_sample = flat_blocks(model.params, None, model.backward(dz, acts, per_sample=True))
         for key, g in batch.items():
             assert per_sample[key].shape == (len(tokens),) + g.shape
             assert np.abs(per_sample[key].sum(axis=0) - g).max() <= 1e-12 * np.abs(g).max(), key
@@ -595,9 +642,7 @@ class TestLiveWidth:
             assert supp > 0.0
         if name == "all_holes":
             assert ce == 0.0 and supp == 0.0
-        assert list(grads) == list(want)
-        for key, g in want.items():
-            assert np.array_equal(grads[key], g), key
+        assert grads.shape == want.shape and np.array_equal(grads, want)
 
     def test_close_where_attention_sums_regroup(self):
         # T = 8 cut to 7: numpy groups a 7-key attention row sum unlike an
@@ -608,7 +653,8 @@ class TestLiveWidth:
         want_ce, want_supp, want = stage_batch_pass_full(model, ds.tokens, ds.gold, err, 0.9, 0.1)
         ce, supp, grads = training.stage_batch_pass(model, ds.tokens, ds.gold, err, 0.9, 0.1)
         assert ce == pytest.approx(want_ce, rel=1e-13) and supp == pytest.approx(want_supp, rel=1e-13)
-        for key, g in want.items():
+        grads = flat_blocks(model.params, None, grads)
+        for key, g in flat_blocks(model.params, None, want).items():
             np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-12 * np.abs(g).max())
 
     def test_alignment_runs_live_width(self, monkeypatch):
@@ -767,8 +813,12 @@ class TestTrainChain:
         assert {tuple(k) for k in seen} == {
             tuple(trainable_keys(m, "full" if i == 0 else "adapters")) for i, m in enumerate(keyed)
         }
-        monkeypatch.setattr(training, "stage_batch_pass",
-                            lambda *args, keys=None, **kw: orig(*args, **kw))
+        def full_then_keys(model, *args, keys=None, **kw):
+            ce, supp, grads = orig(model, *args, **kw)
+            blocks = flat_blocks(model.params, None, grads)
+            return ce, supp, np.concatenate([blocks[k].ravel() for k in keys])
+
+        monkeypatch.setattr(training, "stage_batch_pass", full_then_keys)
         full_records, full = run()
         assert keyed_records == full_records
         for a, b in zip(keyed, full):
