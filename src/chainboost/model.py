@@ -20,8 +20,10 @@ last layer's keys and values (cache_kv).
 
 Ownership rule: TransformerModel.write is the one writer of the parameters
 and moves the model's version on; params, its arrays and the cached views
-are read-only, so a stray write raises instead of leaving a cache stale. A
-kernel writes only arrays it allocated. LayerNorm forward and backward, GELU
+are read-only, so a stray write raises instead of leaving a cache stale.
+Each causal_mask and each model's layout() are built once and shared
+read-only too: the mask refuses writes, the layout is tuples. A kernel
+writes only arrays it allocated. LayerNorm forward and backward, GELU
 and its gradient, softmax_rows, attention and its backward, and the residual
 and bias adds of transformer_layer and backward allocate an array only for a
 value they keep or return and run every other elementwise step in place on
@@ -33,6 +35,7 @@ the out-of-place expressions that tests/oracles.py keeps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -49,6 +52,8 @@ LN_EPS = 1e-5
 # steps of room in a layer's first KvCache buffer, as in PagedAttention's
 # 16-token blocks: a short request never grows its buffers
 KV_FIRST_ROOM = 16
+# key tuples whose layout() a model keeps; the oldest goes first
+LAYOUTS_KEPT = 8
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -172,6 +177,7 @@ class TransformerModel:
         self.version = 0
         self._store: dict[str, np.ndarray] = {}  # the writable arrays; only write() writes them
         self._views: Optional[list] = None  # param_views() of this version, built on first use
+        self._layouts: dict = {}  # layout() by key tuple, built on first use
         self._init_params()
 
     def __getstate__(self) -> dict:
@@ -179,12 +185,14 @@ class TransformerModel:
         return {"spec": self.spec, "store": self._store, "version": self.version}
 
     def __setstate__(self, state: dict) -> None:
-        """A model over its own copies of state's arrays, with no views built
-        yet, so that a write through a copy (copy.copy included, which hands
-        over the original's store) never reaches the original."""
+        """A model over its own copies of state's arrays, with no views or
+        layouts built yet, so that a write through a copy (copy.copy
+        included, which hands over the original's store) never reaches the
+        original."""
         self.spec, self.version = state["spec"], state["version"]
         self._store = {key: np.array(arr) for key, arr in state["store"].items()}
         self._views = None
+        self._layouts = {}
         self._params = MappingProxyType({key: _read_only(arr) for key, arr in self._store.items()})
 
     @property
@@ -307,15 +315,22 @@ class TransformerModel:
     ) -> tuple[np.ndarray, dict]:
         """forward_pass over this model's param_views(), once the batch
         (check_tokens) and every fusion layer's input (when fusion_in is
-        given) are checked. keep_acts is forward_pass's: only forward_train
-        sets it; every other caller reads just acts["states"]."""
+        given) are checked: a missing input, or one that does not broadcast
+        to the (B, T, d_model) states, raises ContractError naming the
+        layer. keep_acts is forward_pass's: only forward_train sets it;
+        every other caller reads just acts["states"]."""
         s = self.spec
         tokens = np.asarray(tokens)
         check_tokens(s, tokens, 0 if cache is None else cache.step_count)
         if fusion_in is not None:
+            full = tokens.shape + (s.d_model,)
             for l in s.fusion_layers():
                 if l not in fusion_in:
                     raise ContractError(f"fusion input missing for fusion layer {l}")
+                shape = np.shape(fusion_in[l])
+                if shape != full and not _broadcasts_to(shape, full):
+                    raise ContractError(f"fusion input of shape {shape} for fusion layer {l} "
+                                        f"does not broadcast to the states' {full}")
         return forward_pass(s, self.param_views(), tokens, fusion_in, cache, keep_acts)
 
     def forward_step(
@@ -348,7 +363,7 @@ class TransformerModel:
                  keys: Optional[Sequence[str]] = None) -> np.ndarray:
         """Gradients of a scalar loss w.r.t. the params arrays named in keys,
         or w.r.t. every array in params when keys is None, as one
-        C-contiguous float64 array laid out by flat_blocks(params, keys, ·):
+        C-contiguous float64 array laid out by layout(keys):
         (P,) summed over the batch, or per sample (*lead, P), lead being
         dlogits' (B,). Each gradient goes straight into its column block.
 
@@ -382,14 +397,11 @@ class TransformerModel:
         nh, dh = s.n_heads, s.d_model // s.n_heads
         scale = 1.0 / np.sqrt(dh)
         rows = -2 if per_sample else (0, 1)  # the axes a bias gradient sums
-        want = self.params.keys() if keys is None else set(keys)
-        unknown = sorted(want - self.params.keys())
-        if unknown:
-            raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
+        slots, width, want = self.layout(keys)
         # one block, not an array per key: the heap those small arrays took was
         # trimmed when they were freed and faulted in again on every call
-        out = np.empty((lead if per_sample else ()) + (sum(self.params[k].size for k in want),))
-        blocks = flat_blocks(self.params, keys, out)
+        out = np.empty((lead if per_sample else ()) + (width,))
+        blocks = _blocks(slots, out)
         below = "tok_emb" in want or "pos_emb" in want  # run the pass below layer 1
 
         def put(key, grad):
@@ -457,6 +469,44 @@ class TransformerModel:
             dpos[..., :T, :] = dh_ if per_sample else dh_.sum(axis=0)
         return out
 
+    def layout(self, keys: Optional[Sequence[str]] = None) -> tuple[tuple, int, frozenset]:
+        """The one key-to-column-block map of a flat (*lead, P) array whose
+        last axis holds the keys' arrays one after another, in the order of
+        keys (of params when keys is None): (slots, P, the keys as a set),
+        each slot (key, start, stop, shape). backward lays out its gradients
+        by it, and flat_blocks cuts an array by it for sgd_step and
+        load_flat_params. Built and checked the first time a key tuple is
+        met (of the last LAYOUTS_KEPT tuples), then shared and only read;
+        it cannot go stale, because write refuses a value of another shape.
+        A key not in params raises KeyError, a repeated key ValueError."""
+        tag = None if keys is None else tuple(keys)
+        found = self._layouts.get(tag)
+        if found is None:
+            names = tuple(self.params) if tag is None else tag
+            unknown = sorted(set(names) - self.params.keys())
+            if unknown:
+                raise KeyError(f"no parameter {unknown[0]!r} to take a gradient of")
+            if len(set(names)) != len(names):
+                raise ValueError("a flat parameter layout needs keys without repeats")
+            slots, start = [], 0
+            for key in names:
+                arr = self.params[key]
+                slots.append((key, start, start + arr.size, arr.shape))
+                start += arr.size
+            if len(self._layouts) == LAYOUTS_KEPT:
+                del self._layouts[next(iter(self._layouts))]
+            found = self._layouts[tag] = (tuple(slots), start, frozenset(names))
+        return found
+
+    def flat_blocks(self, keys: Optional[Sequence[str]], flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each key's (*lead, *shape) view of its block of flat, a (*lead, P)
+        array in layout(keys). A P that is not the keys' sizes together
+        raises ValueError, and so do layout's faults."""
+        slots, width, _ = self.layout(keys)
+        if flat.shape[-1:] != (width,):
+            raise ValueError(f"flat array of shape {flat.shape} does not hold the keys' {width} entries per row")
+        return _blocks(slots, flat)
+
     # -- persistence -------------------------------------------------------
 
     def save(self, path) -> None:
@@ -514,6 +564,11 @@ class TransformerModel:
         return model
 
 
+def _broadcasts_to(shape: tuple, full: tuple) -> bool:
+    """Whether an array of shape broadcasts against one of full to full."""
+    return len(shape) <= len(full) and all(n in (1, m) for n, m in zip(shape[::-1], full[::-1]))
+
+
 def _factor_bases(params) -> list[str]:
     """A checkpoint header's adapters: the sorted keys of factored weights, like l1.wq."""
     return sorted(k[:-2] for k in params if k.endswith(".A"))
@@ -547,27 +602,10 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, per_sample: bool,
     return np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), out=out)
 
 
-def flat_blocks(params: Mapping[str, np.ndarray], keys: Optional[Sequence[str]],
-                flat: np.ndarray) -> dict[str, np.ndarray]:
-    """The one key-to-column-block map: each key's (*lead, *shape) view of
-    its block of flat, a (*lead, P) array whose last axis holds the keys'
-    arrays one after another, in the order of keys (of params when keys is
-    None). backward writes its gradients into these views, and sgd_step and
-    load_flat_params hand them to TransformerModel.write. A repeated key,
-    or a P that is not the keys' sizes together, raises ValueError; a key
-    not in params, KeyError."""
-    keys = list(params) if keys is None else list(keys)
-    if len(set(keys)) != len(keys):
-        raise ValueError("a flat parameter layout needs keys without repeats")
-    arrays = [params[key] for key in keys]
-    need = sum(arr.size for arr in arrays)
-    if flat.shape[-1:] != (need,):
-        raise ValueError(f"flat array of shape {flat.shape} does not hold the keys' {need} entries per row")
-    blocks, off, lead = {}, 0, flat.shape[:-1]
-    for key, arr in zip(keys, arrays):
-        blocks[key] = flat[..., off : off + arr.size].reshape(lead + arr.shape)
-        off += arr.size
-    return blocks
+def _blocks(slots: tuple, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each slot's (*lead, *shape) view of its columns of flat (*lead, P)."""
+    lead = flat.shape[:-1]
+    return {key: flat[..., start:stop].reshape(lead + shape) for key, start, stop, shape in slots}
 
 
 def _embedding_grad(tokens: np.ndarray, dh: np.ndarray, vocab: int, per_sample: bool,
@@ -654,7 +692,7 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     T = tokens.shape[1]
     t0 = 0 if cache is None else cache.step_count
     # a one-token step attends to every cached step: its mask is all zeros
-    mask = None if T == 1 else np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
+    mask = None if T == 1 else causal_mask(T, t0)
     emb = views[0]
     # positions at the batch's rank: a one-row step adds two (1, 1, d) arrays
     h = emb["tok_emb"][tokens] + emb["pos_emb"][None, t0 : t0 + T]
@@ -672,6 +710,17 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
             acts["layers"].append(a)
         del a  # else this layer's activations would live through the next layer
     return h @ emb["unemb"], acts
+
+
+@functools.lru_cache(maxsize=32)
+def causal_mask(T: int, t0: int) -> np.ndarray:
+    """The additive (T, t0 + T) mask of T steps after t0 cached ones: 0
+    where step t0 + i may see step j (j <= t0 + i), -1e30 elsewhere. Built
+    once per (T, t0), of the last 32 met, and shared read-only: attention
+    only adds it to the scores."""
+    mask = np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: int,

@@ -62,7 +62,9 @@ def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
     """Raise ValueError unless max_tokens is an integer >= 1, the prompt is
     nonempty, its ids are integers (Python or numpy, not bool; the greedy
     loop would read 1.9 as 1), and model.check_tokens passes it as a batch
-    max_tokens steps on: ids in [0, vocab), prompt + max_tokens <= max_steps."""
+    max_tokens steps on: ids in [0, vocab), prompt + max_tokens <= max_steps.
+    An id beyond int64, out of range of any vocab, is named with its
+    prompt position."""
     if not _is_int(max_tokens):
         raise ValueError(f"max_tokens must be an integer, got {max_tokens!r}")
     if max_tokens < 1:  # the greedy loop emits a token before it checks the limit
@@ -72,10 +74,16 @@ def check_prompt(ensemble: Ensemble, prompt, max_tokens: int) -> None:
     for i, token in enumerate(prompt):
         if not _is_int(token):
             raise ValueError(f"prompt token {i} must be an integer id, got {token!r}")
+    spec, ids = ensemble.spec.models[0], [int(token) for token in prompt]
+    where = f"prompt of {len(prompt)} ids with max_tokens {max_tokens}"
     try:
-        check_tokens(ensemble.spec.models[0], np.array([list(map(int, prompt))]), max_tokens)
+        check_tokens(spec, np.array([ids], dtype=np.int64), max_tokens)
+    except OverflowError:
+        i = next(i for i, token in enumerate(ids) if not -(2**63) <= token < 2**63)
+        raise ValueError(f"{where}: token id {ids[i]} at prompt position {i} "
+                         f"out of range for vocab {spec.vocab}") from None
     except IndexError as exc:
-        raise ValueError(f"prompt of {len(prompt)} ids with max_tokens {max_tokens}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _greedy(ensemble: Ensemble, prompt, max_tokens: int, step):

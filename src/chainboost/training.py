@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ensemble import Ensemble, fuse_logits
-from .model import TransformerModel, flat_blocks, is_factor
+from .model import TransformerModel, is_factor
 from .numkit import ShapeError, softmax_rows
 from .tasks import Dataset
 
@@ -218,7 +218,7 @@ def sgd_step(model: TransformerModel, grads: np.ndarray, lr: float, keys: Sequen
     """params -= lr * grads in place through model.write, grads being the
     (P,) gradient backward(keys=keys) returns; one of another size raises
     ValueError before anything is written, so no key goes untrained."""
-    model.write(flat_blocks(model.params, keys, grads).items(), lr)
+    model.write(model.flat_blocks(keys, grads).items(), lr)
 
 
 def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
@@ -228,7 +228,7 @@ def flatten_params(model: TransformerModel, keys: Sequence[str]) -> np.ndarray:
 def load_flat_params(model: TransformerModel, keys: Sequence[str], theta: np.ndarray) -> None:
     """Inverse of flatten_params, through model.write; a theta of another
     size than the keys' arrays together raises ValueError, writing nothing."""
-    model.write(flat_blocks(model.params, keys, theta).items())
+    model.write(model.flat_blocks(keys, theta).items())
 
 
 # -- forward/backward wrappers --------------------------------------------
@@ -337,7 +337,7 @@ def estimate_alignment(
 def _alignment_rows(model, tokens, gold, err, keys, beta, fusion_in):
     """The (B, P) flat gradients over keys of each row's CE and of its
     suppression term (the alpha = 0 objective), row b sample b's gradient
-    in the layout of flat_blocks, from one forward and one per-sample
+    in model.layout(keys), from one forward and one per-sample
     backward: the two objectives' dlogits, stacked as (2, B, n, V), go down
     one layer walk that takes the gradients of keys alone into the one (2,
     B, P) array it returns, bit for bit what a backward per objective

@@ -18,7 +18,7 @@ import pytest
 
 import oracles
 from chainboost import model as M
-from chainboost.model import ModelSpec, TransformerModel, flat_blocks
+from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import softmax_rows
 from chainboost.training import _objective, batch_loss_and_grad
 
@@ -232,7 +232,7 @@ def model_case(rank, B):
 def test_backward_matches_oracle(rank, B, per_sample):
     model, tokens, fusion_in, dlogits = model_case(rank, B)
     _, acts = model.forward_train(tokens, fusion_in)
-    got = flat_blocks(model.params, None, model.backward(dlogits, acts, per_sample=per_sample))
+    got = model.flat_blocks(None, model.backward(dlogits, acts, per_sample=per_sample))
     assert_same_tree(got, oracles.backward(model, dlogits, acts, per_sample))
 
 
@@ -243,7 +243,7 @@ def test_one_token_backward_matches_oracle(rank, per_sample):
     and backward from what it saved is the oracle's."""
     model, tokens, fusion_in, dlogits = model_case(rank, 1)
     _, acts = model.forward_train(tokens[:, :1], {l: f[:, :1] for l, f in fusion_in.items()})
-    got = flat_blocks(model.params, None, model.backward(dlogits[:, :1], acts, per_sample=per_sample))
+    got = model.flat_blocks(None, model.backward(dlogits[:, :1], acts, per_sample=per_sample))
     assert_same_tree(got, oracles.backward(model, dlogits[:, :1], acts, per_sample))
 
 

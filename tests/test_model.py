@@ -3,11 +3,13 @@
 import copy
 import dataclasses
 import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chainboost import model as model_mod
 from chainboost.model import (
     ContractError,
     KV_FIRST_ROOM,
@@ -20,13 +22,13 @@ from chainboost.model import (
     _ln_backward,
     _ln_forward,
     _weight_grad,
-    flat_blocks,
     gelu,
     gelu_grad,
     gelu_tanh,
     is_factor,
 )
 from chainboost.numkit import ShapeError, layer_norm
+from chainboost.training import flatten_params, load_flat_params, sgd_step, trainable_keys
 from oracles import forward_teacher
 
 SMALL = ModelSpec(
@@ -314,7 +316,7 @@ class TestBackward:
         dz = p.copy()
         np.put_along_axis(dz, gold[..., None], np.take_along_axis(dz, gold[..., None], -1) - 1.0, -1)
         target = m.params[name]
-        g = flat_blocks(m.params, None, m.backward(dz, acts))[name]
+        g = m.flat_blocks(None, m.backward(dz, acts))[name]
         if target.ndim == 1:
             idx = [(0,), (target.shape[0] - 1,)]
         else:
@@ -388,8 +390,8 @@ class TestKeyedBackward:
     def test_equals_full_backward(self, rank, fusion_period, fused, keyset, per_sample):
         m, dz, acts = keyed_case(rank, fusion_period, fused)
         keys = KEY_SETS[keyset](m)
-        full = flat_blocks(m.params, None, m.backward(dz, acts, per_sample=per_sample))
-        got = flat_blocks(m.params, keys, m.backward(dz, acts, per_sample=per_sample, keys=keys))
+        full = m.flat_blocks(None, m.backward(dz, acts, per_sample=per_sample))
+        got = m.flat_blocks(keys, m.backward(dz, acts, per_sample=per_sample, keys=keys))
         for k in keys:
             assert np.array_equal(got[k], full[k]), k
 
@@ -405,8 +407,6 @@ class TestKeyedBackward:
     ])
     def test_skipped_work_is_not_done(self, keyset, weight_grads, ln_backwards, monkeypatch):
         # fusion_period 1: every layer, layer 1 too, runs a fusion-norm backward
-        import chainboost.model as model_mod
-
         m, dz, acts = keyed_case(3, 1, True)
         calls = {"_weight_grad": 0, "_ln_backward": 0}
         for name in calls:
@@ -539,6 +539,105 @@ class TestForwardTrain:
     def test_missing_fusion_layer_is_contract_error(self):
         with pytest.raises(ContractError, match="fusion layer 2"):
             small_model().forward_train(np.array([[1, 2]]), fusion_in={})
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 3, 16), (2, 3, 16, 1), (1, 2, 3, 16), (4, 16)])
+    def test_fusion_input_that_does_not_broadcast_is_contract_error(self, shape):
+        # not numpy's "operands could not be broadcast together" from inside the walk
+        message = rf"fusion input of shape \({', '.join(map(str, shape))},?\) for fusion layer 2"
+        with pytest.raises(ContractError, match=message):
+            small_model().forward_train(np.ones((2, 3), dtype=int), fusion_in={2: np.zeros(shape)})
+
+    @pytest.mark.parametrize("shape", [(2, 3, 16), (1, 1, 16), (2, 1, 16), (3, 16), (16,), (1,), ()])
+    def test_fusion_input_that_broadcasts_is_accepted(self, shape):
+        m, tokens = small_model(), np.ones((2, 3), dtype=int)
+        got, _ = m.forward_train(tokens, {2: np.full(shape, 0.5)})
+        want, _ = m.forward_train(tokens, {2: np.full((2, 3, 16), 0.5)})
+        assert np.array_equal(got, want)
+
+
+class TestLayoutsAndMasks:
+    """layout() is built once per model and key tuple and starts empty on
+    every new model, copy, unpickled model and loaded checkpoint; the
+    causal mask is built once per (T, t0) and refuses writes."""
+
+    def test_layout_is_built_once_per_key_tuple(self):
+        m = small_model(rank=2)
+        keys = ["unemb", "l1.wq.A", "tok_emb"]
+        first = m.layout(keys)
+        assert m.layout(tuple(keys)) is first and m.layout(list(keys)) is first
+        assert m.layout(None) is m.layout() and m.layout() is not first
+        slots, width, want = first
+        assert [s[0] for s in slots] == keys and want == set(keys)
+        assert width == sum(m.params[k].size for k in keys) == slots[-1][2]
+        m.write([("unemb", m.params["unemb"] + 1.0)])  # a write keeps shapes, so the layout stands
+        assert m.layout(keys) is first
+        assert [(s[0], s[3]) for s in m.layout()[0]] == [(k, v.shape) for k, v in m.params.items()]
+
+    def test_backward_sgd_step_and_load_share_one_build(self, monkeypatch):
+        # a spy on the build: each build makes the layout's key set once
+        m = small_model(rank=2)
+        keys = trainable_keys(m, "adapters")
+        builds = []
+        monkeypatch.setattr(model_mod, "frozenset",
+                            lambda names: builds.append(names) or frozenset(names), raising=False)
+        _, acts = m.forward_train(np.ones((2, 3), dtype=int))
+        for _ in range(3):
+            grads = m.backward(np.ones((2, 3, SMALL.vocab)), acts, keys=keys)
+            sgd_step(m, grads, 0.1, keys)
+            load_flat_params(m, keys, flatten_params(m, keys))
+            blocks = m.flat_blocks(keys, grads)
+        assert builds == [tuple(keys)]
+        assert all(np.shares_memory(block, grads) for block in blocks.values())
+
+    def test_layouts_are_bounded(self):
+        m = small_model()
+        keys = list(m.params)
+        for n in range(1, model_mod.LAYOUTS_KEPT + 3):
+            m.layout(keys[:n])
+        assert len(m._layouts) == model_mod.LAYOUTS_KEPT
+        assert tuple(keys[:1]) not in m._layouts and tuple(keys[: model_mod.LAYOUTS_KEPT + 2]) in m._layouts
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "load"])
+    def test_a_copy_starts_with_no_layouts(self, how, tmp_path):
+        m = small_model(rank=2)
+        m.layout()
+        m.layout(["unemb"])
+        if how == "load":
+            m.save(tmp_path / "m.npz")
+            other = TransformerModel.load(tmp_path / "m.npz")
+        else:
+            other = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                     "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](m)
+        assert other._layouts == {} and len(m._layouts) == 2
+        assert other.layout() is not m.layout() and other.layout() == m.layout()
+
+    def test_models_built_and_freed_in_turn_never_share_a_layout(self):
+        # ids are reused once a model is freed, so a cache keyed on id(params)
+        # would hand a new model a dead one's layout: a layout lives and dies
+        # with its model, and once the model is gone only this test holds it
+        specs = [SMALL, dataclasses.replace(SMALL, d_model=8, d_ff=8, vocab=6, adapter_rank=1)]
+        for i in range(40):
+            spec = specs[i % 2]
+            m = TransformerModel(spec)
+            layout = m.layout()
+            slots, width, _ = layout
+            assert width == sum(v.size for v in m.params.values())
+            assert [(s[0], s[3]) for s in slots] == [(k, v.shape) for k, v in m.params.items()]
+            grads = m.backward(np.zeros((1, 2, spec.vocab)), m.forward_train(np.ones((1, 2), dtype=int))[1])
+            assert grads.shape == (width,)
+            del m, slots
+            alone = tuple(list(layout))
+            assert sys.getrefcount(layout) == sys.getrefcount(alone)
+
+    @pytest.mark.parametrize("T,t0", [(2, 0), (5, 0), (3, 4)])
+    def test_causal_mask_is_shared_and_read_only(self, T, t0):
+        mask = model_mod.causal_mask(T, t0)
+        assert model_mod.causal_mask(T, t0) is mask
+        assert np.array_equal(mask, np.triu(np.full((T, t0 + T), -1e30), k=t0 + 1))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, -1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            mask += 1.0
 
 
 def _gelu_pow_reference(x):

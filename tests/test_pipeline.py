@@ -10,7 +10,7 @@ import pytest
 from chainboost import ensemble, model, pipeline, training
 from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
 from chainboost.model import ModelSpec, TransformerModel
-from chainboost.pipeline import decode_pipelined, decode_sequential
+from chainboost.pipeline import check_prompt, decode_pipelined, decode_sequential
 from chainboost.tasks import TaskSpec, generate
 from chainboost.training import TrainConfig, flatten_params, load_flat_params, sgd_step
 from oracles import step_fold
@@ -409,6 +409,19 @@ class TestPromptValidation:
         ens = make_chain(0)
         with pytest.raises((ValueError, IndexError)):
             decode_sequential(ens, [99], max_tokens=3)
+
+    @pytest.mark.parametrize("prompt, position", [
+        ([2**70], 0), ([-(2**70)], 0), ([1, 2**63], 1), ([1, 2, np.uint64(2**64 - 1)], 2),
+    ])
+    def test_ids_beyond_int64_are_out_of_range(self, prompt, position):
+        # not an object array's "integer dtype" complaint: the id, where it is
+        ens = make_chain(1)
+        message = rf"token id {int(prompt[position])} at prompt position {position} out of range for vocab {TINY.vocab}"
+        with pytest.raises(ValueError, match=message):
+            check_prompt(ens, prompt, 3)
+        for decode in (decode_sequential, decode_pipelined):
+            with pytest.raises(ValueError, match=message):
+                decode(ens, prompt, 3)
 
     @pytest.mark.parametrize("prompt, position", [
         ([1.9, 2], 0), ([1, 2.0], 1), ([1, True], 1), ([False], 0), ([1, 2, "3"], 2),

@@ -52,6 +52,11 @@ gains and biases are (1, 1, n), equals the same call over (n,) ones
 batched pass, and each row of the stacked k-row call over the chain's
 stacked weights equals its model's one-row call over the (n,) ones.
 
+The row max: softmax_rows on drawn batches on both sides of its fold rule
+(numkit._folded_max for many short rows), with causal -1e30 masks, whole
+rows of -inf, NaN and zeros of either sign, gives the bits of the reduce
+(oracles.softmax_rows) and only reads its input.
+
 Runs are derandomized, so every run draws the same examples.
 """
 
@@ -65,6 +70,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainboost import numkit
 from chainboost.ensemble import Ensemble, EnsembleSpec, fuse_logits
 from chainboost.model import (
     KV_FIRST_ROOM,
@@ -73,14 +79,15 @@ from chainboost.model import (
     TransformerModel,
     _embedding_grad,
     _ln_forward,
-    flat_blocks,
     stack_views,
     transformer_layer,
 )
+from chainboost.numkit import softmax_rows
 from chainboost.pipeline import decode_pipelined, decode_sequential
 from chainboost.training import (_live, chain_logits, flatten_params, load_flat_params,
                                  stage_batch_pass)
 from oracles import embedding_grad, layer_params_1d, stage_batch_pass_full
+from oracles import softmax_rows as oracle_softmax_rows
 from test_kernels import assert_same_tree, same_bits
 
 LOGIT_TOL = 1e-9
@@ -203,9 +210,9 @@ def test_backward_keys_and_out_agree(case):
         keyed = model.backward(dz, acts, per_sample=per_sample, keys=keys)
         for out, width in ((keyed, P), (full, P_all)):
             assert out.shape == lead + (width,) and out.dtype == np.float64 and out.flags.c_contiguous
-        full_blocks = flat_blocks(model.params, None, full)
+        full_blocks = model.flat_blocks(None, full)
         assert all(np.array_equal(block, full_blocks[k])
-                   for k, block in flat_blocks(model.params, keys, keyed).items())
+                   for k, block in model.flat_blocks(keys, keyed).items())
         # no activations: a call that did any work before refusing would raise KeyError
         with pytest.raises(ValueError):
             model.backward(dz, {}, per_sample=per_sample, keys=keys + keys[:1])
@@ -216,7 +223,7 @@ def test_backward_keys_and_out_agree(case):
         assert np.array_equal(full[b], model.backward(dz[b : b + 1], acts_b))
     theta = flatten_params(model, keys)
     assert all(np.array_equal(block, model.params[k])
-               for k, block in flat_blocks(model.params, keys, theta).items())
+               for k, block in model.flat_blocks(keys, theta).items())
     load_flat_params(model, keys, theta + 1.0)
     load_flat_params(model, keys, theta)
     assert np.array_equal(flatten_params(model, keys), theta)
@@ -330,8 +337,8 @@ def test_live_cut_equals_full_width(case):
                                                      fusion_in, keys)
     close(ce, want_ce)
     close(supp, want_supp)
-    want = flat_blocks(model.params, keys, want)
-    for k, block in flat_blocks(model.params, keys, grads).items():
+    want = model.flat_blocks(keys, want)
+    for k, block in model.flat_blocks(keys, grads).items():
         close(block, want[k])
 
 
@@ -472,3 +479,64 @@ def test_layer_vectors_at_any_rank_agree(case):
     m = models[0]
     assert_same_tree(rows(transformer_layer(m.param_views()[l], hb, None, l, nh, mask)),
                      rows(transformer_layer(layer_params_1d(m, l), hb, None, l, nh, mask)))
+
+
+@st.composite
+def softmax_batches(draw) -> np.ndarray:
+    """A (rows, cols) or (2 or 3, rows / that, cols) array on either side of
+    softmax_rows' fold rule: 1 to 20 columns and within 48 rows of 24 per
+    column. Normal entries, at two scales, with causal -1e30 masks, whole
+    rows of -inf or of zeros of either sign, and NaN, inf and zeros of
+    either sign scattered."""
+    cols = draw(st.integers(1, 20))
+    rows = draw(st.integers(max(1, 24 * cols - 48), 24 * cols + 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    z = rng.normal(0.0, draw(st.sampled_from([1.0, 1e3])), (rows, cols))
+    if draw(st.booleans()):
+        z += np.triu(np.full((cols, cols), -1e30), k=1)[rng.integers(cols, size=rows)]
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for _ in range(draw(st.integers(0, 6))):
+        z[rng.integers(rows), rng.integers(cols)] = specials[rng.integers(len(specials))]
+    if draw(st.booleans()):
+        z[rng.integers(rows)] = -np.inf
+    if draw(st.booleans()):
+        z[rng.integers(rows)] = rng.choice([0.0, -0.0], size=cols)
+    split = draw(st.sampled_from([1, 2, 3]))
+    return z.reshape(split, rows // split, cols) if rows % split == 0 else z
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(softmax_batches())
+def test_folded_row_max_gives_the_reduce_bits(z):
+    before = z.copy()
+    with np.errstate(invalid="ignore"):
+        assert same_bits(softmax_rows(z), oracle_softmax_rows(z))
+    assert same_bits(z, before)
+
+
+def test_softmax_draws_cover_both_paths(monkeypatch):
+    """The drawn batches reach both the fold and the reduce, and folds that
+    meet a NaN or a zero max: a guard against a strategy that stops drawing
+    a case."""
+    seen, folded = set(), []
+
+    def spy(z):
+        folded.append(z)
+        return real(z)
+
+    real = numkit._folded_max
+    monkeypatch.setattr(numkit, "_folded_max", spy)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(softmax_batches())
+    def record(z):
+        folded.clear()
+        with np.errstate(invalid="ignore"):
+            softmax_rows(z)
+        seen.add(("folds", bool(folded)))
+        seen.add(("folds a NaN row", bool(folded) and bool(np.isnan(z).any())))
+        seen.add(("folds a zero max", bool(folded) and bool((z.max(axis=-1) == 0.0).any())))
+
+    record()
+    assert seen >= {("folds", True), ("folds", False), ("folds a NaN row", True),
+                    ("folds a zero max", True)}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chainboost.ensemble import Ensemble, EnsembleSpec
-from chainboost.model import ModelSpec, TransformerModel, flat_blocks
+from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import ShapeError, softmax
 from chainboost.tasks import Dataset, TaskSpec, generate
 from chainboost import ensemble as ensemble_mod, model as model_mod, pipeline, training
@@ -377,8 +377,8 @@ class TestBatchedAlignment:
         model, tokens, gold, err, _, fusion_in = _alignment_case(name)
         logits, acts = model.forward_train(tokens, fusion_in)
         _, _, dz = batch_loss_and_grad(logits, gold, err, 0.9, 0.1)
-        batch = flat_blocks(model.params, None, model.backward(dz, acts))
-        per_sample = flat_blocks(model.params, None, model.backward(dz, acts, per_sample=True))
+        batch = model.flat_blocks(None, model.backward(dz, acts))
+        per_sample = model.flat_blocks(None, model.backward(dz, acts, per_sample=True))
         for key, g in batch.items():
             assert per_sample[key].shape == (len(tokens),) + g.shape
             assert np.abs(per_sample[key].sum(axis=0) - g).max() <= 1e-12 * np.abs(g).max(), key
@@ -653,8 +653,8 @@ class TestLiveWidth:
         want_ce, want_supp, want = stage_batch_pass_full(model, ds.tokens, ds.gold, err, 0.9, 0.1)
         ce, supp, grads = training.stage_batch_pass(model, ds.tokens, ds.gold, err, 0.9, 0.1)
         assert ce == pytest.approx(want_ce, rel=1e-13) and supp == pytest.approx(want_supp, rel=1e-13)
-        grads = flat_blocks(model.params, None, grads)
-        for key, g in flat_blocks(model.params, None, want).items():
+        grads = model.flat_blocks(None, grads)
+        for key, g in model.flat_blocks(None, want).items():
             np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-12 * np.abs(g).max())
 
     def test_alignment_runs_live_width(self, monkeypatch):
@@ -815,7 +815,7 @@ class TestTrainChain:
         }
         def full_then_keys(model, *args, keys=None, **kw):
             ce, supp, grads = orig(model, *args, **kw)
-            blocks = flat_blocks(model.params, None, grads)
+            blocks = model.flat_blocks(None, grads)
             return ce, supp, np.concatenate([blocks[k].ravel() for k in keys])
 
         monkeypatch.setattr(training, "stage_batch_pass", full_then_keys)
