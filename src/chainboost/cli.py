@@ -4,7 +4,7 @@ Subcommands: gen (synthetic datasets), train (chain training per seed),
 infer (sequential or pipelined decoding), bench (latency comparison),
 verify (theory/scheduler probe suites), sched (speedup tables).
 
-Exit codes: 0 success, 1 assertion or training failure, 2 usage error.
+Exit codes: 0 for success; a failure exits by the rule CliError states.
 """
 
 from __future__ import annotations
@@ -30,6 +30,18 @@ from .pipeline import TimingReport, check_prompt, decode_pipelined, decode_seque
 from .training import TrainConfig, chain_eval, loss_logit_grad, total_loss, train_chain
 
 DEFAULT_SEEDS = [1, 2, 3]
+
+
+class CliError(Exception):
+    """A command's failure, which main prints as the one stderr line and
+    exits with code: 2 for a usage error (a bad flag, config, prompt or
+    output path), 1 for a failure while running (a manifest that does not
+    load, a training run or seed directory write that fails; verify also
+    returns 1 when a suite fails)."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_config(path):
@@ -88,15 +100,13 @@ def cmd_gen(args) -> int:
             modulus=args.modulus,
         )
     except ValueError as exc:
-        print(f"bad task: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"bad task: {exc}") from None
     ds = tasks.generate(spec)
     out = args.out or f"{args.kind}.jsonl"
     try:
         tasks.save_dataset(out, ds)
     except OSError as exc:  # a missing directory, a directory as the file, no permission
-        print(f"cannot write {out}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise CliError(f"cannot write {out}: {exc.strerror}") from None
     print(f"wrote {ds.tokens.shape[0]} samples to {out}")
     return 0
 
@@ -175,14 +185,12 @@ def cmd_train(args) -> int:
             if not (ds_full.split(holdout, seed=sd)[1].gold >= 0).any():
                 raise ValueError(f"the holdout set of seed {sd} has no labelled position to score")
     except (OSError, TypeError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"bad config: {exc}") from None
     out_dir = Path(args.out or cfg.get("out", "runs"))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file as the directory, or a path under a file
-        print(f"cannot write {out_dir}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise CliError(f"cannot write {out_dir}: {exc.strerror}") from None
 
     results = []
     for sd in seeds:
@@ -195,14 +203,12 @@ def cmd_train(args) -> int:
         try:
             metrics = train_chain(ensemble, train_ds, train_cfg)
         except Exception as exc:  # noqa: BLE001 - surfaced as exit 1
-            print(f"training failed for seed {sd}: {exc}", file=sys.stderr)
-            return 1
+            raise CliError(f"training failed for seed {sd}: {exc}", 1) from None
         seed_dir = out_dir / f"seed{sd}"
         try:
             _write_seed_dir(seed_dir, ensemble, metrics)
         except OSError as exc:
-            print(f"cannot write {seed_dir}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
+            raise CliError(f"cannot write {seed_dir}: {exc.strerror or exc}", 1) from None
         ev = chain_eval(ensemble, hold_ds)
         results.append(ev)
         print(
@@ -228,9 +234,9 @@ def _read_prompts(path) -> list[list[int]]:
 
 
 def _decode_inputs(args):
-    """(ensemble, prompts, exit code or None) for infer/bench.
+    """(ensemble, prompts) for infer/bench.
 
-    A manifest that does not load exits 1, with one stderr line naming the
+    A manifest that does not load raises CliError with exit 1, naming the
     file at fault: the manifest, or a checkpoint it names. A missing
     --manifest or --prompts file, a --max-tokens below 1, or a prompt that
     is not integers, holds an id outside the vocabulary or cannot fit
@@ -238,42 +244,40 @@ def _decode_inputs(args):
     """
     for flag, path in (("--manifest", args.manifest), ("--prompts", args.prompts)):
         if not Path(path).is_file():
-            print(f"{flag} file not found: {path}", file=sys.stderr)
-            return None, [], 2
+            raise CliError(f"{flag} file not found: {path}")
+    fault = f"manifest {args.manifest} does not load:"
     try:
         ensemble, _ = ens_mod.load_manifest(args.manifest)
     except json.JSONDecodeError as exc:
-        problem = f"not valid JSON: {exc}"
+        raise CliError(f"{fault} not valid JSON: {exc}", 1) from None
     except OSError as exc:  # a checkpoint it names is missing or unreadable
-        problem = f"cannot read {exc.filename}: {exc.strerror}"
+        raise CliError(f"{fault} cannot read {exc.filename}: {exc.strerror}", 1) from None
     except ValueError as exc:  # checkpoint errors name their file
-        problem = str(exc)
-    else:
-        problem = None
-    if problem is not None:
-        print(f"manifest {args.manifest} does not load: {problem}", file=sys.stderr)
-        return None, [], 1
+        raise CliError(f"{fault} {exc}", 1) from None
     try:
         prompts = _read_prompts(args.prompts)
         for prompt in prompts:
             check_prompt(ensemble, prompt, args.max_tokens)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None, [], 2
-    return ensemble, prompts, None
+        raise CliError(str(exc)) from None
+    return ensemble, prompts
+
+
+def _decode(ensemble, prompt, max_tokens: int, mode: str) -> tuple[list[int], TimingReport]:
+    """(tokens, timing) of one prompt decoded in mode; a sequential
+    decode's report measures nothing but its wall time."""
+    if mode == "pipelined":
+        toks, _, report = decode_pipelined(ensemble, prompt, max_tokens)
+        return toks, report
+    t0 = time.perf_counter()
+    toks, _ = decode_sequential(ensemble, prompt, max_tokens)
+    return toks, TimingReport(wall_s=time.perf_counter() - t0, n_tokens=len(toks))
 
 
 def cmd_infer(args) -> int:
-    ensemble, prompts, code = _decode_inputs(args)
-    if code is not None:
-        return code
+    ensemble, prompts = _decode_inputs(args)
     for prompt in prompts:
-        if args.mode == "sequential":  # measures nothing but its wall time
-            t0 = time.perf_counter()
-            toks, _ = decode_sequential(ensemble, prompt, args.max_tokens)
-            report = TimingReport(wall_s=time.perf_counter() - t0, n_tokens=len(toks))
-        else:
-            toks, _, report = decode_pipelined(ensemble, prompt, args.max_tokens)
+        toks, report = _decode(ensemble, prompt, args.max_tokens, args.mode)
         print(" ".join(map(str, toks)))
         print(report.format())
     return 0
@@ -281,11 +285,8 @@ def cmd_infer(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.reps < 3:
-        print("need at least 3 repetitions", file=sys.stderr)
-        return 2
-    ensemble, prompts, code = _decode_inputs(args)
-    if code is not None:
-        return code
+        raise CliError("need at least 3 repetitions")
+    ensemble, prompts = _decode_inputs(args)
     if not prompts:
         return 0
     rows = []
@@ -295,11 +296,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             n_toks = 0
             for prompt in prompts:
-                if mode == "sequential":
-                    toks, _ = decode_sequential(ensemble, prompt, args.max_tokens)
-                else:
-                    toks, _, _ = decode_pipelined(ensemble, prompt, args.max_tokens)
-                n_toks += len(toks)
+                n_toks += len(_decode(ensemble, prompt, args.max_tokens, mode)[0])
             wall = time.perf_counter() - t0
             e2e.append(wall)
             per_tok.append(wall / max(1, n_toks))
@@ -448,22 +445,18 @@ def _parse_range(text: str) -> range:
 
 def cmd_sched(args) -> int:
     if args.c <= 0:
-        print(f"--c must be positive, got {args.c}", file=sys.stderr)
-        return 2
+        raise CliError(f"--c must be positive, got {args.c}")
     if args.delta < 0:
-        print(f"--delta must be nonnegative, got {args.delta}", file=sys.stderr)
-        return 2
+        raise CliError(f"--delta must be nonnegative, got {args.delta}")
     ranges = {}
     for item in args.ranges:
         key, _, val = item.partition("=")
         if key not in ("k", "l", "g") or not val:
-            print(f"malformed range {item!r}; expected e.g. k=1..6", file=sys.stderr)
-            return 2
+            raise CliError(f"malformed range {item!r}; expected e.g. k=1..6")
         try:
             ranges[key] = _parse_range(val)
         except ValueError as exc:
-            print(f"malformed range {item!r}: {exc}", file=sys.stderr)
-            return 2
+            raise CliError(f"malformed range {item!r}: {exc}") from None
     table = schedlab.speedup_table(
         ranges.get("k", range(1, 7)),
         ranges.get("l", range(1, 13)),
@@ -532,7 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

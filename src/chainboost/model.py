@@ -5,8 +5,8 @@ the previous layer's state or, at fusion layers, LayerNorm(h_own + h_pred)
 with unit gain and zero bias; Q/K/V are all projected from that (possibly
 fused) stream, in one matmul with wqkv = [wq | wk | wv]; a residual +
 LayerNorm follows, then a GELU MLP with its own residual + LayerNorm. Layers
-are 1-indexed so layer l fuses iff l % fusion_period == 0; the embedding
-output counts as "layer 0".
+are 1-indexed and layer l fuses iff l % fusion_period == 0
+(ModelSpec.fusion_layers); the embedding output counts as "layer 0".
 
 One layer body (transformer_layer, over a parameter view) serves every path.
 One walk, forward_pass, wraps it in embedding and unembedding over a model's
@@ -61,6 +61,8 @@ _GELU_A = 0.044715
 LAYER_WEIGHTS = ("wo", "w1", "w2")
 # a layer's gains and biases, which a view holds as (1, 1, n)
 LAYER_VECTORS = ("ln_attn_g", "ln_attn_b", "b1", "b2", "ln_mlp_g", "ln_mlp_b")
+# a layer's weights that carry rank-r adapter factors on a rank > 0 model
+ADAPTED_WEIGHTS = ("wq", "wv")
 
 
 class ContractError(RuntimeError):
@@ -88,6 +90,7 @@ class ModelSpec:
             raise ValueError("d_model must be divisible by n_heads")
 
     def fusion_layers(self) -> list[int]:
+        """The layers that fuse, the one owner of the rule: l % fusion_period == 0."""
         return [l for l in range(1, self.n_layers + 1) if l % self.fusion_period == 0]
 
 
@@ -251,7 +254,7 @@ class TransformerModel:
         r = s.adapter_rank
         if r > 0:  # zero factors, which init_adapters sets through write()
             store.update((f"l{l}.{t}.{f}", np.zeros((d, r) if f == "A" else (r, d)))
-                         for l in range(1, s.n_layers + 1) for t in ("wq", "wv") for f in "AB")
+                         for l in range(1, s.n_layers + 1) for t in ADAPTED_WEIGHTS for f in "AB")
         self._params = MappingProxyType({key: _read_only(arr) for key, arr in store.items()})
         if r > 0:
             self.init_adapters(rng)
@@ -265,7 +268,7 @@ class TransformerModel:
 
         def factors():
             for l in range(1, s.n_layers + 1):
-                for target in ("wq", "wv"):
+                for target in ADAPTED_WEIGHTS:
                     yield f"l{l}.{target}.A", rng.standard_normal((d, r)) * 0.01
                     yield f"l{l}.{target}.B", np.zeros((r, d))
 
@@ -288,7 +291,7 @@ class TransformerModel:
         view.update((name, self.params[p + name][None, None]) for name in LAYER_VECTORS)
         qkv = {name: self.params[p + name] for name in ("wq", "wk", "wv")}
         if self.spec.adapter_rank > 0:
-            for name in ("wq", "wv"):
+            for name in ADAPTED_WEIGHTS:
                 qkv[name] = qkv[name] + self.params[p + name + ".A"] @ self.params[p + name + ".B"]
         view["wqkv"] = np.concatenate(list(qkv.values()), axis=1)
         view["wqkv"].flags.writeable = False
@@ -315,16 +318,21 @@ class TransformerModel:
     ) -> tuple[np.ndarray, dict]:
         """forward_pass over this model's param_views(), once the batch
         (check_tokens) and every fusion layer's input (when fusion_in is
-        given) are checked: a missing input, or one that does not broadcast
-        to the (B, T, d_model) states, raises ContractError naming the
-        layer. keep_acts is forward_pass's: only forward_train sets it;
-        every other caller reads just acts["states"]."""
+        given) are checked: a missing input, one that does not broadcast
+        to the (B, T, d_model) states, or one keyed at a layer that does
+        not fuse, raises ContractError naming the layer. keep_acts is
+        forward_pass's: only forward_train sets it; every other caller
+        reads just acts["states"]."""
         s = self.spec
         tokens = np.asarray(tokens)
         check_tokens(s, tokens, 0 if cache is None else cache.step_count)
         if fusion_in is not None:
-            full = tokens.shape + (s.d_model,)
-            for l in s.fusion_layers():
+            full, layers = tokens.shape + (s.d_model,), s.fusion_layers()
+            for l in fusion_in:
+                if l not in layers:
+                    raise ContractError(f"fusion input for layer {l}, which does not fuse "
+                                        f"(fusion layers {layers})")
+            for l in layers:
                 if l not in fusion_in:
                     raise ContractError(f"fusion input missing for fusion layer {l}")
                 shape = np.shape(fusion_in[l])
@@ -355,9 +363,12 @@ class TransformerModel:
         """Batched forward over a (B, T) token batch from position 0, keeping
         every layer's activations for backward(): the cache-free call of
         _forward with keep_acts set, fusion_in mapping each fusion layer l to
-        (B, T, d_model) states.
+        (B, T, d_model) states. acts["version"] records the parameter
+        version the pass read, which backward() checks.
         """
-        return self._forward(tokens, fusion_in, keep_acts=True)
+        logits, acts = self._forward(tokens, fusion_in, keep_acts=True)
+        acts["version"] = self.version
+        return logits, acts
 
     def backward(self, dlogits: np.ndarray, acts: dict, per_sample: bool = False,
                  keys: Optional[Sequence[str]] = None) -> np.ndarray:
@@ -372,13 +383,17 @@ class TransformerModel:
         and wv are the three column blocks of its wqkv, by basic slicing, so
         wq and wv are the adapter-merged ones; their factors get gradients
         under their params keys, like 'l1.wq.A'. No gradient flows into
-        fusion inputs (they come from a frozen predecessor).
+        fusion inputs (they come from a frozen predecessor). Since write()
+        updates those views' arrays in place, acts must come from
+        forward_train at the model's current version: activations of
+        another version raise ContractError naming both versions.
 
         With keys, each block is array_equal to that key's block of the full
         call, and the work of every other gradient is skipped: its weight
         product or sum, the factor products, and the pass below layer 1 when
         neither embedding is asked for. A key that is not in params raises
-        KeyError, a repeated key ValueError, both before any work.
+        KeyError, a repeated key ValueError, both before any work and
+        before the version check.
 
         Per sample, row b is bit for bit what a B = 1 call on that row
         returns: the weight products run one (d, T) @ (T, e) matmul per row
@@ -398,6 +413,9 @@ class TransformerModel:
         scale = 1.0 / np.sqrt(dh)
         rows = -2 if per_sample else (0, 1)  # the axes a bias gradient sums
         slots, width, want = self.layout(keys)
+        if acts.get("version") != self.version:
+            raise ContractError(f"activations of parameter version {acts.get('version')} cannot "
+                                f"give gradients at version {self.version}; run forward_train again")
         # one block, not an array per key: the heap those small arrays took was
         # trimmed when they were freed and faulted in again on every call
         out = np.empty((lead if per_sample else ()) + (width,))
@@ -677,8 +695,9 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
 
     Positions start at cache.step_count (0 without a cache); a cache is
     extended in place and attention reads every step it holds. fusion_in,
-    when present, maps every fusion layer l to a state that broadcasts
-    against (B, T, d_model). Returns (logits (B, T, V), acts), where
+    when present, maps each layer l to fuse to a state that broadcasts
+    against (B, T, d_model): the pass fuses at its keys, which callers
+    take from spec.fusion_layers(). Returns (logits (B, T, V), acts), where
     acts["states"] is [h_0, ..., h_L]. Only with keep_acts does
     acts["layers"] hold each layer's activations for backward(); without
     it the list stays empty and a layer's intermediates are freed as soon
@@ -698,7 +717,7 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     h = emb["tok_emb"][tokens] + emb["pos_emb"][None, t0 : t0 + T]
     acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
     for l in range(1, spec.n_layers + 1):
-        fused = fusion_in is not None and l % spec.fusion_period == 0
+        fused = fusion_in is not None and l in fusion_in
         ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
         if stop_at_cache and l == spec.n_layers:
             cache_kv(views[l], ht, cache, l, spec.n_heads)

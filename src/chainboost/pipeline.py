@@ -160,6 +160,7 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
     transfer_s = time.perf_counter() - t_origin
     k, spec = len(ensemble.models), ensemble.spec.models[0]
     cache = KvCache(spec.n_layers)
+    fusing = spec.fusion_layers() if k > 1 else []
     calls: list[tuple] = []  # (layer, step, start, finish) of each stacked call, perf_counter s
 
     def step_chain(token: int, emit: bool) -> Optional[np.ndarray]:
@@ -168,7 +169,7 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
         for l in range(1, spec.n_layers + 1):
             start = time.perf_counter()
             ht = h
-            if k > 1 and l % spec.fusion_period == 0:
+            if l in fusing:
                 ht = h.copy()
                 ht[1:] = fuse_states(h[1:], h[:-1])[0]
             if emit or l < spec.n_layers:

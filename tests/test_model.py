@@ -350,6 +350,22 @@ class TestBackward:
     def test_adapter_grads_vs_fd(self, name):
         self._fd_check(name, rank=3)
 
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_activations_of_another_version_are_refused(self, per_sample):
+        # a write updates the arrays the forward's views read in place, so the
+        # old activations would mix two versions' weights into one gradient
+        m, tokens = small_model(rank=2), np.array([[1, 5, 2], [0, 3, 7]])
+        dz = np.random.default_rng(4).standard_normal((2, 3, SMALL.vocab))
+        _, acts = m.forward_train(tokens)
+        old = m.version
+        m.write([("unemb", m.params["unemb"] + 1.0), ("l2.wq.B", m.params["l2.wq.B"] + 0.5)])
+        with pytest.raises(ContractError, match=rf"version {old} .* version {old + 1};"):
+            m.backward(dz, acts, per_sample=per_sample)
+        _, acts = m.forward_train(tokens)
+        fresh = copy.deepcopy(m)
+        want = fresh.backward(dz, fresh.forward_train(tokens)[1], per_sample=per_sample)
+        assert np.array_equal(m.backward(dz, acts, per_sample=per_sample), want)
+
 
 KEY_SETS = {
     "adapters": lambda m: [k for k in m.params if is_factor(k)],
@@ -547,6 +563,17 @@ class TestForwardTrain:
         with pytest.raises(ContractError, match=message):
             small_model().forward_train(np.ones((2, 3), dtype=int), fusion_in={2: np.zeros(shape)})
 
+    @pytest.mark.parametrize("layer", [1, 3, 4])
+    @pytest.mark.parametrize("call", ["forward_train", "forward_step"])
+    def test_fusion_input_at_a_layer_that_does_not_fuse_is_contract_error(self, call, layer):
+        # the walk fuses at fusion_in's keys: a stray one must not reach it
+        fusion_in, m = {2: np.zeros(16), layer: np.zeros(16)}, small_model()
+        with pytest.raises(ContractError, match=rf"fusion input for layer {layer}, which does not fuse"):
+            if call == "forward_train":
+                m.forward_train(np.ones((2, 3), dtype=int), fusion_in)
+            else:
+                m.forward_step(1, KvCache(SMALL.n_layers), fusion_in)
+
     @pytest.mark.parametrize("shape", [(2, 3, 16), (1, 1, 16), (2, 1, 16), (3, 16), (16,), (1,), ()])
     def test_fusion_input_that_broadcasts_is_accepted(self, shape):
         m, tokens = small_model(), np.ones((2, 3), dtype=int)
@@ -580,8 +607,8 @@ class TestLayoutsAndMasks:
         builds = []
         monkeypatch.setattr(model_mod, "frozenset",
                             lambda names: builds.append(names) or frozenset(names), raising=False)
-        _, acts = m.forward_train(np.ones((2, 3), dtype=int))
-        for _ in range(3):
+        for _ in range(3):  # each round's writes move the version on: forward again
+            _, acts = m.forward_train(np.ones((2, 3), dtype=int))
             grads = m.backward(np.ones((2, 3, SMALL.vocab)), acts, keys=keys)
             sgd_step(m, grads, 0.1, keys)
             load_flat_params(m, keys, flatten_params(m, keys))
