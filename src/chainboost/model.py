@@ -23,14 +23,19 @@ and moves the model's version on; params, its arrays and the cached views
 are read-only, so a stray write raises instead of leaving a cache stale.
 Each causal_mask and each model's layout() are built once and shared
 read-only too: the mask refuses writes, the layout is tuples. A kernel
-writes only arrays it allocated. LayerNorm forward and backward, GELU
-and its gradient, softmax_rows, attention and its backward, and the residual
-and bias adds of transformer_layer and backward allocate an array only for a
-value they keep or return and run every other elementwise step in place on
-it; their inputs and the activations forward_train saves are only read. Each
-in-place step is the IEEE operation the plain expression ran, at most with
-the operands of one + or * swapped, so the results are bit for bit those of
-the out-of-place expressions that tests/oracles.py keeps.
+writes only arrays it allocated, with one exception: a pass that keeps
+nothing (keep=False, every pass but forward_train) may also consume a
+fresh array that its caller hands over and no longer reads. LayerNorm
+forward and backward, GELU and its gradient, softmax_rows, attention and
+its backward, and the residual and bias adds of transformer_layer and
+backward allocate an array only for a value they keep or return and run
+every other elementwise step in place on it; their inputs and the
+activations forward_train saves are only read. Without keep, the layer
+runs each elementwise stage in the array the stage before it allocated:
+the softmax in the scores, each LayerNorm in its input, the GELU in u1.
+Each in-place step is the IEEE operation the plain expression ran, at most
+with the operands of one + or * swapped, so the results are bit for bit
+those of the out-of-place expressions that tests/oracles.py keeps.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -144,11 +150,13 @@ def gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Tanh GELU, where t is gelu_tanh(x). Builds 0.5 x (1 + t) in its
-    result, with 1 + t the one temporary; x and t are only read."""
-    g = x * 0.5
-    g *= t + 1.0
+def gelu(x: np.ndarray, t: np.ndarray, keep: bool = True) -> np.ndarray:
+    """Tanh GELU, where t is gelu_tanh(x): 0.5 x (1 + t). With keep, x and t
+    are only read, and the result and the 1 + t temporary are the two
+    arrays it allocates; without, it allocates none and consumes both: t
+    becomes 1 + t, and x the result."""
+    g = np.multiply(x, 0.5, out=None if keep else x)
+    g *= np.add(t, 1.0, out=None if keep else t)
     return g
 
 
@@ -363,11 +371,13 @@ class TransformerModel:
         """Batched forward over a (B, T) token batch from position 0, keeping
         every layer's activations for backward(): the cache-free call of
         _forward with keep_acts set, fusion_in mapping each fusion layer l to
-        (B, T, d_model) states. acts["version"] records the parameter
-        version the pass read, which backward() checks.
+        (B, T, d_model) states. acts["model"] and acts["version"] record the
+        model, by a weak reference, and the parameter version the pass read,
+        which backward() checks. The reference keeps no model alive, and a
+        deep copy of acts shares it, so the copy still belongs to the model.
         """
         logits, acts = self._forward(tokens, fusion_in, keep_acts=True)
-        acts["version"] = self.version
+        acts.update(model=weakref.ref(self), version=self.version)
         return logits, acts
 
     def backward(self, dlogits: np.ndarray, acts: dict, per_sample: bool = False,
@@ -384,16 +394,18 @@ class TransformerModel:
         wq and wv are the adapter-merged ones; their factors get gradients
         under their params keys, like 'l1.wq.A'. No gradient flows into
         fusion inputs (they come from a frozen predecessor). Since write()
-        updates those views' arrays in place, acts must come from
-        forward_train at the model's current version: activations of
-        another version raise ContractError naming both versions.
+        updates those views' arrays in place, acts must come from this
+        model's own forward_train at its current version: activations of
+        another model raise ContractError, and so do those of another
+        version, naming both versions. The model is compared by identity,
+        since two models can stand at one version.
 
         With keys, each block is array_equal to that key's block of the full
         call, and the work of every other gradient is skipped: its weight
         product or sum, the factor products, and the pass below layer 1 when
         neither embedding is asked for. A key that is not in params raises
         KeyError, a repeated key ValueError, both before any work and
-        before the version check.
+        before the model and version checks.
 
         Per sample, row b is bit for bit what a B = 1 call on that row
         returns: the weight products run one (d, T) @ (T, e) matmul per row
@@ -413,6 +425,10 @@ class TransformerModel:
         scale = 1.0 / np.sqrt(dh)
         rows = -2 if per_sample else (0, 1)  # the axes a bias gradient sums
         slots, width, want = self.layout(keys)
+        owner = acts.get("model")
+        if owner is None or owner() is not self:
+            raise ContractError("activations from another model's forward_train cannot give "
+                                "this model's gradients; run its own forward_train")
         if acts.get("version") != self.version:
             raise ContractError(f"activations of parameter version {acts.get('version')} cannot "
                                 f"give gradients at version {self.version}; run forward_train again")
@@ -678,10 +694,12 @@ def stack_views(models) -> list[dict]:
             for per in zip(*(m.param_views() for m in models))]
 
 
-def fuse_states(h: np.ndarray, pred: np.ndarray):
+def fuse_states(h: np.ndarray, pred: np.ndarray, keep: bool = True):
     """A fusion layer's attention input LayerNorm(h + pred), unit gain and zero
-    bias; returns (input, saved for _ln_backward)."""
-    return _ln_forward(h + pred, 1.0, 0.0)
+    bias; returns (input, saved for _ln_backward), or (input, None) without
+    keep, when the norm runs inside the fresh sum h + pred. h and pred are
+    only read."""
+    return _ln_forward(h + pred, 1.0, 0.0, keep)
 
 
 def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
@@ -700,8 +718,9 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     take from spec.fusion_layers(). Returns (logits (B, T, V), acts), where
     acts["states"] is [h_0, ..., h_L]. Only with keep_acts does
     acts["layers"] hold each layer's activations for backward(); without
-    it the list stays empty and a layer's intermediates are freed as soon
-    as the next layer starts.
+    it the list stays empty, every layer runs transformer_layer's keep=False
+    body (its elementwise stages in place, fusion norms too), and a layer's
+    intermediates are freed as soon as the next layer starts.
 
     stop_at_cache is for a decode step whose logits and last state nobody
     reads: the last layer only projects its keys and values into the cache
@@ -718,11 +737,11 @@ def forward_pass(spec: ModelSpec, views: list[dict], tokens: np.ndarray,
     acts: dict = {"tokens": tokens, "layers": [], "states": [h]}
     for l in range(1, spec.n_layers + 1):
         fused = fusion_in is not None and l in fusion_in
-        ht, ln_fuse = fuse_states(h, fusion_in[l]) if fused else (h, None)
+        ht, ln_fuse = fuse_states(h, fusion_in[l], keep_acts) if fused else (h, None)
         if stop_at_cache and l == spec.n_layers:
             cache_kv(views[l], ht, cache, l, spec.n_heads)
             return None, acts
-        h, a = transformer_layer(views[l], ht, cache, l, spec.n_heads, mask)
+        h, a = transformer_layer(views[l], ht, cache, l, spec.n_heads, mask, keep_acts)
         acts["states"].append(h)
         if keep_acts:
             a.update(fused=fused, ln_fuse=ln_fuse)
@@ -743,35 +762,44 @@ def causal_mask(T: int, t0: int) -> np.ndarray:
 
 
 def transformer_layer(p: dict, ht: np.ndarray, cache: Optional[KvCache], layer: int,
-                      n_heads: int, mask: Optional[np.ndarray]) -> tuple[np.ndarray, dict]:
+                      n_heads: int, mask: Optional[np.ndarray],
+                      keep: bool = True) -> tuple[np.ndarray, Optional[dict]]:
     """The one transformer layer body, from its attention input ht (B, T, d_model).
 
     p is a parameter view (TransformerModel.layer_params): one model's
     (d, d') weights and (1, 1, d) gains and biases, or k models' stacked
     along a leading model axis, (k, d, d') and (k, 1, d), so that batch row
     b runs model b. A cache, when given, is extended in place at index
-    layer-1; mask None means every key is visible. Returns (state h_layer, activations). The
+    layer-1; mask None means every key is visible. Returns (state h_layer,
+    activations for backward), or (h_layer, None) without keep. The
     residual and bias adds go in place onto the fresh products; ht and p
     are only read.
+
+    Without keep nothing is saved, so each elementwise stage writes over
+    the fresh array of the stage before it: the softmax over the scores,
+    each LayerNorm inside its input (hhat, then m), the GELU inside u1.
+    That is five arrays fewer per layer, for the same bits.
     """
     B, T, d = ht.shape
     dh = d // n_heads
     qkv = _qkv_heads(p, ht, n_heads)
     qh = qkv[0]
     kh, vh = qkv[1:] if cache is None else cache.extend(layer - 1, qkv[1:])
-    oh, attn = _attention(qh, kh, vh, 1.0 / math.sqrt(dh), mask)
+    oh, attn = _attention(qh, kh, vh, 1.0 / math.sqrt(dh), mask, keep)
     o = oh.transpose(0, 2, 1, 3).reshape(B, T, d)
     hhat = o @ p["wo"]
     hhat += ht
-    ha, ln_a = _ln_forward(hhat, p["ln_attn_g"], p["ln_attn_b"])
+    ha, ln_a = _ln_forward(hhat, p["ln_attn_g"], p["ln_attn_b"], keep)
     u1 = ha @ p["w1"]
     u1 += p["b1"]
     t1 = gelu_tanh(u1)
-    g1 = gelu(u1, t1)
+    g1 = gelu(u1, t1, keep)
     m = g1 @ p["w2"]
     m += p["b2"]
     m += ha
-    h, ln_m = _ln_forward(m, p["ln_mlp_g"], p["ln_mlp_b"])
+    h, ln_m = _ln_forward(m, p["ln_mlp_g"], p["ln_mlp_b"], keep)
+    if not keep:
+        return h, None
     acts = dict(p=p, ht=ht, qh=qh, kh=kh, vh=vh, attn=attn, o=o,
                 ln_attn=ln_a, ha=ha, u1=u1, t1=t1, g1=g1, ln_mlp=ln_m)
     return h, acts
@@ -791,15 +819,17 @@ def _qkv_heads(p: dict, ht: np.ndarray, n_heads: int) -> np.ndarray:
     return (ht @ p["wqkv"]).reshape(B, T, 3, n_heads, d // n_heads).transpose(2, 0, 3, 1, 4)
 
 
-def _attention(qh, kh, vh, scale: float, mask: Optional[np.ndarray] = None):
+def _attention(qh, kh, vh, scale: float, mask: Optional[np.ndarray] = None,
+               keep: bool = True):
     """Softmax attention over (B, heads, T, dh), masked when a mask is given;
     returns (context, weights). The scale and the mask go onto the scores
-    in place."""
+    in place, and without keep the softmax too, so that the weights are
+    the scores' array."""
     scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
     if mask is not None:
         scores += mask
-    attn = softmax_rows(scores)
+    attn = softmax_rows(scores, out=None if keep else scores)
     return attn @ vh, attn
 
 
@@ -817,11 +847,14 @@ def _attention_backward(doh, qh, kh, vh, attn, scale: float):
     return dqh, dkh, dvh
 
 
-def _ln_forward(x: np.ndarray, gain, bias):
+def _ln_forward(x: np.ndarray, gain, bias, keep: bool = True):
     """LayerNorm over the last axis; returns (gain * xhat + bias, (xhat, inv))
-    with inv = 1 / sqrt(var + eps), a (..., 1) array. Of the full-size arrays
-    it allocates the centred copy, which becomes the saved xhat, and the
-    output, which first holds the squares; x is only read.
+    with inv = 1 / sqrt(var + eps), a (..., 1) array. With keep, of the
+    full-size arrays it allocates the centred copy, which becomes the saved
+    xhat, and the output, which first holds the squares; x is only read.
+    Without keep it returns (output, None) and allocates only the squares:
+    x, which the caller hands over fresh and no longer reads, is centred,
+    scaled, gained and biased in place and becomes the output.
 
     The per-row values stay out of place. An input that holds one row (every
     decode step of one model) takes its row's sum and sum of squares as
@@ -830,20 +863,24 @@ def _ln_forward(x: np.ndarray, gain, bias):
     array path, so the same bits, at about half the numpy calls."""
     # np.add.reduce(...) / d is what ndarray.mean computes, minus its Python wrapper
     d = x.shape[-1]
+    into = None if keep else x
     if x.size == d:
-        xc = x - float(np.add.reduce(x, axis=None)) / d
+        xc = np.subtract(x, float(np.add.reduce(x, axis=None)) / d, out=into)
         y = xc * xc
         inv = 1.0 / math.sqrt(float(np.add.reduce(y, axis=None)) / d + LN_EPS)
         xc *= inv
-        inv = np.array(inv, ndmin=x.ndim)
+        if keep:
+            inv = np.array(inv, ndmin=x.ndim)
     else:
-        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+        xc = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / d, out=into)
         y = xc * xc
         inv = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + LN_EPS)
         xc *= inv
+    if not keep:
+        y = xc
     np.multiply(gain, xc, out=y)
     y += bias
-    return y, (xc, inv)
+    return y, ((xc, inv) if keep else None)
 
 
 def _ln_backward(dy: np.ndarray, saved, gain) -> np.ndarray:

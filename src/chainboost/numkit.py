@@ -36,20 +36,23 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return softmax_rows(z)
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise stable softmax over the last axis of an n-D array, shifted,
-    exponentiated and normalised in the one array it allocates; z is only
-    read. The max and the sum call the ufunc reductions that z.max and
-    e.sum would run, so their bits are the same, except that many short
-    rows (at least 24 rows per column, 2 to 16 columns, at most 2**18
-    entries) take _folded_max's, for the same bits again."""
+    exponentiated and normalised in the one array it allocates, or in out
+    when given (out may be z itself, a float64 array its caller no longer
+    reads); z is otherwise only read. The max and the sum call the ufunc
+    reductions that z.max and e.sum would run, so their bits are the same,
+    except that many short rows (at least 24 rows per column, 2 to 16
+    columns, at most 2**18 entries) take _folded_max's, for the same bits
+    again. The row max is its own array, so out=z gives the bits of the
+    call without out."""
     z = np.asarray(z, dtype=np.float64)
     cols = z.shape[-1]
     # the fold's rule, in the order that rejects a decode step's few rows first
     if 24 * cols * cols <= z.size <= 2**18 and 1 < cols <= 16:
-        e = z - _folded_max(z)
+        e = np.subtract(z, _folded_max(z), out=out)
     else:
-        e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e

@@ -171,9 +171,10 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
             ht = h
             if l in fusing:
                 ht = h.copy()
-                ht[1:] = fuse_states(h[1:], h[:-1])[0]
+                ht[1:] = fuse_states(h[1:], h[:-1], keep=False)[0]
             if emit or l < spec.n_layers:
-                h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None)
+                # keep False: a decode step saves no activations
+                h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None, False)
             else:
                 cache_kv(weights[l], ht, cache, l, spec.n_heads)
             calls.append((l, t, start, time.perf_counter()))

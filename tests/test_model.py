@@ -366,6 +366,32 @@ class TestBackward:
         want = fresh.backward(dz, fresh.forward_train(tokens)[1], per_sample=per_sample)
         assert np.array_equal(m.backward(dz, acts, per_sample=per_sample), want)
 
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_activations_of_another_model_are_refused(self, per_sample):
+        # two fresh models stand at one version, so the version alone let
+        # one model's activations through the other's backward
+        a, b = (TransformerModel(ModelSpec(adapter_rank=2, seed=seed)) for seed in (0, 5))
+        assert a.version == b.version == 1
+        tokens = np.array([[1, 5, 2], [0, 3, 7]])
+        dz = np.random.default_rng(4).standard_normal((2, 3, a.spec.vocab))
+        with pytest.raises(ContractError, match="another model's forward_train"):
+            a.backward(dz, b.forward_train(tokens)[1], per_sample=per_sample)
+        _, acts = a.forward_train(tokens)
+        twin = copy.deepcopy(a)  # equal parameters and version, still another model
+        with pytest.raises(ContractError, match="another model's forward_train"):
+            twin.backward(dz, acts, per_sample=per_sample)
+
+    @pytest.mark.parametrize("per_sample", [False, True])
+    def test_own_activations_pass(self, per_sample):
+        a, b = (TransformerModel(ModelSpec(adapter_rank=2, seed=seed)) for seed in (0, 5))
+        tokens = np.array([[1, 5, 2], [0, 3, 7]])
+        dz = np.random.default_rng(4).standard_normal((2, 3, a.spec.vocab))
+        _, acts = a.forward_train(tokens)
+        b.backward(dz, b.forward_train(tokens)[1], per_sample=per_sample)
+        twin = copy.deepcopy(a)
+        want = twin.backward(dz, twin.forward_train(tokens)[1], per_sample=per_sample)
+        assert np.array_equal(a.backward(dz, acts, per_sample=per_sample), want)
+
 
 KEY_SETS = {
     "adapters": lambda m: [k for k in m.params if is_factor(k)],

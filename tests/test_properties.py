@@ -57,6 +57,18 @@ The row max: softmax_rows on drawn batches on both sides of its fold rule
 rows of -inf, NaN and zeros of either sign, gives the bits of the reduce
 (oracles.softmax_rows) and only reads its input.
 
+Passes that keep no activations: forward_pass without keep_acts gives the
+logits and every state of the pass with it, bit for bit, cache-free with
+and without fusion inputs and on one-token steps over a KvCache, whose
+keys and values end equal too; transformer_layer with keep=False gives the
+state h of keep=True, on a stacked one-row step over a drawn cache and on
+a masked batch; and _ln_forward, gelu and fuse_states without keep give
+the output of the call with it while writing it into the array handed
+over. After a call without keep, its attention input ht, the fusion
+inputs and the views the cache handed out before it are unchanged.
+softmax_rows(z, out=z) gives the bits of softmax_rows(z) on the drawn
+softmax batches, both row-max paths and NaN rows included.
+
 Runs are derandomized, so every run draws the same examples.
 """
 
@@ -79,6 +91,10 @@ from chainboost.model import (
     TransformerModel,
     _embedding_grad,
     _ln_forward,
+    forward_pass,
+    fuse_states,
+    gelu,
+    gelu_tanh,
     stack_views,
     transformer_layer,
 )
@@ -540,3 +556,97 @@ def test_softmax_draws_cover_both_paths(monkeypatch):
     record()
     assert seen >= {("folds", True), ("folds", False), ("folds a NaN row", True),
                     ("folds a zero max", True)}
+
+
+# -- passes that keep no activations ----------------------------------------
+
+
+def cache_views(cache: KvCache) -> list:
+    """The keys and values views the cache has handed out so far."""
+    return [kv for kv in cache.kv if kv is not None]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(training_passes())
+def test_lean_pass_gives_the_kept_bits(case):
+    model, tokens, fusion_in, _, _ = case
+    s, views = model.spec, model.param_views()
+    before = copy.deepcopy(fusion_in)
+    lean_z, lean = forward_pass(s, views, tokens, fusion_in)
+    kept_z, kept = forward_pass(s, views, tokens, fusion_in, keep_acts=True)
+    assert lean["layers"] == [] and len(kept["layers"]) == s.n_layers
+    assert_same_tree((lean_z, lean["states"]), (kept_z, kept["states"]))
+    assert_same_tree(fusion_in, before)
+    # one-token steps over a cache, each step reading its column of the fusion inputs
+    caches = KvCache(s.n_layers), KvCache(s.n_layers)
+    for t in range(tokens.shape[1]):
+        step = tokens[:, t : t + 1]
+        f_in = None if fusion_in is None else {l: f[:, t : t + 1] for l, f in fusion_in.items()}
+        handed, earlier = cache_views(caches[0]), copy.deepcopy(cache_views(caches[0]))
+        lean_z, lean = forward_pass(s, views, step, f_in, caches[0])
+        kept_z, kept = forward_pass(s, views, step, f_in, caches[1], keep_acts=True)
+        assert_same_tree((lean_z, lean["states"]), (kept_z, kept["states"]))
+        assert_same_tree(handed, earlier)
+    assert_same_tree(fusion_in, before)
+    assert_same_tree(caches[0].kv, caches[1].kv)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(layer_calls())
+def test_lean_layer_gives_the_kept_state(case):
+    models, l, t0, seed = case
+    s = models[0].spec
+    k, d, nh = len(models), s.d_model, s.n_heads
+    rng = np.random.default_rng(seed)
+    past = rng.normal(0.0, 1.0, (2, k, nh, t0, d // nh))
+    B, T = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    calls = [  # (view, ht, a fresh cache or None, mask)
+        (stack_views(models)[l], rng.normal(0.0, 1.0, (k, 1, d)),
+         lambda: filled_cache(s, l, past), None),
+        (models[0].param_views()[l], rng.normal(0.0, 1.0, (B, T, d)),
+         lambda: None, np.triu(np.full((T, T), -1e30), k=1)),
+    ]
+    for p, ht, new_cache, mask in calls:
+        lean_cache, kept_cache = new_cache(), new_cache()
+        handed = [] if lean_cache is None else cache_views(lean_cache)
+        earlier, ht_before = copy.deepcopy(handed), ht.copy()
+        h, acts = transformer_layer(p, ht, lean_cache, l, nh, mask, keep=False)
+        assert acts is None
+        assert same_bits(h, transformer_layer(p, ht, kept_cache, l, nh, mask)[0])
+        assert same_bits(ht, ht_before)
+        assert_same_tree(handed, earlier)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([(1, 1), (3, 1), (1, 5), (4, 7)]), st.sampled_from([1, 4, 6, 24, 33]),
+       st.booleans(), st.integers(0, 2**16))
+def test_lean_kernels_give_the_kept_bits(lead, n, stacked, seed):
+    # lead (1, 1) is a one-row decode step, on _ln_forward's Python-float path;
+    # stacked gains and biases are (B, 1, n), as the layer-synchronous decoder's
+    rng = np.random.default_rng(seed)
+    shape, vec = lead + (n,), (lead[0] if stacked else 1, 1, n)
+    x = rng.normal(0.0, 2.0, shape) + rng.normal(0.0, 50.0, lead + (1,))
+    gain, bias = rng.normal(1.0, 0.2, vec), rng.normal(0.0, 0.2, vec)
+    fresh = x.copy()
+    y, saved = _ln_forward(fresh, gain, bias, keep=False)
+    assert saved is None and y is fresh
+    assert same_bits(y, _ln_forward(x, gain, bias)[0])
+    u = rng.normal(0.0, 3.0, shape)
+    t = gelu_tanh(u)
+    fresh_u, fresh_t = u.copy(), t.copy()
+    g = gelu(fresh_u, fresh_t, keep=False)
+    assert g is fresh_u and same_bits(g, gelu(u, t))
+    pred = rng.normal(0.0, 1.0, shape)
+    h_before, pred_before = x.copy(), pred.copy()
+    fused, saved = fuse_states(x, pred, keep=False)
+    assert saved is None and same_bits(fused, fuse_states(x, pred)[0])
+    assert same_bits(x, h_before) and same_bits(pred, pred_before)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(softmax_batches())
+def test_softmax_in_place_gives_the_same_bits(z):
+    with np.errstate(invalid="ignore"):
+        want = softmax_rows(z)
+        assert softmax_rows(z, out=z) is z
+    assert same_bits(z, want)

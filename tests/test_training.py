@@ -32,6 +32,7 @@ from chainboost.training import (
     train_model,
     trainable_keys,
 )
+from memory_peaks import modsum, modsum_chain, traced_peak
 from oracles import (
     chain_eval_full,
     chain_walk_train,
@@ -564,6 +565,16 @@ class TestLeanChainWalk:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"chain_eval peaked at {peak / 1e6:.1f} MB"
+
+    def test_chain_eval_part_fits_its_heap_budget(self):
+        # the train_modsum chain, untrained, on one 100-row held-out part: a
+        # part that needs more heap than a training step (3.3-3.4 MB) leaves
+        # free makes glibc grow the heap and trim it back on every part. 5.0-5.2
+        # MB when each layer kept its LayerNorm copies, its GELU temporaries
+        # and a second softmax array, about 4.0 MB with them in place
+        ens, part = modsum_chain(), modsum(100, seed=1 + 7919)
+        peak = traced_peak(lambda: chain_eval(ens, part))
+        assert peak <= 4.4, f"chain_eval peaked at {peak:.2f} MB"
 
 
 # the criterion-6 probe's model shape
