@@ -173,8 +173,7 @@ def decode_pipelined(ensemble: Ensemble, prompt, max_tokens: int, workers: Optio
                 ht = h.copy()
                 ht[1:] = fuse_states(h[1:], h[:-1], keep=False)[0]
             if emit or l < spec.n_layers:
-                # keep False: a decode step saves no activations
-                h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None, False)
+                h, _ = transformer_layer(weights[l], ht, cache, l, spec.n_heads, None, keep=False)
             else:
                 cache_kv(weights[l], ht, cache, l, spec.n_heads)
             calls.append((l, t, start, time.perf_counter()))

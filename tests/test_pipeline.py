@@ -109,9 +109,9 @@ class TestLayerSynchronous:
         assert pipeline.transformer_layer is model.transformer_layer  # the one layer body
         shapes = []
 
-        def counting(p, ht, *args):
+        def counting(p, ht, *args, **kw):
             shapes.append(ht.shape)
-            return model.transformer_layer(p, ht, *args)
+            return model.transformer_layer(p, ht, *args, **kw)
 
         monkeypatch.setattr(pipeline, "transformer_layer", counting)
         deep = dataclasses.replace(TINY, n_layers=4)

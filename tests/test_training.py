@@ -2,7 +2,6 @@
 
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,26 +551,9 @@ class TestLeanChainWalk:
         assert len(toks) > 1 and len(calls) == 1
 
     def test_chain_eval_peak_memory(self):
-        # one 100-sample part of the train_modsum benchmark's held-out set:
-        # 16.0 MB traced at peak when every layer's activations were kept,
-        # 6.6 MB when the walk holds one layer's at a time
-        ens = _rank8_chain(2)
-        part = _modsum(100)
-        chain_eval(ens, part)  # first-call allocations stay out of the peak
-        tracemalloc.start()
-        try:
-            chain_eval(ens, part)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6, f"chain_eval peaked at {peak / 1e6:.1f} MB"
-
-    def test_chain_eval_part_fits_its_heap_budget(self):
         # the train_modsum chain, untrained, on one 100-row held-out part: a
         # part that needs more heap than a training step (3.3-3.4 MB) leaves
-        # free makes glibc grow the heap and trim it back on every part. 5.0-5.2
-        # MB when each layer kept its LayerNorm copies, its GELU temporaries
-        # and a second softmax array, about 4.0 MB with them in place
+        # free makes glibc grow the heap and trim it back on every part
         ens, part = modsum_chain(), modsum(100, seed=1 + 7919)
         peak = traced_peak(lambda: chain_eval(ens, part))
         assert peak <= 4.4, f"chain_eval peaked at {peak:.2f} MB"
