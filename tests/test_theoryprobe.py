@@ -8,7 +8,7 @@ from chainboost import theoryprobe
 from chainboost.model import ModelSpec, TransformerModel
 from chainboost.numkit import ShapeError, softmax, softmax_jacobian
 from chainboost.tasks import TaskSpec, generate
-from chainboost.training import descent_lr_bound
+from chainboost.training import AlignmentEstimate, descent_lr_bound
 from chainboost.theoryprobe import (
     DegenerateFitError,
     descent_probe,
@@ -172,6 +172,28 @@ class TestDescentProbe:
         assert not short.converged
         assert "converged       False" in short.format()
         assert len(short.ce_trajectory) == 6 and short.precondition_ok
+
+    def test_failed_precondition_reports_and_restores(self, monkeypatch):
+        # rho * Gamma = 1.8 >= alpha = 0.9: no eta*(alpha) exists
+        tokens, gold = self._task()
+        err = np.where(gold >= 0, (gold + 1) % TINY.vocab, -1)
+        # zero steps accept the first round, so its L-hat is the local secant
+        local = descent_probe(TransformerModel(TINY), tokens, gold, alpha=0.9, steps=0,
+                              err=err, seed=0).smoothness
+        model = TransformerModel(TINY)
+        before = {k: v.copy() for k, v in model.params.items()}
+        monkeypatch.setattr(theoryprobe, "estimate_alignment",
+                            lambda *a, **kw: AlignmentEstimate(0.9, 2.0, 12))
+        rep = descent_probe(model, tokens, gold, alpha=0.9, steps=5, err=err, seed=0)
+        assert not rep.precondition_ok
+        assert "precondition" in rep.note
+        assert rep.ce_trajectory == [] and rep.violations == 0
+        assert rep.eta_used == 0.0 and rep.eta_bound == 0.0
+        assert not rep.converged
+        assert rep.smoothness == local
+        assert model.params.keys() == before.keys()
+        for k, v in before.items():
+            assert model.params[k].tobytes() == v.tobytes(), k
 
     def test_unconverged_report_pairs_l_hat_with_its_eta(self, monkeypatch):
         # the reported pilot ran at eta_used = 0.9 eta_bound, and eta_bound
