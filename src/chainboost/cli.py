@@ -67,7 +67,8 @@ def _check_config(cfg, seeds) -> None:
     checks and cmd_train cannot use as given: a section that is not an
     object, a key it would ignore, seeds that are not a nonempty list of
     nonnegative integers, an n_successors that is not a nonnegative integer,
-    or a holdout_fraction outside (0, 1)."""
+    or a holdout_fraction outside (0, 1). Sets those two keys' defaults, 1
+    and 0.25, in cfg where it leaves them out."""
     if not isinstance(cfg, dict):
         raise ValueError("a config must be a JSON object")
     for section in ("model", "task", "train"):
@@ -81,10 +82,10 @@ def _check_config(cfg, seeds) -> None:
         raise ValueError(f"seeds must be a nonempty list of integers, got {seeds!r}")
     if min(seeds) < 0:  # model seeds are 100 * seed + i; numpy takes none below 0
         raise ValueError(f"seeds must be nonnegative, got {seeds!r}")
-    n_succ = cfg.get("n_successors", 1)
+    n_succ = cfg.setdefault("n_successors", 1)
     if type(n_succ) is not int or n_succ < 0:
         raise ValueError(f"n_successors must be a nonnegative integer, got {n_succ!r}")
-    holdout = cfg.get("holdout_fraction", 0.25)
+    holdout = cfg.setdefault("holdout_fraction", 0.25)
     if type(holdout) not in (int, float) or not 0 < holdout < 1:
         raise ValueError(f"holdout_fraction must be a number in (0, 1), got {holdout!r}")
 
@@ -112,13 +113,13 @@ def cmd_gen(args) -> int:
 
 
 def _chain_config(cfg: dict):
-    """(dataset, EnsembleSpec) a train config describes, its model seeds
-    left to each run; a config they cannot be built from, a dataset file
-    that does not load (its ids checked against the task's vocab, if one is
-    given), or models whose max_steps cannot hold the data's sequences,
-    raise OSError, TypeError or ValueError naming the problem. A task
-    section is checked as a TaskSpec whenever it is there, also beside a
-    dataset, whose vocab it then gives."""
+    """(dataset, EnsembleSpec) a train config that _check_config passed
+    describes, its model seeds left to each run; a config they cannot be
+    built from, a dataset file that does not load (its ids checked against
+    the task's vocab, if one is given), or models whose max_steps cannot
+    hold the data's sequences, raise OSError, TypeError or ValueError naming
+    the problem. A task section is checked as a TaskSpec whenever it is
+    there, also beside a dataset, whose vocab it then gives."""
     task = tasks.TaskSpec(**cfg["task"]) if "task" in cfg else None
     if "dataset" in cfg:
         ds_full = tasks.load_dataset(cfg["dataset"], None if task is None else task.vocab)
@@ -130,7 +131,7 @@ def _chain_config(cfg: dict):
     mspec = ModelSpec(**{"vocab": vocab, **cfg.get("model", {})})  # ModelSpec fills the rest
     if mspec.vocab != vocab:
         raise ValueError(f"model vocab {mspec.vocab} differs from the data vocab {vocab}")
-    n_succ = cfg.get("n_successors", 1)
+    n_succ = cfg["n_successors"]
     espec = ens_mod.EnsembleSpec(
         models=[dataclasses.replace(mspec, adapter_rank=0)] + [mspec] * n_succ,
         lambdas=cfg.get("lambdas", [ens_mod.DEFAULT_LAMBDA] * n_succ),
@@ -178,7 +179,7 @@ def cmd_train(args) -> int:
         _check_config(cfg, seeds)
         train_base = TrainConfig(**cfg.get("train", {}), seed=seeds[0])
         ds_full, espec_base = _chain_config(cfg)
-        holdout = cfg.get("holdout_fraction", 0.25)
+        holdout = cfg["holdout_fraction"]
         if len(ds_full.split(holdout)[0]) == 0:  # split sizes do not depend on the seed
             raise ValueError(f"holdout_fraction {holdout} leaves no training sample of {len(ds_full)}")
         for sd in seeds:  # chain_eval scores only labelled positions
@@ -223,7 +224,7 @@ def cmd_train(args) -> int:
 def _read_prompts(path) -> list[list[int]]:
     """One prompt of whitespace-separated token ids per nonempty line."""
     prompts = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for n, line in enumerate(tasks.read_text(path).splitlines(), 1):
         try:
             prompt = [int(x) for x in line.split()]
         except ValueError:

@@ -561,39 +561,48 @@ class TransformerModel:
     def load(path) -> "TransformerModel":
         """Read a checkpoint; every array must be one its spec declares, with
         that shape, under the name save gives it, and the header's adapters
-        what save writes. Any fault, in the header or an array, raises
-        ValueError naming the checkpoint."""
-        with np.load(path) as data:
-            try:  # a missing array or header key is a KeyError, bad JSON a ValueError
-                header = json.loads(bytes(data["header"]).decode())
-                version, dtype, spec, adapters = (
-                    header[key] for key in ("format_version", "dtype", "spec", "adapters"))
-                if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
-                    raise ValueError(f"unsupported checkpoint format version {version!r}")
-                if dtype != "float64":
-                    raise ValueError(f"unsupported checkpoint dtype {dtype!r} (only float64)")
-                if not isinstance(spec, dict) or set(spec) != {f.name for f in fields(ModelSpec)}:
-                    raise ValueError(f"header spec {spec!r} does not name each ModelSpec field once")
-                model = TransformerModel(ModelSpec(**spec))
-                bases = _factor_bases(model.params)
-                if adapters != bases:
-                    raise ValueError(f"header adapters {adapters!r} are not the spec's {bases!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"checkpoint {path}: bad header: {exc!r}") from None
-            names = {_archive_name(k): k for k in model.params}
-            arrays = {}
-            for name in sorted(names.keys() | set(data.files) - {"header"}):
-                if name not in names:
-                    raise ValueError(f"checkpoint {path}: array {name!r} is not in its spec")
-                if name not in data.files:
-                    raise ValueError(f"checkpoint {path}: array {name!r} is missing")
-                arr, want = data[name], model.params[names[name]].shape
-                if arr.shape != want:
-                    raise ValueError(
-                        f"checkpoint {path}: array {name!r} has shape {arr.shape}, "
-                        f"its spec needs {want}"
-                    )
-                arrays[names[name]] = arr
+        what save writes. Any fault, in the archive, the header or an array,
+        raises ValueError naming the checkpoint; a file that does not open
+        stays OSError."""
+        with open(path, "rb") as f:
+            try:  # zipfile, zlib and numpy's reader each raise their own types on a bad file
+                data = np.load(f)
+                if not isinstance(data, np.lib.npyio.NpzFile):
+                    raise ValueError("it holds one .npy array")
+                with data:
+                    stored = {name: data[name] for name in data.files}
+            except Exception as exc:  # noqa: BLE001 - every one is the file's fault
+                raise ValueError(f"checkpoint {path}: does not read as an .npz archive: {exc!r}") from None
+        try:  # a missing array or header key is a KeyError, bad JSON a ValueError
+            header = json.loads(bytes(stored.pop("header")).decode())
+            version, dtype, spec, adapters = (
+                header[key] for key in ("format_version", "dtype", "spec", "adapters"))
+            if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint format version {version!r}")
+            if dtype != "float64":
+                raise ValueError(f"unsupported checkpoint dtype {dtype!r} (only float64)")
+            if not isinstance(spec, dict) or set(spec) != {f.name for f in fields(ModelSpec)}:
+                raise ValueError(f"header spec {spec!r} does not name each ModelSpec field once")
+            model = TransformerModel(ModelSpec(**spec))
+            bases = _factor_bases(model.params)
+            if adapters != bases:
+                raise ValueError(f"header adapters {adapters!r} are not the spec's {bases!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path}: bad header: {exc!r}") from None
+        names = {_archive_name(k): k for k in model.params}
+        arrays = {}
+        for name in sorted(names.keys() | stored.keys()):
+            if name not in names:
+                raise ValueError(f"checkpoint {path}: array {name!r} is not in its spec")
+            if name not in stored:
+                raise ValueError(f"checkpoint {path}: array {name!r} is missing")
+            arr, want = stored[name], model.params[names[name]].shape
+            if arr.shape != want:
+                raise ValueError(
+                    f"checkpoint {path}: array {name!r} has shape {arr.shape}, "
+                    f"its spec needs {want}"
+                )
+            arrays[names[name]] = arr
         model.write(arrays.items())
         return model
 

@@ -147,6 +147,15 @@ def save_dataset(path, ds: Dataset) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
+def read_text(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ValueError
+    naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_dataset(path, vocab: Optional[int] = None) -> Dataset:
     """The samples of a file save_dataset writes: per nonempty line, a JSON
     object whose "input" and "gold" are lists of integer ids, as long as
@@ -154,7 +163,7 @@ def load_dataset(path, vocab: Optional[int] = None) -> Dataset:
     id too or NO_LABEL; vocab defaults to 1 + the largest token id. A file
     that breaks any of this raises ValueError naming its first bad line."""
     rows = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for n, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path} line {n}"

@@ -20,6 +20,7 @@ from .training import (
     DEFAULT_BETA,
     AlignmentEstimate,
     BoundViolatedError,
+    EmptyEstimateError,
     descent_lr_bound,
     estimate_alignment,
     flatten_params,
@@ -107,18 +108,6 @@ class MseSweepReport:
     def residuals(self) -> list[float]:
         return [d - p for d, p in zip(self.delta_mse, self.linear_pred)]
 
-    def format(self) -> str:
-        lines = [
-            f"instances          {self.n_instances}",
-            f"predecessor_mse    {self.mse_pred:.6e}",
-            f"mean_e_dot_g       {self.mean_eg:+.6e}",
-            f"negative_range     {self.negative_range}",
-            "lambda      delta_mse     linear_pred   residual",
-        ]
-        for lam, d, p in zip(self.lambdas, self.delta_mse, self.linear_pred):
-            lines.append(f"{lam:<10.4g} {d:+.6e} {p:+.6e} {d - p:+.6e}")
-        return "\n".join(lines)
-
 
 def mse_sweep(
     pred_logits: np.ndarray,
@@ -184,22 +173,6 @@ class DescentReport:
     note: str = ""
     converged: bool = True  # False when the L-hat fixed point ran out of rounds
 
-    def format(self) -> str:
-        lines = [
-            f"precondition_ok {self.precondition_ok}",
-            f"rho_hat         {self.alignment.rho:.6f}",
-            f"gamma_hat       {self.alignment.gamma:.6f}",
-            f"l_hat           {self.smoothness:.6f}",
-            f"eta_star        {self.eta_bound:.6e}",
-            f"eta_used        {self.eta_used:.6e}",
-            f"steps           {max(0, len(self.ce_trajectory) - 1)}",
-            f"violations      {self.violations}",
-            f"converged       {self.converged}",
-        ]
-        if self.note:
-            lines.append(f"note            {self.note}")
-        return "\n".join(lines)
-
 
 def descent_probe(
     model,
@@ -231,9 +204,9 @@ def descent_probe(
     if err is None:
         err = np.full_like(gold, -1)
     keys = trainable_keys(model, "full")
-    if ((err >= 0) & (gold >= 0)).any():
+    try:
         align = estimate_alignment(model, tokens, gold, err, keys, DEFAULT_BETA)
-    else:
+    except EmptyEstimateError:
         # no predecessor errors: the suppression gradient vanishes identically
         align = AlignmentEstimate(rho=0.0, gamma=0.0, sample_count=0)
 
@@ -260,55 +233,35 @@ def descent_probe(
             if np.isfinite(g1).all():
                 l_hat = max(l_hat, vector_norm(g1 - g0_ce) / s)
 
-    try:
-        descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
-    except BoundViolatedError as exc:
-        load_flat_params(model, keys, theta0)
-        return DescentReport(
-            ce_trajectory=[],
-            violations=0,
-            alignment=align,
-            smoothness=l_hat,
-            eta_used=0.0,
-            eta_bound=0.0,
-            precondition_ok=False,
-            note=str(exc),
-            converged=False,
-        )
-
     traj: list[float] = []
     violations = 0
     eta = eta_star = 0.0
     converged = False
+    note = ""
     path_sec = l_hat
-    for _ in range(DESCENT_ROUNDS):  # fixed-point rounds; converges since eta shrinks
-        l_hat = path_sec  # the L-hat behind this pilot, and so the one reported
-        eta_star = descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
-        eta = ETA_SCALE * eta_star
-        theta, g_comp, g_ce = theta0.copy(), g0_comp, g0_ce
-        traj, violations, path_sec = [ce0], 0, 0.0
-        for _ in range(steps):
-            theta_next = theta - eta * g_comp
-            ce_next, g_comp_next, g_ce_next = at(theta_next)
-            dn = vector_norm(theta_next - theta)
-            if dn > 0 and np.isfinite(g_ce_next).all():
-                path_sec = max(path_sec, vector_norm(g_ce_next - g_ce) / dn)
-            if not ce_next < traj[-1]:
-                violations += 1
-            traj.append(ce_next)
-            theta, g_comp, g_ce = theta_next, g_comp_next, g_ce_next
-        if path_sec <= l_hat:
-            converged = True
-            break
+    try:
+        for _ in range(DESCENT_ROUNDS):  # fixed-point rounds; converges since eta shrinks
+            l_hat = path_sec  # the L-hat behind this pilot, and so the one reported
+            eta_star = descent_lr_bound(alpha, align.rho, align.gamma, l_hat)
+            eta = ETA_SCALE * eta_star
+            theta, g_comp, g_ce = theta0.copy(), g0_comp, g0_ce
+            traj, violations, path_sec = [ce0], 0, 0.0
+            for _ in range(steps):
+                theta_next = theta - eta * g_comp
+                ce_next, g_comp_next, g_ce_next = at(theta_next)
+                dn = vector_norm(theta_next - theta)
+                if dn > 0 and np.isfinite(g_ce_next).all():
+                    path_sec = max(path_sec, vector_norm(g_ce_next - g_ce) / dn)
+                if not ce_next < traj[-1]:
+                    violations += 1
+                traj.append(ce_next)
+                theta, g_comp, g_ce = theta_next, g_comp_next, g_ce_next
+            if path_sec <= l_hat:
+                converged = True
+                break
+    except BoundViolatedError as exc:  # only the first round can raise: alpha <= rho*Gamma
+        note = str(exc)
 
     load_flat_params(model, keys, theta0)
-    return DescentReport(
-        ce_trajectory=traj,
-        violations=violations,
-        alignment=align,
-        smoothness=l_hat,
-        eta_used=eta,
-        eta_bound=eta_star,
-        converged=converged,
-    )
-
+    return DescentReport(traj, violations, align, l_hat, eta, eta_star,
+                         precondition_ok=not note, note=note, converged=converged)

@@ -111,7 +111,8 @@ def _objective(
     the unscaled dlogits (..., V) of sum(suppression + alpha * CE). Logs one
     warning per call that floors a probability at PROB_FLOOR. A labeled gold
     id or an active err id >= V raises ValueError naming its position: its
-    flat index would read another position's probabilities.
+    flat index would read another position's probabilities. So does an
+    active err id equal to its gold.
     """
     if gold.shape != p.shape[:-1] or err.shape != gold.shape:
         raise ShapeError(f"probabilities {p.shape} do not match gold {gold.shape} / err {err.shape}")
@@ -132,8 +133,11 @@ def _objective(
     act = er >= 0
     a = r[act]
     ie, iga = a * V + er[act], ig[act]  # the active positions' err and gold entries
-    if (ie == iga).any():
-        raise ValueError("error token must differ from gold")
+    same = ie == iga
+    if same.any():
+        i = a[same.argmax()]
+        where = tuple(map(int, np.unravel_index(i, gold.shape)))
+        raise ValueError(f"error token {e[i]} at position {where} must differ from gold")
     pg, pe = flat[ig], flat[ie]
     clamped = np.count_nonzero(pg < PROB_FLOOR) + np.count_nonzero(pe < PROB_FLOOR)
     if clamped:

@@ -193,7 +193,7 @@ def test_criterion_6_guaranteed_descent():
     wall = time.time() - t0
     for name, rep in (("copy", rep_a), ("modsum+err", rep_b)):
         assert rep.precondition_ok, f"{name}: descent precondition failed"
-        assert rep.violations == 0, f"{name}: {rep.violations} CE increases\n{rep.format()}"
+        assert rep.violations == 0, f"{name}: {rep.violations} CE increases\n{rep}"
         assert len(rep.ce_trajectory) == 201
     print(f"criterion 6 (guaranteed descent): 0 violations over 2x200 steps, "
           f"{wall:.0f}s -> PASS")

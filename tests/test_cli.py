@@ -179,6 +179,29 @@ class TestTrainConfig:
         assert message in err and str(cfg) in err
         assert not (tmp_path / "out").exists()
 
+    def test_dataset_not_utf8_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(b'{"input": [1], "gold": [2]}\n\xff\n')
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        del doc["task"]
+        doc["dataset"] = str(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"bad config: {data} is not UTF-8 text: ") and err.count("\n") == 1
+        assert "0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_prompts_not_utf8_exits_2(self, trained_run, tmp_path, capsys):
+        manifest, _ = trained_run
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_bytes(b"1 2 3\n\xff\n")
+        code, out, err = run_cli(["infer", "--manifest", str(manifest), "--prompts", str(prompts)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"{prompts} is not UTF-8 text: ") and err.count("\n") == 1
+        assert "0xff" in err
+
     @pytest.mark.parametrize("key", ["learning_rte", "precision", "seed"])
     def test_unknown_train_key_exits_2(self, tmp_path, key, capsys):
         cfg = tmp_path / "cfg.json"
@@ -587,6 +610,21 @@ class TestInfer:
         assert code == 1 and out == ""
         assert err == (f"manifest {bad} does not load: cannot read {tmp_path / 'gone.npz'}: "
                        "No such file or directory\n")
+
+    def test_manifest_naming_a_truncated_checkpoint_exits_1(self, trained_run, tmp_path, capsys):
+        manifest, prompts = trained_run
+        doc = json.loads(manifest.read_text())
+        doc["checkpoints"] = [str(manifest.parent / c) for c in doc["checkpoints"]]
+        cut = tmp_path / "cut.npz"
+        raw = Path(doc["checkpoints"][1]).read_bytes()
+        cut.write_bytes(raw[: len(raw) // 2])
+        doc["checkpoints"][1] = str(cut)
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doc))
+        code, err = run_caught(["infer", "--manifest", str(bad), "--prompts", str(prompts)], capsys)
+        assert code == 1, err
+        assert err.startswith(f"manifest {bad} does not load: checkpoint {cut}: does not read as an .npz archive: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["infer", "bench"])
     def test_manifest_not_json_exits_1(self, trained_run, tmp_path, command, capsys):

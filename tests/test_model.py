@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import io
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -543,6 +545,37 @@ class TestCheckpoint:
         data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         np.savez(p, **data)
         with pytest.raises(ValueError, match="float32"):
+            TransformerModel.load(p)
+
+    @staticmethod
+    def _flip_array_byte(raw, m):
+        # savez stores members uncompressed, so an array's bytes appear as written
+        i = raw.index(m.params["unemb"].tobytes()) + 5
+        return raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:]
+
+    @staticmethod
+    def _npy(raw, m):
+        buf = io.BytesIO()
+        np.save(buf, np.zeros(3))
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda raw, m: raw[: len(raw) // 2], "BadZipFile"),
+            (lambda raw, m: TestCheckpoint._flip_array_byte(raw, m), "Bad CRC-32"),
+            (lambda raw, m: b"", "EOFError"),
+            (lambda raw, m: TestCheckpoint._npy(raw, m), r"holds one \.npy array"),
+            (lambda raw, m: b"step 1 loss 0.5\n", "pickled"),
+        ],
+        ids=["truncated", "bad_crc", "empty", "npy", "text"],
+    )
+    def test_file_that_is_not_an_archive(self, tmp_path, corrupt, message):
+        m = small_model()
+        p = tmp_path / "ck.npz"
+        m.save(p)
+        p.write_bytes(corrupt(p.read_bytes(), m))
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(str(p))}: does not read as an \.npz archive: .*{message}"):
             TransformerModel.load(p)
 
 

@@ -134,6 +134,13 @@ class TestOutOfVocabIds:
             training.stage_batch_pass(TransformerModel(SMALL), np.array([[1, 2, 3]]),
                                       np.array(gold), np.array(err), 0.9, 0.1)
 
+    def test_error_equal_to_gold_names_its_position(self):
+        with pytest.raises(ValueError, match=re.escape("error token 3 at position (1,) must differ from gold")):
+            total_loss(np.zeros((2, 8)), [0, 3], [None, 3], 0.9, 0.1)
+        with pytest.raises(ValueError, match=re.escape("error token 1 at position (0, 2) must differ from gold")):
+            training.stage_batch_pass(TransformerModel(SMALL), np.array([[1, 2, 3]]),
+                                      np.array([[-1, 4, 1]]), np.array([[-1, 5, 1]]), 0.9, 0.1)
+
     def test_holes_and_inactive_errors_are_not_read(self):
         # a -1 gold hole with an out-of-vocab error id there: nothing is read
         assert total_loss(np.zeros((2, 8)), [-1, 1], [99, None], 0.9, 0.1) == pytest.approx(
